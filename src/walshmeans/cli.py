@@ -96,7 +96,7 @@ def cmd_mean(args) -> int:
     kern = apply_mean(T, args.n, f, path="kernel")
     err = float(abs(coeff.samples - kern.samples).max())
     _emit_grid(coeff, args.out, save_grid1d)
-    if err > 1e-10:
+    if not err <= 1e-10:
         sys.stderr.write(f"mean path disagreement: {err:.3e}\n")
         return IDENTITY_FAILURE
     return OK
@@ -132,7 +132,7 @@ def cmd_tensor(args) -> int:
     other = tensor_mean(T1, args.n1, T0, args.n0, F.__class__(F.spec, F.samples.T))
     err = float(abs(first.samples - other.samples.T).max())
     _emit_grid(first, args.out, save_grid2d)
-    if err > 1e-10:
+    if not err <= 1e-10:
         sys.stderr.write(f"iteration order disagreement: {err:.3e}\n")
         return IDENTITY_FAILURE
     return OK

@@ -256,25 +256,24 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
     """
     idx0 = tuple(subseq0)
     idx1 = tuple(subseq1)
+    points = [tuple(p) for p in points]
+    diags = [classify_wlp(F, p, depth_range=depth_range) for p in points]
     spec = F.spec
     K = spec.resolution
+    cells = tuple(np.array(points, dtype=int).reshape(-1, 2).T)
 
-    # precompute the full mean table once per index pair
-    partial0 = {n0: apply_axis(T0, n0, F, axis=0) for n0 in idx0}
-    means = {}
-    for n0, G in partial0.items():
-        gh = forward_array(G.samples, K)
-        for n1 in idx1:
+    # means[a, b, j] = (T0_{n_a} x T1_{n_b} F)(point j); the grids are dropped
+    means = np.empty((len(idx0), len(idx1), len(points)))
+    for a, n0 in enumerate(idx0):
+        gh = forward_array(apply_axis(T0, n0, F, axis=0).samples, K)
+        for b, n1 in enumerate(idx1):
             w = mean_coefficient_weights(T1, n1, spec.size)
-            means[(n0, n1)] = inverse_array(gh * w, K)
+            means[a, b] = inverse_array(gh * w, K)[cells]
 
     reports = []
-    for point in points:
-        x0, x1 = point
-        diag = classify_wlp(F, (x0, x1), depth_range=depth_range)
+    for j, ((x0, x1), diag) in enumerate(zip(points, diags)):
         value = float(F.samples[x0, x1])
-        errs = [[abs(float(means[(n0, n1)][x0, x1]) - value) for n1 in idx1]
-                for n0 in idx0]
+        errs = np.abs(means[:, :, j] - value).tolist()
         diag_errs = [errs[i][i] for i in range(min(len(idx0), len(idx1)))]
         decreasing = len(diag_errs) < 2 or diag_errs[-1] <= diag_errs[0] + 1e-15
         reports.append(Mt2PointReport(

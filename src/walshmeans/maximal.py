@@ -7,8 +7,6 @@ supremum of the martingale averages S_{2^n}.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,25 +199,6 @@ def random_test_function(spec: GridSpec, rng: np.random.Generator,
 _OPERATORS = ("abs_mean", "mean", "dyadic_maximal")
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Worker threads for experiment trials; WALSHMEANS_THREADS overrides."""
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get("WALSHMEANS_THREADS", "1")))
-
-
-def run_trials(task, inputs, workers: int) -> list:
-    """Order-preserving map over trial inputs, threaded when asked.
-
-    Inputs are generated up front from one seeded stream, so the report is
-    identical regardless of the schedule.
-    """
-    if workers <= 1 or len(inputs) <= 1:
-        return [task(x) for x in inputs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, inputs))
-
-
 @dataclass
 class WeakTypeReport:
     family: str
@@ -247,8 +226,7 @@ class WeakTypeReport:
 def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
                          trials: int, K: int, seed: int = 0,
                          operator: str = "abs_mean",
-                         generator=random_test_function,
-                         workers: int | None = None) -> WeakTypeReport:
+                         generator=random_test_function) -> WeakTypeReport:
     """Distribution of ||sup_a Op f||_{1,infty} / ||f||_1 over random
     nonnegative inputs; the maximal ratio is the headline number."""
     if trials < 1:
@@ -274,7 +252,7 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
         return _weak_quasinorm_values(sup, spec.cell_measure) / max(
             f.l1_norm(), np.finfo(float).tiny)
 
-    ratios = np.array(run_trials(ratio, inputs, worker_count(workers)))
+    ratios = np.array([ratio(f) for f in inputs])
     qs = {f"q{p}": float(np.quantile(ratios, p / 100)) for p in (25, 50, 75, 90)}
     return WeakTypeReport(
         family=T.name, subsequence=subseq.describe(), K=K, trials=trials,

@@ -18,11 +18,9 @@ from .maximal import (
     _llogl_values,
     _weak_quasinorm_values,
     abs_kernel_spectra,
-    run_trials,
-    worker_count,
 )
 from .summability import TransformationMatrix, mean_coefficient_weights
-from .transform import forward_array, inverse_array
+from .transform import _reject_non_finite, forward_array, inverse_array
 
 
 @dataclass
@@ -210,8 +208,7 @@ class LlogLReport:
 def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequence,
                                T1: TransformationMatrix, subseq1: IndexSubsequence,
                                trials: int, K: int, seed: int = 0,
-                               generator=random_test_function_2d,
-                               workers: int | None = None) -> LlogLReport:
+                               generator=random_test_function_2d) -> LlogLReport:
     """Ratio ||tensor maximal F||_{1,infty} / (1 + int |F| ln+ |F|) over a
     seeded random ensemble."""
     if trials < 1:
@@ -224,7 +221,7 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
         sup = tensor_maximal(T0, subseq0, T1, subseq1, F)
         return weak_quasinorm_2d(sup) / (1.0 + llogl_2d(F))
 
-    ratios = np.array(run_trials(ratio, inputs, worker_count(workers)))
+    ratios = np.array([ratio(F) for F in inputs])
     qs = {f"q{p}": float(np.quantile(ratios, p / 100)) for p in (25, 50, 75, 90)}
     return LlogLReport(
         family0=T0.name, family1=T1.name,
@@ -254,11 +251,13 @@ def load_grid2d(path_or_buf) -> GridFunction2D:
         if not header.startswith("# resolution="):
             raise ValueError(f"missing grid header, got {header!r}")
         K = int(header.split("=", 1)[1].split()[0])
-        rows = [[float(x) for x in line.split(",")] for line in buf if line.strip()]
+        lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
     finally:
         if buf is not path_or_buf:
             buf.close()
-    return GridFunction2D(GridSpec(K), np.array(rows))
+    values = np.array([[float(x) for x in line.split(",")] for _, line in lines])
+    _reject_non_finite(values, [no for no, _ in lines])
+    return GridFunction2D(GridSpec(K), values)
 
 
 def grid2d_to_csv(F: GridFunction2D) -> str:

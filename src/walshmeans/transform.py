@@ -1,9 +1,20 @@
 """Walsh-Paley functions on the dyadic grid and the fast transform.
 
-The Paley-ordered transform is realised as the natural-order (Hadamard)
-butterfly transform composed with a bit reversal of the K-bit cell index:
-w_n(l/2^K) = (-1)^popcount(n & rev_K(l)).  Forward coefficients carry the
-normalisation 2^-K so that f_hat(i) equals the integral of f * w_i.
+The Paley matrix W_K[n, l] = w_n(l/2^K) = (-1)^popcount(n & rev_K(l)) is
+symmetric, so the forward transform of a sample row x is 2^-K x W_K and
+the inverse of a coefficient row c is c W_K; the normalisation makes
+f_hat(i) equal the integral of f * w_i.
+
+For K <= 7 the product is one GEMM against the cached dense W_K.
+Larger K uses the Kronecker factorisation of the Walsh matrix (Fino and
+Algazi, IEEE Trans. Computers, 1976) in Paley order: split a cell index as
+l = l_hi 2^b + l_lo and a coefficient index as n = n_hi 2^a + n_lo with
+a + b = K.  Then w_n(l/2^K) = w_{n_hi}(l_lo/2^b) w_{n_lo}(l_hi/2^a), so for
+a row viewed as the matrix X[l_hi, l_lo] the coefficients in row-major
+(n_hi, n_lo) order are (X W_b)^T W_a.  With b = min(7, ceil(K/2)) that is
+one GEMM with W_b over all rows, one transposing copy, and the same
+transform on the remaining a bits.  The bit reversal lives inside the W
+matrices, so no gather is needed.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ def _check_same_spec(f, g):
 
 @lru_cache(maxsize=32)
 def bit_reversal(K: int) -> np.ndarray:
-    idx = np.arange(1 << K)
+    idx = np.arange(1 << K, dtype=np.uint64)
     rev = np.zeros_like(idx)
     for _ in range(K):
         rev = (rev << 1) | (idx & 1)
@@ -98,48 +109,55 @@ def bit_reversal(K: int) -> np.ndarray:
     return rev
 
 
-def fwht_natural(values: np.ndarray) -> np.ndarray:
-    """Unnormalised natural-order transform X[i] = sum_j (-1)^popcount(i&j) x[j].
+def _walsh_signs(n, K: int) -> np.ndarray:
+    """w_n(l/2^K) over the cells l (last axis), broadcast against n."""
+    parity = np.bitwise_count(np.asarray(n, dtype=np.uint64) & bit_reversal(K)) & 1
+    return 1.0 - 2.0 * parity
 
-    Operates on the last axis, which must have power-of-two length; leading
-    axes are treated as a batch.
-    """
+
+_RADIX = 7   # largest factor applied as one dense GEMM (a 128 x 128 W)
+
+
+@lru_cache(maxsize=_RADIX + 1)
+def paley_matrix(k: int) -> np.ndarray:
+    """Read-only symmetric Paley-Walsh matrix W[n, l] = w_n(l/2^k)."""
+    W = _walsh_signs(np.arange(1 << k)[:, None], k)
+    W.setflags(write=False)
+    return W
+
+
+def _paley(values, K: int) -> np.ndarray:
+    """values @ W_K along the last axis, leading axes a batch; a new array."""
     x = np.asarray(values, dtype=float)
-    shape = x.shape
-    n = shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-    x = x.reshape(-1, n).copy()
-    h = 1
-    while h < n:
-        x = x.reshape(x.shape[0], -1, 2, h)
-        top = x[:, :, 0, :] + x[:, :, 1, :]
-        bot = x[:, :, 0, :] - x[:, :, 1, :]
-        x = np.concatenate([top[:, :, None, :], bot[:, :, None, :]], axis=2)
-        x = x.reshape(-1, n)
-        h *= 2
-    return x.reshape(shape)
+    if x.shape[-1] != 1 << K:
+        raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
+    if K <= _RADIX:
+        return (x.reshape(-1, 1 << K) @ paley_matrix(K)).reshape(x.shape)
+    b = min(_RADIX, (K + 1) // 2)
+    a = K - b
+    y = x.reshape(-1, 1 << b) @ paley_matrix(b)
+    z = np.ascontiguousarray(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1))
+    del y   # frees the GEMM output before the next one allocates
+    return _paley(z.reshape(-1, 1 << a), a).reshape(x.shape)
 
 
 def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
-    """Paley-ordered coefficients of sample rows: 2^-K * H(P x)."""
-    rev = bit_reversal(K)
-    return fwht_natural(np.asarray(samples, dtype=float)[..., rev]) / (1 << K)
+    """Paley-ordered coefficients of sample rows: 2^-K x W_K."""
+    out = _paley(samples, K)
+    out *= 1.0 / (1 << K)
+    return out
 
 
 def inverse_array(coefficients: np.ndarray, K: int) -> np.ndarray:
-    """Samples from Paley-ordered coefficient rows: P(H c)."""
-    rev = bit_reversal(K)
-    return fwht_natural(coefficients)[..., rev]
+    """Samples from Paley-ordered coefficient rows: c W_K."""
+    return _paley(coefficients, K)
 
 
 def walsh_sample(n: int, spec: GridSpec) -> GridFunction1D:
     """The Walsh-Paley function w_n sampled on the grid (+/-1 per cell)."""
     if not 0 <= n < spec.size:
         raise ValueError(f"w_{n} is not representable at resolution {spec.resolution}")
-    rev = bit_reversal(spec.resolution)
-    parity = np.bitwise_count(np.uint64(n) & rev.astype(np.uint64)).astype(np.int64) & 1
-    return GridFunction1D(spec, 1.0 - 2.0 * parity)
+    return GridFunction1D(spec, _walsh_signs(n, spec.resolution))
 
 
 def fwht(f: GridFunction1D) -> WalshSpectrum:
@@ -228,11 +246,23 @@ def load_grid1d(path_or_buf) -> GridFunction1D:
         if not header.startswith("# resolution="):
             raise ValueError(f"missing grid header, got {header!r}")
         K = int(header.split("=", 1)[1].split()[0])
-        values = [float(line) for line in buf if line.strip()]
+        lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
     finally:
         if buf is not path_or_buf:
             buf.close()
-    return GridFunction1D(GridSpec(K), np.array(values))
+    values = np.array([float(line) for _, line in lines])
+    _reject_non_finite(values, [no for no, _ in lines])
+    return GridFunction1D(GridSpec(K), values)
+
+
+def _reject_non_finite(values: np.ndarray, line_numbers: list[int]) -> None:
+    """Raise ValueError naming the first nan/inf sample and its CSV line;
+    row i of values was read from line line_numbers[i]."""
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        first = tuple(bad[0])
+        raise ValueError(
+            f"line {line_numbers[first[0]]}: non-finite sample {values[first]}")
 
 
 def grid1d_to_csv(f: GridFunction1D) -> str:

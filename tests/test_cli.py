@@ -173,3 +173,20 @@ def test_guard_rails_and_errors(tmp_path, capsys):
     assert run(["mean", "--matrix", "fejer", "--n", "2",
                 "--input", str(tmp_path / "missing.csv")]) == 1
     capsys.readouterr()
+
+
+def test_non_finite_input_rejected(tmp_path, capsys):
+    src1 = tmp_path / "f.csv"
+    src1.write_text("# resolution=2\n1.0\n\n2.0\nnan\n3.0\n")
+    assert run(["mean", "--matrix", "fejer", "--n", "2", "--input", str(src1)]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "nan" in err
+
+    src2 = tmp_path / "F.csv"
+    src2.write_text("# resolution=1 dims=2\n1.0,2.0\n3.0,nan\n")
+    for cmd in (["tensor", "--matrix0", "fejer", "--matrix1", "fejer",
+                 "--n0", "1", "--n1", "1"],
+                ["wlp", "--point", "0,0"]):
+        assert run(cmd + ["--input", str(src2)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "nan" in err

@@ -228,6 +228,19 @@ def test_mt2_experiment_quarter_square():
     assert rep.t0_axis0 == pytest.approx([2.0 ** (-m) for m in range(2, 9)])
 
 
+def test_mt2_experiment_points_from_generator():
+    spec = GridSpec(5)
+    F = random_test_function_2d(spec, np.random.default_rng(11))
+    T0, T1 = builtin_matrix("fejer"), builtin_matrix("nlog")
+    sub0, sub1 = subsequence_from_spec("powers:1..5"), subsequence_from_spec("list:3,9")
+    pts = [(0, 0), (7, 30), (31, 2)]
+    rep = mt2_convergence_experiment(T0, T1, sub0, sub1, F, (p for p in pts))
+    assert [p.point for p in rep.points] == pts
+    for p in pts:
+        alone = mt2_convergence_experiment(T0, T1, sub0, sub1, F, [p])
+        assert rep.points[pts.index(p)].to_dict() == alone.points[0].to_dict()
+
+
 def test_mt2_experiment_constant_input():
     spec = GridSpec(6)
     F = GridFunction2D.constant(1.0, spec)

@@ -9,13 +9,17 @@ import pytest
 from walshmeans.dyadic import GridSpec
 from walshmeans.transform import (
     GridFunction1D,
+    bit_reversal,
     dirichlet_kernel,
     dyadic_convolve,
     fejer_kernel,
+    forward_array,
     fwht,
     grid1d_to_csv,
+    inverse_array,
     inverse_fwht,
     load_grid1d,
+    paley_matrix,
     partial_sum,
     save_grid1d,
     translate,
@@ -71,6 +75,86 @@ def test_fwht_matches_naive_and_roundtrip():
         assert np.abs(coeffs - naive).max() < 1e-12
         back = inverse_fwht(fwht(f))
         assert np.abs(back.samples - f.samples).max() < 1e-12
+
+
+def fwht_natural(values: np.ndarray) -> np.ndarray:
+    """Slow reference: unnormalised natural-order (Hadamard) butterfly
+    X[i] = sum_j (-1)^popcount(i&j) x[j] along the last axis."""
+    x = np.asarray(values, dtype=float)
+    shape = x.shape
+    n = shape[-1]
+    x = x.reshape(-1, n).copy()
+    h = 1
+    while h < n:
+        x = x.reshape(x.shape[0], -1, 2, h)
+        top = x[:, :, 0, :] + x[:, :, 1, :]
+        bot = x[:, :, 0, :] - x[:, :, 1, :]
+        x = np.concatenate([top[:, :, None, :], bot[:, :, None, :]], axis=2)
+        x = x.reshape(-1, n)
+        h *= 2
+    return x.reshape(shape)
+
+
+def butterfly_forward(samples: np.ndarray, K: int) -> np.ndarray:
+    """Paley coefficients as the butterfly composed with a K-bit reversal."""
+    return fwht_natural(np.asarray(samples)[..., bit_reversal(K)]) / (1 << K)
+
+
+def butterfly_inverse(coefficients: np.ndarray, K: int) -> np.ndarray:
+    return fwht_natural(coefficients)[..., bit_reversal(K)]
+
+
+def test_paley_matrix_is_symmetric_read_only_walsh_table():
+    for k in range(1, 8):
+        W = paley_matrix(k)
+        spec = GridSpec(k)
+        assert np.array_equal(W, [walsh_sample(n, spec).samples for n in range(1 << k)])
+        assert np.array_equal(W, W.T)
+        assert not W.flags.writeable
+        assert paley_matrix(k) is W
+
+
+@pytest.mark.parametrize("K", range(1, 11))
+def test_transform_matches_dense_walsh_sample_oracle(K):
+    spec = GridSpec(K)
+    W = np.stack([walsh_sample(n, spec).samples for n in range(spec.size)])
+    x = np.random.default_rng(K).normal(size=(3, spec.size))
+    assert np.abs(forward_array(x, K) - x @ W.T / spec.size).max() < 1e-13
+    assert np.abs(inverse_array(x, K) - x @ W).max() < 1e-12 * spec.size
+
+
+@pytest.mark.parametrize("K", range(11, 17))
+def test_transform_matches_butterfly_on_long_rows(K):
+    x = np.random.default_rng(K).normal(size=(2, 1 << K))
+    assert np.abs(forward_array(x, K) - butterfly_forward(x, K)).max() < 1e-14
+    assert np.abs(inverse_array(x, K) - butterfly_inverse(x, K)).max() < 1e-12 * (1 << K)
+
+
+@pytest.mark.parametrize("K", (3, 7, 9, 15))
+def test_transform_batches_and_non_contiguous_views(K):
+    N = 1 << K
+    rng = np.random.default_rng(K)
+    inputs = (rng.normal(size=N),
+              rng.normal(size=(N, 4)).T,
+              rng.normal(size=(2, 3, N)),
+              np.moveaxis(rng.normal(size=(N, 2, 3)), 0, -1))
+    assert not inputs[1].flags.c_contiguous and not inputs[3].flags.c_contiguous
+    for x in inputs:
+        got_f = forward_array(x, K)
+        got_i = inverse_array(x, K)
+        assert got_f.shape == got_i.shape == x.shape
+        assert np.abs(got_f - butterfly_forward(x, K)).max() < 1e-14
+        assert np.abs(got_i - butterfly_inverse(x, K)).max() < 1e-12 * N
+    with pytest.raises(ValueError):
+        forward_array(np.zeros(N), K + 1)
+
+
+@pytest.mark.parametrize("K", (14, 16))
+def test_integer_vectors_transform_exactly(K):
+    rng = np.random.default_rng(K)
+    c = rng.integers(-3, 4, size=(2, 1 << K)).astype(float)
+    assert np.array_equal(inverse_array(c, K), butterfly_inverse(c, K))
+    assert np.array_equal(forward_array(c, K), butterfly_forward(c, K))
 
 
 def test_fwht_unit_vectors_and_half_indicator():
