@@ -104,10 +104,9 @@ def cmd_mean(args) -> int:
 
 def cmd_upsilon(args) -> int:
     T = matrix_from_spec(args.matrix)
-    subseq = subsequence_from_spec(args.seq)
-    rows = []
-    for n in subseq:
-        rows.append({"n": n, "upsilon": upsilon(T, n), "t0": float(T.row(n)[0])})
+    n = np.array(subsequence_from_spec(args.seq).indices)
+    rows = [{"n": i, "upsilon": u, "t0": t0} for i, u, t0 in
+            zip(n.tolist(), upsilon(T, n).tolist(), T.tau(0, n).tolist())]
     _emit({"family": T.name, "subsequence": args.seq, "rows": rows}, args.out)
     return OK
 
@@ -208,8 +207,9 @@ def cmd_example1(args) -> int:
 
 
 def cmd_c2(args) -> int:
-    subseq = subsequence_from_spec(args.seq)
-    rows = [{"n": n, "c2": c2_quantity(args.alpha, n)} for n in subseq]
+    n = np.array(subsequence_from_spec(args.seq).indices)
+    rows = [{"n": i, "c2": c2} for i, c2 in
+            zip(n.tolist(), c2_quantity(args.alpha, n).tolist())]
     _emit({"alpha": args.alpha, "subsequence": args.seq, "rows": rows}, args.out)
     return OK
 
@@ -220,13 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Walsh-Paley summability experiments on the dyadic grid")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, report=False):
+    def add(name, fn, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(fn=fn)
         sp.add_argument("--out", help="output path (stdout when omitted)")
-        if report:
-            sp.add_argument("--json", action="store_true",
-                            help="emit JSON (the default; flag kept for scripts)")
         return sp
 
     sp = add("kernel", cmd_kernel, "sample a summation kernel V_n")
@@ -241,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--input", required=True)
 
-    sp = add("upsilon", cmd_upsilon, "boundedness functional along a subsequence", report=True)
+    sp = add("upsilon", cmd_upsilon, "boundedness functional along a subsequence")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--seq", required=True)
 
-    sp = add("maximal", cmd_maximal, "weak-type ratio experiment (1D)", report=True)
+    sp = add("maximal", cmd_maximal, "weak-type ratio experiment (1D)")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--seq", required=True)
     sp.add_argument("--resolution", type=int, required=True)
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n1", type=int, required=True)
     sp.add_argument("--input", required=True)
 
-    sp = add("llogl-experiment", cmd_llogl, "2D L log L weak-type experiment", report=True)
+    sp = add("llogl-experiment", cmd_llogl, "2D L log L weak-type experiment")
     sp.add_argument("--matrix0", required=True)
     sp.add_argument("--matrix1", required=True)
     sp.add_argument("--seq0", required=True)
@@ -270,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("wlp", cmd_wlp, "Walsh-Lebesgue point diagnostics", report=True)
+    sp = add("wlp", cmd_wlp, "Walsh-Lebesgue point diagnostics")
     sp.add_argument("--input", required=True)
     sp.add_argument("--point", action="append", required=True,
                     help="grid point i,j (repeatable)")
     sp.add_argument("--depths", help="diagonal depth range a..b")
 
-    sp = add("mt2-experiment", cmd_mt2, "tensor-mean convergence at points", report=True)
+    sp = add("mt2-experiment", cmd_mt2, "tensor-mean convergence at points")
     sp.add_argument("--matrix0", required=True)
     sp.add_argument("--matrix1", required=True)
     sp.add_argument("--seq0", required=True)
@@ -285,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="2D grid CSV; defaults to the quarter square")
     sp.add_argument("--resolution", type=int, default=8)
 
-    sp = add("example1", cmd_example1, "exact divergence example tables", report=True)
+    sp = add("example1", cmd_example1, "exact divergence example tables")
     sp.add_argument("--nseq", default="5,17,65")
 
-    sp = add("c2-check", cmd_c2, "Cesaro subsequence condition values", report=True)
+    sp = add("c2-check", cmd_c2, "Cesaro subsequence condition values")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--seq", required=True)
 

@@ -116,19 +116,16 @@ class DyadicRational:
         scale = int(scale)
         if numerator == 0:
             scale = 0
-        else:
-            while numerator % 2 == 0 and scale > 0:
-                numerator //= 2
-                scale -= 1
-            if scale < 0:
-                numerator <<= -scale
-                scale = 0
+        elif scale > 0:
+            # strip common factors of two: the numerator's trailing zero bits
+            shift = min((numerator & -numerator).bit_length() - 1, scale)
+            numerator >>= shift
+            scale -= shift
+        elif scale < 0:
+            numerator <<= -scale
+            scale = 0
         self.numerator = numerator
         self.scale = scale
-
-    @classmethod
-    def from_int(cls, v: int) -> "DyadicRational":
-        return cls(v, 0)
 
     @staticmethod
     def _coerce(other) -> "DyadicRational":
@@ -276,8 +273,3 @@ def interval_of(x, k: int, spec: GridSpec | None = None) -> DyadicInterval:
     if k > spec.resolution:
         raise ValueError(f"depth {k} exceeds grid resolution {spec.resolution}")
     return DyadicInterval(k, x >> (spec.resolution - k))
-
-
-def index_of_point(x: DyadicRational, spec: GridSpec) -> int:
-    """Grid index of the cell containing x (exact when scale <= K)."""
-    return interval_of(x, spec.resolution).offset

@@ -282,6 +282,6 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
 
     return Mt2Report(
         indices0=idx0, indices1=idx1,
-        t0_axis0=[float(T0.row(n)[0]) for n in idx0],
-        t0_axis1=[float(T1.row(n)[0]) for n in idx1],
+        t0_axis0=T0.tau(0, np.array(idx0)).tolist(),
+        t0_axis1=T1.tau(0, np.array(idx1)).tolist(),
         points=reports)

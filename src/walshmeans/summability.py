@@ -3,13 +3,14 @@
 A matrix of transformation is a triangular weight array t_{k,n} with
 nonnegative, nonincreasing rows summing to one.  Row n defines the mean
 T_n(f) = sum_k t_{n-k,n} S_k(f), equivalently convolution with the kernel
-V_n = sum_{k=1}^{n} t_{n-k,n} D_k.
+V_n = sum_{k=1}^{n} t_{n-k,n} D_k.  Means, kernels and the boundedness
+functionals need only the cumulative weights tau_{s,n} = t_{0,n} + ... +
+t_{s,n}, so a matrix is given by them and row n is their first difference.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .transform import (
 )
 
 ROW_SUM_TOL = 1e-12
-_CACHE_ROW_LIMIT = 4096   # rows longer than this are recomputed on demand
 
 
 class MatrixValidationError(ValueError):
@@ -31,20 +31,27 @@ class MatrixValidationError(ValueError):
 
 
 class TransformationMatrix:
-    """Lazy row generator with per-row validation and bounded memoisation.
+    """A matrix given by its cumulative weights.
 
-    ``tau_fn`` optionally supplies the cumulative row sum tau_{s,n} in
-    closed form; it must agree with the generic row-based sum (tested) and
-    exists so that boundedness sweeps over 2^16 indices stay cheap.
+    ``tau_fn(s, n)`` returns tau_{s,n} elementwise for integer arrays
+    0 <= s <= n that broadcast together.  ``row(n)`` is its first
+    difference and is checked against conditions (a)-(c) on every call.
     """
 
-    def __init__(self, name, row_fn, params=None, tau_fn=None):
+    def __init__(self, name, tau_fn, params=None):
         self.name = name
         self.params = dict(params or {})
-        self._row_fn = row_fn
         self._tau_fn = tau_fn
-        self._cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
+
+    @classmethod
+    def from_rows(cls, name, row_fn, params=None) -> "TransformationMatrix":
+        """A matrix given row by row: tau_{.,n} is the cumulative sum of
+        ``row_fn(n)``, which is validated each time it is built."""
+        def cum(n: int) -> np.ndarray:
+            return np.cumsum(T._validate(n, np.asarray(row_fn(n), dtype=float)))
+
+        T = cls(name, _tau_of_rows(cum), params)
+        return T
 
     def __repr__(self):
         return f"TransformationMatrix({self.name!r})"
@@ -53,6 +60,12 @@ class TransformationMatrix:
         if row.shape != (n + 1,):
             raise MatrixValidationError(
                 f"{self.name}: row {n} has {row.size} entries, expected {n + 1}")
+        finite = np.isfinite(row)
+        if not finite.all():
+            # every comparison below is false for NaN
+            k = int(np.argmin(finite))
+            raise MatrixValidationError(
+                f"{self.name}: row {n} has a non-finite entry at k={k} (t={row[k]})")
         if np.any(row < -1e-15):
             k = int(np.argmin(row))
             raise MatrixValidationError(
@@ -70,28 +83,68 @@ class TransformationMatrix:
     def row(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("row index must be >= 0")
-        with self._lock:
-            cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        row = self._validate(n, np.asarray(self._row_fn(n), dtype=float))
-        row.setflags(write=False)
-        if n + 1 <= _CACHE_ROW_LIMIT:
-            with self._lock:
-                self._cache[n] = row
-        return row
+        return self._validate(n, np.diff(self._tau_fn(np.arange(n + 1), n), prepend=0.0))
 
-    def tau(self, s: int, n: int) -> float:
-        """Cumulative weight tau_{s,n} = t_{0,n} + ... + t_{s,n}."""
-        if not 0 <= s <= n:
+    def tau(self, s, n):
+        """Cumulative weight tau_{s,n} = t_{0,n} + ... + t_{s,n}: a float for
+        ints, elementwise for integer arrays."""
+        s, n = np.asarray(s), np.asarray(n)
+        if np.any(s < 0) or np.any(s > n):
             raise ValueError(f"tau requires 0 <= s <= n, got s={s}, n={n}")
-        if self._tau_fn is not None:
-            return float(self._tau_fn(s, n))
-        return float(self.row(n)[: s + 1].sum())
+        t = self._tau_fn(s, n)
+        return float(t) if np.ndim(t) == 0 else t
 
 
-def tau(T: TransformationMatrix, s: int, n: int) -> float:
+def tau(T: TransformationMatrix, s, n):
     return T.tau(s, n)
+
+
+def _tau_of_rows(cum):
+    """tau_fn from ``cum(n)`` = [tau_{0,n}, ..., tau_{n,n}], building each
+    distinct row once per call."""
+    def tau_fn(s, n):
+        s, n = np.broadcast_arrays(s, n)
+        shape, s, n = n.shape, s.ravel(), n.ravel()
+        out = np.empty(n.size)
+        order = np.argsort(n, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(n[order])) + 1):
+            if group.size:
+                out[group] = cum(int(n[group[0]]))[s[group]]
+        return out.reshape(shape)
+    return tau_fn
+
+
+class _CumulativeTable:
+    """tau_{s,n} = C[s] / C[n] for a family whose row n is the prefix
+    a_0, ..., a_n of one base sequence, rescaled to sum one.
+
+    C = cumsum(a) is rebuilt at the next power of two whenever an index
+    outgrows it.  Each rebuild checks a >= 0 and diff(a) <= 0, which give
+    conditions (a) and (b) for every row it covers; (c) holds by
+    construction because tau_{n,n} = C[n] / C[n].
+    """
+
+    def __init__(self, name: str, base):
+        self._name = name
+        self._base = base          # m -> a_0, ..., a_{m-1}
+        self._C = np.ones(0)
+
+    def __call__(self, s, n):
+        C = self._C
+        top = int(np.max(n)) + 1
+        if top > C.size:
+            C = self._C = self._build(1 << (top - 1).bit_length())
+        return C[s] / C[n]
+
+    def _build(self, size: int) -> np.ndarray:
+        a = self._base(size)
+        for bad, what in ((~(a >= 0), "not >= 0"),
+                          (~(np.diff(a, prepend=a[0]) <= 0), "above the weight before it")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise MatrixValidationError(
+                    f"{self._name}: base weight a_{k} = {float(a[k])!r} is {what}")
+        return np.cumsum(a)
 
 
 def cesaro_A(alpha: float, k: int) -> float:
@@ -112,56 +165,17 @@ def _cesaro_numbers(alpha: float, n: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod((k + alpha) / k)])
 
 
-def _fejer_row(n: int) -> np.ndarray:
-    if n == 0:
-        return np.ones(1)
-    row = np.full(n + 1, 1.0 / n)
-    row[n] = 0.0
-    return row
+def _fejer_tau(s, n):
+    # (s+1)/n below the diagonal, tau_{n,n} = 1, and tau_{0,0} = 1
+    m = np.maximum(n, 1)
+    return np.minimum(s + 1, m) / m
 
 
-def _fejer_tau(s: int, n: int) -> float:
-    if n == 0:
-        return 1.0
-    return 1.0 if s >= n else (s + 1) / n
+def _identity_tau(s, n):
+    return np.ones(np.broadcast(s, n).shape)
 
 
-def _identity_row(n: int) -> np.ndarray:
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    return row
-
-
-def _identity_tau(s: int, n: int) -> float:
-    return 1.0
-
-
-def _nlog_row(n: int) -> np.ndarray:
-    if n == 0:
-        return np.ones(1)
-    t = 1.0 / np.arange(1, n + 2)
-    return t / t.sum()
-
-
-class _HarmonicTable:
-    """Incremental harmonic numbers H_m = 1 + 1/2 + ... + 1/m."""
-
-    def __init__(self):
-        self._values = [0.0]
-
-    def __call__(self, m: int) -> float:
-        vals = self._values
-        while len(vals) <= m:
-            vals.append(vals[-1] + 1.0 / len(vals))
-        return vals[m]
-
-
-def _make_nlog_tau():
-    H = _HarmonicTable()
-    return lambda s, n: H(s + 1) / H(n + 1)
-
-
-def _make_cesaro_row(alpha_of_n):
+def _cesaro_seq_row(alpha_of_n):
     def row(n: int) -> np.ndarray:
         if n == 0:
             return np.ones(1)
@@ -175,48 +189,28 @@ def _make_cesaro_row(alpha_of_n):
     return row
 
 
-def _make_cesaro_tau(alpha_of_n):
-    # upsilon evaluates tau at ~log n positions of the same n in a row;
-    # keep the last few cumulative rows so sweeps stay O(n) per index
-    cache: dict[int, np.ndarray] = {}
-
-    def tau_fn(s: int, n: int) -> float:
-        if n == 0:
-            return 1.0
-        cum = cache.get(n)
-        if cum is None:
-            A = _cesaro_numbers(alpha_of_n(n) - 1.0, n)
-            cum = np.cumsum(A) / A.sum()
-            if len(cache) >= 8:
-                cache.clear()
-            cache[n] = cum
-        return float(cum[s])
-    return tau_fn
-
-
 def builtin_matrix(family: str, alpha: float | None = None,
                    alpha_seq=None) -> TransformationMatrix:
     """Built-in families: identity, fejer, cesaro (fixed alpha or a sequence
     alpha_n), and the Norlund logarithmic family."""
     if family == "identity":
-        return TransformationMatrix("identity", _identity_row, tau_fn=_identity_tau)
+        return TransformationMatrix("identity", _identity_tau)
     if family == "fejer":
-        return TransformationMatrix("fejer", _fejer_row, tau_fn=_fejer_tau)
+        return TransformationMatrix("fejer", _fejer_tau)
     if family == "nlog":
-        return TransformationMatrix("nlog", _nlog_row, tau_fn=_make_nlog_tau())
+        # a_k = 1/(k+1), so C[s] is the harmonic number H_{s+1}
+        return TransformationMatrix(
+            "nlog", _CumulativeTable("nlog", lambda m: 1.0 / np.arange(1, m + 1)))
     if family == "cesaro":
         if alpha_seq is not None:
             seq = alpha_seq if callable(alpha_seq) else (lambda n, s=list(alpha_seq): s[min(n, len(s) - 1)])
-            name = "cesaro-seq"
-            params = {}
-        else:
-            if alpha is None or not 0.0 < alpha <= 1.0:
-                raise ValueError(f"cesaro needs alpha in (0, 1], got {alpha}")
-            seq = lambda n: alpha
-            name = f"cesaro:{alpha:g}"
-            params = {"alpha": alpha}
-        return TransformationMatrix(name, _make_cesaro_row(seq), params=params,
-                                    tau_fn=_make_cesaro_tau(seq))
+            return TransformationMatrix.from_rows("cesaro-seq", _cesaro_seq_row(seq))
+        if alpha is None or not 0.0 < alpha <= 1.0:
+            raise ValueError(f"cesaro needs alpha in (0, 1], got {alpha}")
+        # a_k = A_k^{alpha-1}, so C[s] = A_s^alpha
+        name = f"cesaro:{alpha:g}"
+        table = _CumulativeTable(name, lambda m: _cesaro_numbers(alpha - 1.0, m - 1))
+        return TransformationMatrix(name, table, params={"alpha": alpha})
     raise ValueError(f"unknown matrix family {family!r}")
 
 
@@ -249,7 +243,7 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
         row_fn, count = _rows_from_csv(path)
-        T = TransformationMatrix(f"custom:{path}", row_fn)
+        T = TransformationMatrix.from_rows(f"custom:{path}", row_fn)
         for n in range(count):      # validation happens on load
             T.row(n)
         return T
@@ -259,35 +253,53 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
 # ---------------------------------------------------------------------------
 # Boundedness functionals.
 
-def upsilon(T: TransformationMatrix, n: int) -> float:
+def _alternation_sum(n, what: str, weights):
+    """sum_k |eps_k(n) - eps_{k+1}(n)| weights(col, k)[..., k] for an int
+    n >= 1 (a float) or elementwise over an integer array.
+
+    ``weights`` receives the indices as a column ``col`` and the bit
+    positions k = 0..max order, and returns one weight per (index, k).
+    Terms are added in increasing k, the order of the per-index sum.
+    """
+    try:
+        n = np.asarray(n, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} takes indices below 2^63") from None
+    if np.any(n < 1):
+        raise ValueError(f"{what} is undefined for n = {int(n.min())}")
+    col = n[..., None]
+    k = np.arange(int(n.max()).bit_length())
+    alternates = ((col >> k) ^ (col >> (k + 1))) & 1 == 1
+    w = weights(col, k)
+    total = np.zeros(n.shape)
+    for j in k:
+        total += np.where(alternates[..., j], w[..., j], 0.0)
+    return float(total) if n.ndim == 0 else total
+
+
+def upsilon(T: TransformationMatrix, n):
     """Binary-alternation weighted sum of cumulative weights,
-    sum_{k=0}^{|n|} |eps_k - eps_{k+1}| tau_{2^k, n}."""
-    n = BinaryIndex(n)
-    if n == 0:
-        raise ValueError("upsilon is undefined for n = 0")
-    total = 0.0
-    for k in range(n.order + 1):
-        if n.bit(k) != n.bit(k + 1):
-            total += T.tau(1 << k, n)
-    return total
+    sum_{k=0}^{|n|} |eps_k - eps_{k+1}| tau_{2^k, n}, for an int or
+    elementwise over an integer array (one tau call for all of them)."""
+    return _alternation_sum(
+        n, "upsilon", lambda col, k: T.tau(np.minimum(1 << k, col), col))
 
 
-def c2_quantity(alpha: float, n: int) -> float:
-    """2^{-|n| alpha} sum_k |eps_k - eps_{k+1}| 2^{k alpha}.
+def c2_quantity(alpha: float, n):
+    """2^{-|n| alpha} sum_k |eps_k - eps_{k+1}| 2^{k alpha}, for an int or
+    elementwise over an integer array.
 
     Accumulated as powers of the exponent difference so single-bit indices
     evaluate to exactly 1 + 2^-alpha.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    n = BinaryIndex(n)
-    if n == 0:
-        raise ValueError("c2_quantity is undefined for n = 0")
-    total = 0.0
-    for k in range(n.order + 1):
-        if n.bit(k) != n.bit(k + 1):
-            total += 2.0 ** ((k - n.order) * alpha)
-    return total
+
+    def weights(col, k):
+        order = ((col >> k) > 0).sum(axis=-1, keepdims=True) - 1
+        powers = np.array([2.0 ** (-j * alpha) for j in range(k.size)])
+        return powers[np.maximum(order - k, 0)]
+    return _alternation_sum(n, "c2_quantity", weights)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +311,8 @@ def mean_coefficient_weights(T: TransformationMatrix, n: int, size: int) -> np.n
     w = np.zeros(size)
     if n == 0:
         return w
-    cum = np.concatenate([[0.0], np.cumsum(T.row(n))])  # cum[s+1] = tau_{s,n}
     top = min(n, size)
-    w[:top] = cum[n - np.arange(top)]
+    w[:top] = T.tau(n - 1 - np.arange(top), n)
     return w
 
 
@@ -347,7 +358,6 @@ def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
     K = spec.resolution
     size = spec.size
     row = T.row(n)
-    cum = np.concatenate([[0.0], np.cumsum(row)])  # cum[s+1] = tau_{s,n}
 
     v1_coeffs = np.zeros(size)
     v2 = np.zeros(size)
@@ -355,7 +365,7 @@ def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
         if not nb.bit(s):
             continue
         # w_{2^s} D_{2^s} has spectrum 1 on [2^s, 2^{s+1})
-        v1_coeffs[1 << s: 1 << (s + 1)] = cum[nb.prefix(s)]
+        v1_coeffs[1 << s: 1 << (s + 1)] = T.tau(nb.prefix(s) - 1, n)
         if s == 0:
             continue  # empty difference block and a zero-length Fejer term
         base = nb.prefix(s - 1)
@@ -397,7 +407,7 @@ class MeanReport:
 
 def mean_report(T: TransformationMatrix, n: int,
                 spec: GridSpec | None = None) -> MeanReport:
-    t0 = float(T.row(n)[0])
+    t0 = T.tau(0, n)
     norm = None
     if spec is not None and n <= spec.size:
         norm = kernel_V(T, n, spec).l1_norm()

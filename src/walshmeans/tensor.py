@@ -39,15 +39,6 @@ class GridFunction2D:
                 f"expected {n}x{n} samples for K={self.spec.resolution}, "
                 f"got {self.samples.shape}")
 
-    @classmethod
-    def constant(cls, c: float, spec: GridSpec) -> "GridFunction2D":
-        n = spec.size
-        return cls(spec, np.full((n, n), float(c)))
-
-    @classmethod
-    def separable(cls, fx: np.ndarray, gy: np.ndarray, spec: GridSpec) -> "GridFunction2D":
-        return cls(spec, np.outer(fx, gy))
-
     def l1_norm(self) -> float:
         return float(np.abs(self.samples).mean())
 

@@ -192,3 +192,12 @@ def test_non_finite_input_rejected(tmp_path, capsys):
         assert run(cmd + ["--input", str(src2)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "nan" in err
+
+
+def test_non_finite_matrix_rows_rejected(tmp_path, capsys):
+    rows = tmp_path / "bad.csv"
+    rows.write_text("1\n0.5,0.5\nnan,nan,nan\n")
+    assert run(["upsilon", "--matrix", f"custom:{rows}", "--seq", "list:1,2"]) == 1
+    captured = capsys.readouterr()
+    assert "row 2 has a non-finite entry at k=0" in captured.err
+    assert captured.out == ""

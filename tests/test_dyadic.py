@@ -4,6 +4,7 @@ and exact dyadic rationals."""
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from walshmeans.dyadic import (
     BinaryIndex,
@@ -124,6 +125,39 @@ def test_dyadic_rational_matches_fraction_arithmetic():
         assert (a * b).as_fraction() == fa * fb
         assert (a < b) == (fa < fb)
         assert a.times_pow2(3).as_fraction() == fa * 8
+
+
+def _fraction(numerator: int, scale: int) -> Fraction:
+    return Fraction(numerator) / Fraction(2) ** scale
+
+
+def _is_canonical(x: DyadicRational) -> bool:
+    if x.numerator == 0:
+        return x.scale == 0
+    return x.scale >= 0 and (x.scale == 0 or x.numerator % 2 == 1)
+
+
+_numerators = st.integers(-(1 << 80), 1 << 80)
+_scales = st.integers(-8, 120)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numerators, _scales, _numerators, _scales, st.integers(-70, 70))
+def test_dyadic_rational_properties_against_fraction(a_num, a_sc, b_num, b_sc, k):
+    a, b = DyadicRational(a_num, a_sc), DyadicRational(b_num, b_sc)
+    fa, fb = _fraction(a_num, a_sc), _fraction(b_num, b_sc)
+    results = {"a": (a, fa), "+": (a + b, fa + fb), "-": (a - b, fa - fb),
+               "*": (a * b, fa * fb), "times_pow2": (a.times_pow2(k), fa * Fraction(2) ** k),
+               "int+": (a_num + b, a_num + fb), "int-": (a_num - b, a_num - fb)}
+    for op, (got, want) in results.items():
+        assert got.as_fraction() == want, op
+        assert _is_canonical(got), (op, got.numerator, got.scale)
+    assert (a < b) == (fa < fb)
+    assert (a == b) == (fa == fb)
+    assert (a <= b) == (fa <= fb)
+    # canonical form makes equal values identical, whatever their spelling
+    assert DyadicRational(a_num << 5, a_sc + 5) == a
+    assert hash(DyadicRational(a_num << 5, a_sc + 5)) == hash(a)
 
 
 def test_dyadic_rational_int_mixing():

@@ -60,7 +60,7 @@ def test_w1_examples():
 
 
 def test_w2d_constant_and_separable_decay():
-    F = GridFunction2D.constant(1.0, SPEC)
+    F = GridFunction2D(SPEC, np.full((SPEC.size, SPEC.size), 1.0))
     assert w2d(F, 5, 9, 3, 3) == 0.0
     Q = quarter_square(SPEC)
     x = SPEC.size // 4
@@ -181,7 +181,7 @@ def test_zz_constant_free_counterexample():
 
 def test_classify_wlp_verdicts():
     spec = GridSpec(8)
-    const = GridFunction2D.constant(4.2, spec)
+    const = GridFunction2D(spec, np.full((spec.size, spec.size), 4.2))
     d = classify_wlp(const, (17, 200))
     assert d.verdict == "passes" and d.passes
     assert max(d.w_values) == 0.0 and d.h0_sup == 0.0 and d.h1_sup == 0.0
@@ -247,7 +247,7 @@ def test_mt2_experiment_points_from_generator():
 
 def test_mt2_experiment_constant_input():
     spec = GridSpec(6)
-    F = GridFunction2D.constant(1.0, spec)
+    F = GridFunction2D(spec, np.full((spec.size, spec.size), 1.0))
     L = builtin_matrix("nlog")
     sub = subsequence_from_spec("list:1,4,16")
     rep = mt2_convergence_experiment(L, L, sub, sub, F, [(3, 3)])

@@ -4,7 +4,7 @@ boundedness functional, kernels, the V1+V2 split, and the means."""
 import numpy as np
 import pytest
 
-from walshmeans.dyadic import GridSpec
+from walshmeans.dyadic import BinaryIndex, GridSpec
 from walshmeans.summability import (
     MatrixValidationError,
     TransformationMatrix,
@@ -28,6 +28,52 @@ from walshmeans.transform import (
 )
 
 FAMILIES = ("fejer", "nlog", "cesaro:0.5", "identity")
+
+
+# ---------------------------------------------------------------------------
+# Slow references: rows from each family's definition and the per-index
+# loops of the boundedness functionals.
+
+def reference_row(name, n, alpha_seq=None):
+    """Row n of a family, built from its definition."""
+    if n == 0:
+        return np.ones(1)
+    if name == "fejer":
+        row = np.full(n + 1, 1.0 / n)
+        row[n] = 0.0
+        return row
+    if name == "identity":
+        row = np.zeros(n + 1)
+        row[0] = 1.0
+        return row
+    if name == "nlog":
+        t = 1.0 / np.arange(1, n + 2)
+        return t / t.sum()
+    alpha = alpha_seq[min(n, len(alpha_seq) - 1)] if alpha_seq else float(name.split(":")[1])
+    k = np.arange(1, n + 1)
+    A = np.concatenate([[1.0], np.cumprod((k + alpha - 1.0) / k)])   # A_k^{alpha-1}
+    return A / A.sum()
+
+
+def upsilon_reference(cum, n):
+    """sum_{k<=|n|} |eps_k - eps_{k+1}| tau_{2^k,n}, index by index, with
+    cum[s] = tau_{s,n}."""
+    n = BinaryIndex(n)
+    total = 0.0
+    for k in range(n.order + 1):
+        if n.bit(k) != n.bit(k + 1):
+            total += cum[1 << k]
+    return total
+
+
+def c2_reference(alpha, n):
+    """2^{-|n| alpha} sum_k |eps_k - eps_{k+1}| 2^{k alpha}, index by index."""
+    n = BinaryIndex(n)
+    total = 0.0
+    for k in range(n.order + 1):
+        if n.bit(k) != n.bit(k + 1):
+            total += 2.0 ** ((k - n.order) * alpha)
+    return total
 
 
 def test_builtin_rows():
@@ -60,17 +106,39 @@ def test_row_conditions_sweep():
 
 
 def test_validation_rejects_bad_rows():
-    bad_sum = TransformationMatrix("badsum", lambda n: np.full(n + 1, 1.0))
+    bad_sum = TransformationMatrix.from_rows("badsum", lambda n: np.full(n + 1, 1.0))
     with pytest.raises(MatrixValidationError):
         bad_sum.row(2)
-    increasing = TransformationMatrix(
+    increasing = TransformationMatrix.from_rows(
         "inc", lambda n: np.arange(n + 1, dtype=float) * 2 / (n * (n + 1)) if n else np.ones(1))
     with pytest.raises(MatrixValidationError):
         increasing.row(3)
-    negative = TransformationMatrix(
+    negative = TransformationMatrix.from_rows(
         "neg", lambda n: np.array([1.5] + [-0.5 / n] * n) if n else np.ones(1))
     with pytest.raises(MatrixValidationError):
         negative.row(2)
+    nan = TransformationMatrix.from_rows("nan", lambda n: np.full(n + 1, np.nan))
+    with pytest.raises(MatrixValidationError, match="row 1 has a non-finite entry at k=0"):
+        nan.row(1)
+    short = TransformationMatrix.from_rows("short", lambda n: np.ones(1))
+    with pytest.raises(MatrixValidationError, match="row 2 has 1 entries"):
+        short.row(2)
+
+
+def test_cumulative_table_rejects_bad_base_sequence():
+    from walshmeans.summability import _CumulativeTable
+    rising = TransformationMatrix("rising", _CumulativeTable(
+        "rising", lambda m: np.minimum(np.arange(1.0, m + 1), 3.0)))
+    with pytest.raises(MatrixValidationError, match="a_1 = 2.0 is above the weight before it"):
+        rising.tau(0, 5)
+    negative = TransformationMatrix("neg", _CumulativeTable(
+        "neg", lambda m: np.where(np.arange(m) < 4, 1.0, -1.0)))
+    assert negative.tau(1, 3) == pytest.approx(0.5)    # rows up to 3 are valid
+    with pytest.raises(MatrixValidationError, match="a_4 = -1.0 is not >= 0"):
+        negative.row(4)
+    with pytest.raises(MatrixValidationError, match="a_2 = nan is not >= 0"):
+        TransformationMatrix("nan", _CumulativeTable(
+            "nan", lambda m: np.where(np.arange(m) == 2, np.nan, 0.0))).row(3)
 
 
 def test_cesaro_A():
@@ -108,6 +176,24 @@ def test_tau_fast_path_agrees_with_rows():
             s = int(rng.integers(0, n + 1))
             generic = float(T.row(n)[: s + 1].sum())
             assert T.tau(s, n) == pytest.approx(generic, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", FAMILIES + ("cesaro:0.01", "cesaro:1"))
+def test_tau_and_rows_match_reference_rows(name):
+    # every n below 2^10, then the edges of each power of two and random
+    # indices up to 2^14 (the whole range would cost seconds per family)
+    rng = np.random.default_rng(8)
+    edges = {(1 << m) + d for m in range(10, 15) for d in (-1, 0, 1)} - {(1 << 14) + 1}
+    ns = list(range(1 << 10)) + sorted(edges) + [int(n) for n in rng.integers(1, 1 << 14, 40)]
+    T = matrix_from_spec(name)
+    for n in ns:
+        ref = reference_row(name, n)
+        cum = T.tau(np.arange(n + 1), n)
+        row = T.row(n)
+        assert np.abs(cum - np.cumsum(ref)).max() <= 1e-12, n
+        assert np.abs(cum - np.cumsum(row)).max() <= 1e-12, n
+        assert np.abs(row - ref).max() <= 1e-12, n
+        assert cum[n] == 1.0
 
 
 def test_upsilon_examples():
@@ -264,10 +350,46 @@ def test_stationary_cesaro_upsilon_bounded():
     # alpha = 0.5 case runs in the acceptance suite
     for alpha, cap in ((0.25, 6.0), (0.75, 3.0)):
         C = builtin_matrix("cesaro", alpha=alpha)
-        m12 = max(upsilon(C, n) for n in range(1, 1 << 12))
-        m14 = max(m12, max(upsilon(C, n) for n in range(1 << 12, 1 << 14)))
+        ups = upsilon(C, np.arange(1, 1 << 14))
+        m12 = ups[: (1 << 12) - 1].max()
+        m14 = ups.max()
         assert m14 <= cap
         assert m14 <= 1.05 * m12
+
+
+def test_upsilon_array_matches_per_index_reference(tmp_path):
+    seq = tmp_path / "alpha.txt"
+    seq.write_text("1.0\n0.5\n0.25\n0.75\n0.1\n")
+    alphas = [1.0, 0.5, 0.25, 0.75, 0.1]
+    cases = [(name, matrix_from_spec(name), None) for name in FAMILIES + ("cesaro:0.01",)]
+    cases.append(("cesaro-seq", matrix_from_spec(f"cesaro-seq:{seq}"), alphas))
+    ns = np.arange(1, 1 << 12)
+    for name, T, alpha_seq in cases:
+        got = upsilon(T, ns)
+        ref = np.array([upsilon_reference(np.cumsum(reference_row(name, int(n), alpha_seq)), int(n))
+                        for n in ns])
+        assert got.shape == ns.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), name
+        # a scalar index takes the same path and returns a float
+        for n in (1, 2, 3, 1000, 4095):
+            assert upsilon(T, n) == got[n - 1] and isinstance(upsilon(T, n), float)
+    # any array shape; out-of-order and repeated indices
+    F = builtin_matrix("fejer")
+    grid = np.array([[7, 4], [4, 1]])
+    assert np.array_equal(upsilon(F, grid), [[5 / 7, 7 / 4], [7 / 4, 1.0]])
+    with pytest.raises(ValueError, match="undefined for n = 0"):
+        upsilon(F, np.array([3, 0, 5]))
+
+
+def test_c2_array_matches_per_index_reference():
+    ns = np.arange(1, 1 << 12)
+    for alpha in (0.1, 0.5, 1.0):
+        got = c2_quantity(alpha, ns)
+        ref = np.array([c2_reference(alpha, int(n)) for n in ns])
+        assert np.array_equal(got, ref)     # same terms, added in the same order
+        assert c2_quantity(alpha, 6) == ref[5] and isinstance(c2_quantity(alpha, 6), float)
+    with pytest.raises(ValueError, match="undefined for n = -2"):
+        c2_quantity(0.5, np.array([4, -2]))
 
 
 def test_nlog_upsilon_dichotomy_shape():
@@ -304,12 +426,23 @@ def test_matrix_spec_grammar(tmp_path):
 
 
 def test_row_cache_thread_safety():
+    # threads race to grow the shared cumulative table; every row must
+    # equal the one a single thread computes
+    import sys
     from concurrent.futures import ThreadPoolExecutor
     T = builtin_matrix("nlog")
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        rows = list(pool.map(T.row, [37] * 64 + list(range(1, 65)) * 2))
+    ns = [37] * 64 + list(range(1, 65)) * 2 + [int(n) for n in np.random.default_rng(9).integers(1, 1 << 14, 64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rows = list(pool.map(T.row, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert all(abs(r.sum() - 1.0) < 1e-12 for r in rows)
     assert all(np.array_equal(r, rows[0]) for r in rows[:64])
+    single = builtin_matrix("nlog")
+    assert all(np.array_equal(r, single.row(n)) for n, r in zip(ns, rows))
 
 
 def test_mean_report():

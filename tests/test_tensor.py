@@ -38,7 +38,7 @@ def _random_F(spec, rng):
 def test_apply_axis_constant_and_identity():
     spec = GridSpec(4)
     T = builtin_matrix("nlog")
-    F = GridFunction2D.constant(3.0, spec)
+    F = GridFunction2D(spec, np.full((spec.size, spec.size), 3.0))
     for axis in (0, 1):
         got = apply_axis(T, 5, F, axis).samples
         assert np.abs(got - 3.0 * (1 - T.row(5)[5])).max() < 1e-12
@@ -53,7 +53,7 @@ def test_apply_axis_separable():
     rng = np.random.default_rng(1)
     fx = rng.normal(size=spec.size)
     gy = rng.normal(size=spec.size)
-    F = GridFunction2D.separable(fx, gy, spec)
+    F = GridFunction2D(spec, np.outer(fx, gy))
     T = builtin_matrix("fejer")
     got = apply_axis(T, 6, F, axis=0).samples
     fx_mean = apply_mean(T, 6, GridFunction1D(spec, fx)).samples
@@ -97,8 +97,8 @@ def test_tensor_mean_eigenbehavior():
     T1 = builtin_matrix("nlog")
     from walshmeans.summability import mean_coefficient_weights
     a, b = 3, 5
-    F = GridFunction2D.separable(walsh_sample(a, spec).samples,
-                                 walsh_sample(b, spec).samples, spec)
+    F = GridFunction2D(spec, np.outer(walsh_sample(a, spec).samples,
+                                      walsh_sample(b, spec).samples))
     n0, n1 = 7, 11
     lam = mean_coefficient_weights(T0, n0, spec.size)[a]
     mu = mean_coefficient_weights(T1, n1, spec.size)[b]
@@ -110,7 +110,7 @@ def test_tensor_mean_constant():
     spec = GridSpec(4)
     T0 = builtin_matrix("nlog")
     T1 = builtin_matrix("cesaro", alpha=0.5)
-    F = GridFunction2D.constant(2.0, spec)
+    F = GridFunction2D(spec, np.full((spec.size, spec.size), 2.0))
     n0, n1 = 3, 6
     expect = 2.0 * (1 - T0.row(n0)[n0]) * (1 - T1.row(n1)[n1])
     assert np.abs(tensor_mean(T0, n0, T1, n1, F).samples - expect).max() < 1e-12
@@ -128,7 +128,7 @@ def test_tensor_maximal_basic():
     expect = np.abs(tensor_mean(T0, 4, T1, 9, F).samples)
     assert np.abs(got - expect).max() < 1e-12
 
-    zero = GridFunction2D.constant(0.0, spec)
+    zero = GridFunction2D(spec, np.full((spec.size, spec.size), 0.0))
     s = IndexSubsequence((1, 2, 8))
     assert np.abs(tensor_maximal(T0, s, T1, s, zero).samples).max() == 0.0
 
@@ -204,19 +204,20 @@ def test_weak_quasinorm_2d_and_llogl_2d():
     Q[:half, :half] = 1.0
     assert weak_quasinorm_2d(GridFunction2D(spec, Q)) == pytest.approx(0.25)
     assert weak_quasinorm_2d(GridFunction2D(spec, -3.0 * Q)) == pytest.approx(0.75)
-    assert llogl_2d(GridFunction2D.constant(1.0, spec)) == 0.0
+    assert llogl_2d(GridFunction2D(spec, np.full((spec.size, spec.size), 1.0))) == 0.0
     e = math.e
-    assert llogl_2d(GridFunction2D.constant(e, spec)) == pytest.approx(e)
+    assert llogl_2d(GridFunction2D(spec, np.full((spec.size, spec.size), e))) == pytest.approx(e)
 
 
 def test_hybrid_maximal():
     spec = GridSpec(4)
-    assert np.abs(hybrid_maximal(GridFunction2D.constant(-1.5, spec)).samples
+    minus = GridFunction2D(spec, np.full((spec.size, spec.size), -1.5))
+    assert np.abs(hybrid_maximal(minus).samples
                   - 1.5).max() == 0.0
     rng = np.random.default_rng(6)
     g = rng.normal(size=spec.size)
     fx = np.r_[np.ones(spec.size // 2), np.zeros(spec.size // 2)]
-    F = GridFunction2D.separable(fx, g, spec)
+    F = GridFunction2D(spec, np.outer(fx, g))
     got = hybrid_maximal(F).samples
     # on the left half the full first-variable average is attained
     assert np.abs(got[: spec.size // 2, :] - np.abs(g)[None, :]).max() < 1e-12
@@ -230,7 +231,7 @@ def test_llogl_experiment_constant_oracle_and_determinism():
     s = subsequence_from_spec("powers:1..5")
 
     def const_gen(sp, rng):
-        return GridFunction2D.constant(1.0, sp)
+        return GridFunction2D(sp, np.full((sp.size, sp.size), 1.0))
 
     rep = llogl_weak_type_experiment(T, s, T, s, trials=2, K=5, seed=0,
                                      generator=const_gen)
