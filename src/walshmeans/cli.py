@@ -17,8 +17,9 @@ import numpy as np
 from .dyadic import GridSpec
 from .exact import avg_sweep_at_zero, divergence_report, validate_nseq
 from .lebesgue import classify_wlp, mt2_convergence_experiment
-from .maximal import subsequence_from_spec, weak_type_experiment
+from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
 from .summability import (
+    GuardRailError,
     MatrixValidationError,
     apply_mean,
     c2_quantity,
@@ -38,12 +39,9 @@ from .transform import load_grid1d, save_grid1d
 
 MAX_K_1D = 14
 MAX_K_2D = 8
+MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
 
 OK, CONFIG_ERROR, GUARD_RAIL, IDENTITY_FAILURE = 0, 1, 2, 3
-
-
-class GuardRailError(ValueError):
-    pass
 
 
 def _check_resolution(K: int, dims: int) -> GridSpec:
@@ -52,6 +50,16 @@ def _check_resolution(K: int, dims: int) -> GridSpec:
         raise GuardRailError(
             f"resolution {K} exceeds the {dims}D guard rail of {cap}")
     return GridSpec(K)
+
+
+def _check_work(trials: int, *subseqs) -> None:
+    """Refuse an experiment whose band-limited means would take more than
+    MAX_WORK element-stages (trials x `mean_work` of the subsequences)."""
+    work = trials * mean_work(*subseqs)
+    if work > MAX_WORK:
+        raise GuardRailError(
+            f"predicted work of {work} element-stages exceeds the limit of "
+            f"{MAX_WORK}; shorten the subsequence or lower --trials")
 
 
 def _emit(payload, out: str | None) -> None:
@@ -112,9 +120,12 @@ def cmd_upsilon(args) -> int:
 
 
 def cmd_maximal(args) -> int:
-    _check_resolution(args.resolution, 1)
+    spec = _check_resolution(args.resolution, 1)
     T = matrix_from_spec(args.matrix)
     subseq = subsequence_from_spec(args.seq)
+    if args.operator != "dyadic_maximal":   # the only one that reads --seq
+        subseq.check_resolution(spec)
+        _check_work(args.trials, subseq)
     report = weak_type_experiment(T, subseq, trials=args.trials,
                                   K=args.resolution, seed=args.seed,
                                   operator=args.operator)
@@ -138,13 +149,17 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_llogl(args) -> int:
-    _check_resolution(args.resolution, 2)
+    spec = _check_resolution(args.resolution, 2)
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
-    report = llogl_weak_type_experiment(
-        T0, subsequence_from_spec(args.seq0),
-        T1, subsequence_from_spec(args.seq1),
-        trials=args.trials, K=args.resolution, seed=args.seed)
+    subseq0 = subsequence_from_spec(args.seq0)
+    subseq1 = subsequence_from_spec(args.seq1)
+    subseq0.check_resolution(spec)
+    subseq1.check_resolution(spec)
+    _check_work(args.trials, subseq0, subseq1)
+    report = llogl_weak_type_experiment(T0, subseq0, T1, subseq1,
+                                        trials=args.trials, K=args.resolution,
+                                        seed=args.seed)
     _emit(report.to_dict(), args.out)
     return OK
 

@@ -3,16 +3,29 @@
 The tilde variant convolves with the absolute value of the kernel before
 taking the pointwise supremum; the dyadic maximal function is the
 supremum of the martingale averages S_{2^n}.
+
+The mean weights of T_n vanish at and above n, and a Walsh polynomial of
+degree < 2^m is constant on the dyadic intervals of length 2^-m (Schipp,
+Wade and Simon, Walsh Series, 1990).  So with m = ceil(log2 n) the mean
+T_n f, the kernel V_n, |V_n| and f * |V_n| all live on a 2^m-cell grid
+whatever the resolution K: each is evaluated there, from the first 2^m
+coefficients, and spread over the 2^(K-m) fine cells of each coarse cell.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import GridSpec
-from .summability import TransformationMatrix, mean_coefficient_weights
+from .summability import (
+    GuardRailError,
+    TransformationMatrix,
+    mean_coefficient_weights,
+)
 from .transform import GridFunction1D, forward_array, inverse_array
 
 
@@ -78,16 +91,96 @@ def _parse_range(arg: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Maximal operators.
 
-_MAX_BATCH_CELLS = 1 << 26   # fail fast before a kernel bank exhausts memory
+_CHUNK_CELLS = 1 << 21      # cells of one streamed block of means (16 MiB)
+_MAX_BANK_CELLS = 1 << 26   # cells of one bank of mean weights (512 MiB)
 
 
-def _mean_weight_matrix(T: TransformationMatrix, subseq: IndexSubsequence,
-                        size: int) -> np.ndarray:
-    if len(subseq) * size > _MAX_BATCH_CELLS:
-        raise ValueError(
-            f"{len(subseq)} indices at grid size {size} need more than "
-            f"{_MAX_BATCH_CELLS} kernel cells; shorten the subsequence")
-    return np.stack([mean_coefficient_weights(T, n, size) for n in subseq])
+def _level(n: int) -> int:
+    """m = ceil(log2 n): T_n and V_n are Walsh polynomials of degree < 2^m."""
+    return (n - 1).bit_length()
+
+
+def _level_groups(subseq: IndexSubsequence) -> list[tuple[int, np.ndarray]]:
+    """(m, positions a with m_a = m) for each level present, increasing m."""
+    levels = np.array([_level(n) for n in subseq])
+    return [(int(m), np.flatnonzero(levels == m)) for m in np.unique(levels)]
+
+
+def mean_work(*subseqs: IndexSubsequence) -> int:
+    """Element-stages of the band-limited inverse transforms behind one
+    supremum over the product of the subsequences: the sum over index
+    tuples of 2^(m_a + m_b + ...) (m_a + m_b + ...)."""
+    cells = [sum(1 << _level(n) for n in s) for s in subseqs]
+    stages = [sum(_level(n) << _level(n) for n in s) for s in subseqs]
+    total = math.prod(cells)
+    return sum(st * total // c for st, c in zip(stages, cells))
+
+
+def _block_sizes(counts: list[int], unit: int) -> list[int]:
+    """Block length per axis so that one block of `unit`-cell items holds
+    at most _CHUNK_CELLS cells (one item at least); later axes fill first."""
+    room = max(1, _CHUNK_CELLS // unit)
+    sizes = []
+    for count in reversed(counts):
+        sizes.append(min(count, room))
+        room = max(1, room // sizes[-1])
+    return sizes[::-1]
+
+
+def _sup_of_means(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
+    """sup over the row tuples (a, b, ...) of |inverse(coeffs * rows_0[a] x
+    rows_1[b] x ...)| on the full 2^K grid of each of the last d =
+    len(banks) axes of ``coeffs``; its leading axes are a batch.
+
+    ``banks[j] = (rows, subseq)``: row a multiplies the Walsh coefficients
+    along axis j and vanishes from 2^{m_a} on.  The means of one level tuple
+    (m_0, ...) are therefore constant on 2^{m_0} x ... cells: they are
+    inverted at that resolution, in blocks of at most _CHUNK_CELLS cells
+    over (batch x rows), and folded by a running maximum into a
+    (..., 2^m, 2^{K-m}, ...) view of the result.
+    """
+    d = len(banks)
+    batch = coeffs.shape[:coeffs.ndim - d]
+    coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
+    out = np.zeros(coeffs.shape)
+    for group in itertools.product(*(_level_groups(s) for _, s in banks)):
+        ms = [m for m, _ in group]
+        band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
+        fine = sum(((1 << m, 1 << (K - m)) for m in ms), ())    # of the result
+        coarse = sum(((1 << m, 1) for m in ms), ())             # of one sup
+        counts = [len(coeffs)] + [len(ix) for _, ix in group]
+        sizes = _block_sizes(counts, 1 << sum(ms))
+        for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
+            t = slice(starts[0], starts[0] + sizes[0])
+            # axes: batch, one row axis per bank, one coefficient axis per bank
+            x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
+            for j, ((rows, _), (m, ix)) in enumerate(zip(banks, group)):
+                w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
+                shape = [1] * (1 + 2 * d)
+                shape[1 + j], shape[1 + d + j] = w.shape
+                x = x * w.reshape(shape)
+            for j, m in enumerate(ms):
+                axis = 1 + d + j
+                x = np.moveaxis(inverse_array(np.moveaxis(x, axis, -1), m), -1, axis)
+            view = out[t].reshape((-1,) + fine)
+            sup = np.abs(x).max(axis=tuple(range(1, d + 1)))
+            np.maximum(view, sup.reshape((-1,) + coarse), out=view)
+    return out.reshape(batch + out.shape[1:])
+
+
+def _mean_weight_matrix(T: TransformationMatrix,
+                        subseq: IndexSubsequence) -> np.ndarray:
+    """Spectral multipliers of T_{n_a}, one row each, up to 2^{m*} for the
+    level m* of the largest index (every row vanishes beyond)."""
+    width = 1 << _level(subseq.indices[-1])
+    if len(subseq) * width > _MAX_BANK_CELLS:
+        raise GuardRailError(
+            f"{len(subseq)} indices up to level {_level(subseq.indices[-1])} need "
+            f"{len(subseq) * width} bank cells, above the limit of {_MAX_BANK_CELLS}")
+    bank = np.empty((len(subseq), width))
+    for row, n in zip(bank, subseq):
+        row[:] = mean_coefficient_weights(T, n, width)
+    return bank
 
 
 def maximal_mean(T: TransformationMatrix, subseq: IndexSubsequence,
@@ -95,17 +188,23 @@ def maximal_mean(T: TransformationMatrix, subseq: IndexSubsequence,
     """sup_a |T_{n_a}(f)| pointwise."""
     subseq.check_resolution(f.spec)
     K = f.spec.resolution
-    fh = forward_array(f.samples, K)
-    means = inverse_array(fh[None, :] * _mean_weight_matrix(T, subseq, f.spec.size), K)
-    return GridFunction1D(f.spec, np.abs(means).max(axis=0))
+    bank = _mean_weight_matrix(T, subseq)
+    return GridFunction1D(
+        f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
 
 
-def abs_kernel_spectra(T: TransformationMatrix, subseq: IndexSubsequence,
-                       spec: GridSpec) -> np.ndarray:
-    """Coefficient rows of |V_{n_a}|, precomputable per (matrix, subsequence)."""
-    K = spec.resolution
-    kernels = inverse_array(_mean_weight_matrix(T, subseq, spec.size), K)
-    return forward_array(np.abs(kernels), K)
+def abs_kernel_spectra(T: TransformationMatrix,
+                       subseq: IndexSubsequence) -> np.ndarray:
+    """Coefficient rows of |V_{n_a}|, up to 2^{m*} like the mean weights:
+    V_{n_a} is constant on 2^{m_a} cells, so |V_{n_a}| is too."""
+    bank = _mean_weight_matrix(T, subseq)
+    for m, ix in _level_groups(subseq):
+        step = max(1, _CHUNK_CELLS >> m)
+        for i in range(0, len(ix), step):
+            rows = ix[i: i + step]
+            kernels = inverse_array(bank[rows, :1 << m], m)
+            bank[rows, :1 << m] = forward_array(np.abs(kernels, out=kernels), m)
+    return bank
 
 
 def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
@@ -113,9 +212,9 @@ def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
     """sup_a |f * |V_{n_a}|| pointwise (kernel absolute value first)."""
     subseq.check_resolution(f.spec)
     K = f.spec.resolution
-    fh = forward_array(f.samples, K)
-    out = inverse_array(fh[None, :] * abs_kernel_spectra(T, subseq, f.spec), K)
-    return GridFunction1D(f.spec, np.abs(out).max(axis=0))
+    bank = abs_kernel_spectra(T, subseq)
+    return GridFunction1D(
+        f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
 
 
 def dyadic_maximal(f: GridFunction1D) -> GridFunction1D:
@@ -236,23 +335,17 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
     spec = GridSpec(K)
     subseq.check_resolution(spec)
     rng = np.random.default_rng(seed)
-    spectra = None
-    if operator == "abs_mean":
-        spectra = abs_kernel_spectra(T, subseq, spec)
-    elif operator == "mean":
-        spectra = _mean_weight_matrix(T, subseq, spec.size)
     inputs = [generator(spec, rng) for _ in range(trials)]
-
-    def ratio(f: GridFunction1D) -> float:
-        if operator == "dyadic_maximal":
-            sup = dyadic_maximal(f).samples
-        else:
-            fh = forward_array(f.samples, K)
-            sup = np.abs(inverse_array(fh[None, :] * spectra, K)).max(axis=0)
-        return _weak_quasinorm_values(sup, spec.cell_measure) / max(
-            f.l1_norm(), np.finfo(float).tiny)
-
-    ratios = np.array([ratio(f) for f in inputs])
+    if operator == "dyadic_maximal":
+        sups = [dyadic_maximal(f).samples for f in inputs]
+    else:
+        bank = (abs_kernel_spectra(T, subseq) if operator == "abs_mean"
+                else _mean_weight_matrix(T, subseq))
+        fh = forward_array(np.stack([f.samples for f in inputs]), K)
+        sups = _sup_of_means(fh, [(bank, subseq)], K)
+    ratios = np.array([
+        _weak_quasinorm_values(sup, spec.cell_measure)
+        / max(f.l1_norm(), np.finfo(float).tiny) for sup, f in zip(sups, inputs)])
     qs = {f"q{p}": float(np.quantile(ratios, p / 100)) for p in (25, 50, 75, 90)}
     return WeakTypeReport(
         family=T.name, subsequence=subseq.describe(), K=K, trials=trials,

@@ -30,6 +30,14 @@ class MatrixValidationError(ValueError):
     pass
 
 
+class GuardRailError(ValueError):
+    """A request would exceed a size or work limit; raised before any of
+    it is allocated or computed."""
+
+
+_MAX_TABLE = 1 << 24   # entries of a cumulative table (128 MiB of float64)
+
+
 class TransformationMatrix:
     """A matrix given by its cumulative weights.
 
@@ -133,7 +141,13 @@ class _CumulativeTable:
         C = self._C
         top = int(np.max(n)) + 1
         if top > C.size:
-            C = self._C = self._build(1 << (top - 1).bit_length())
+            size = 1 << (top - 1).bit_length()
+            if size > _MAX_TABLE:
+                raise GuardRailError(
+                    f"{self._name}: index {top - 1} needs a cumulative table of "
+                    f"{size} entries ({size * 8 / 2**30:g} GiB), above the limit "
+                    f"of {_MAX_TABLE} entries")
+            C = self._C = self._build(size)
         return C[s] / C[n]
 
     def _build(self, size: int) -> np.ndarray:

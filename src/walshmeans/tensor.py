@@ -16,6 +16,8 @@ from .dyadic import GridSpec
 from .maximal import (
     IndexSubsequence,
     _llogl_values,
+    _mean_weight_matrix,
+    _sup_of_means,
     _weak_quasinorm_values,
     abs_kernel_spectra,
 )
@@ -94,19 +96,18 @@ def tensor_mean_kernel_path(T0: TransformationMatrix, n0: int,
 def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
                    T1: TransformationMatrix, subseq1: IndexSubsequence,
                    F: GridFunction2D) -> GridFunction2D:
-    """sup over the product of subsequences of |(T0_{n_a} x T1_{n_b}) F|."""
+    """sup over the product of subsequences of |(T0_{n_a} x T1_{n_b}) F|.
+
+    Each product mean is constant on 2^{m_a} x 2^{m_b} cells, so it is
+    inverted on that coarse grid (see `maximal`)."""
     spec = F.spec
     subseq0.check_resolution(spec)
     subseq1.check_resolution(spec)
     K = spec.resolution
-    w1 = np.stack([mean_coefficient_weights(T1, n, spec.size) for n in subseq1])
-    best = np.zeros_like(F.samples)
-    for n0 in subseq0:
-        G = apply_axis(T0, n0, F, axis=0).samples
-        gh = forward_array(G, K)                      # coefficients along axis 1
-        out = inverse_array(gh[None, :, :] * w1[:, None, :], K)
-        np.maximum(best, np.abs(out).max(axis=0), out=best)
-    return GridFunction2D(spec, best)
+    coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
+    banks = [(_mean_weight_matrix(T0, subseq0), subseq0),
+             (_mean_weight_matrix(T1, subseq1), subseq1)]
+    return GridFunction2D(spec, _sup_of_means(coeffs, banks, K))
 
 
 def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
@@ -115,14 +116,14 @@ def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
     """sup_a |V_{n_a}|-average (axis 0) of sup_b |T1_{n_b} F| (axis 1); the
     iterated bound dominating the tensor maximal function."""
     spec = F.spec
+    subseq0.check_resolution(spec)
+    subseq1.check_resolution(spec)
     K = spec.resolution
-    w1 = np.stack([mean_coefficient_weights(T1, n, spec.size) for n in subseq1])
-    fh = forward_array(F.samples, K)                  # coefficients along axis 1
-    inner = np.abs(inverse_array(fh[None, :, :] * w1[:, None, :], K)).max(axis=0)
-    spectra0 = abs_kernel_spectra(T0, subseq0, spec)
-    cols0 = forward_array(inner.T, K)                 # coefficients along axis 0
-    out = inverse_array(cols0[None, :, :] * spectra0[:, None, :], K)
-    return GridFunction2D(spec, np.abs(out).max(axis=0).T)
+    inner = _sup_of_means(forward_array(F.samples, K),       # along axis 1
+                          [(_mean_weight_matrix(T1, subseq1), subseq1)], K)
+    out = _sup_of_means(forward_array(inner.T, K),           # along axis 0
+                        [(abs_kernel_spectra(T0, subseq0), subseq0)], K)
+    return GridFunction2D(spec, out.T)
 
 
 def hybrid_maximal(F: GridFunction2D) -> GridFunction2D:
@@ -246,7 +247,13 @@ def load_grid2d(path_or_buf) -> GridFunction2D:
     finally:
         if buf is not path_or_buf:
             buf.close()
-    values = np.array([[float(x) for x in line.split(",")] for _, line in lines])
+    rows = [[float(x) for x in line.split(",")] for _, line in lines]
+    for (no, _), row in zip(lines, rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"line {no}: {len(row)} values, but line {lines[0][0]} has "
+                f"{len(rows[0])}")
+    values = np.array(rows)
     _reject_non_finite(values, [no for no, _ in lines])
     return GridFunction2D(GridSpec(K), values)
 

@@ -201,3 +201,38 @@ def test_non_finite_matrix_rows_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "row 2 has a non-finite entry at k=0" in captured.err
     assert captured.out == ""
+
+
+def test_work_guard_rail(capsys):
+    # both requests are refused before any bank or transform is built
+    assert run(["maximal", "--matrix", "fejer", "--seq", "all:1..16384",
+                "--resolution", "14"]) == 2
+    err = capsys.readouterr().err
+    assert "predicted work of 122287263300 element-stages" in err
+    assert "limit of 2147483648" in err
+    assert run(["llogl-experiment", "--matrix0", "fejer", "--matrix1", "fejer",
+                "--seq0", "all:1..256", "--seq1", "all:1..256",
+                "--resolution", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "predicted work of 585392989680 element-stages" in err
+    assert "limit of 2147483648" in err
+    # an index beyond the grid is a config error, not a guard rail
+    assert run(["maximal", "--matrix", "fejer", "--seq", "list:3,40",
+                "--resolution", "5"]) == 1
+    capsys.readouterr()
+
+
+def test_cumulative_table_guard_rail(capsys):
+    assert run(["upsilon", "--matrix", "nlog", "--seq", "list:1099511627776"]) == 2
+    captured = capsys.readouterr()
+    assert "index 1099511627776" in captured.err
+    assert "2199023255552 entries (16384 GiB)" in captured.err
+    assert captured.out == ""
+
+
+def test_ragged_grid2d_rejected(tmp_path, capsys):
+    src = tmp_path / "F.csv"
+    src.write_text("# resolution=1 dims=2\n1.0,2.0\n3.0,4.0,5.0\n")
+    assert run(["wlp", "--input", str(src), "--point", "0,0"]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: 3 values, but line 2 has 2" in err

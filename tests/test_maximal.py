@@ -1,11 +1,15 @@
 """Maximal operators, weak quasi-norms, size functionals, and the
 weak-type experiment harness."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
     IndexSubsequence,
@@ -14,13 +18,26 @@ from walshmeans.maximal import (
     llogl_norm,
     maximal_abs_mean,
     maximal_mean,
+    mean_work,
     random_test_function,
     subsequence_from_spec,
     weak_quasinorm,
     weak_type_experiment,
 )
-from walshmeans.summability import apply_mean, builtin_matrix, kernel_V
-from walshmeans.transform import GridFunction1D, fwht, walsh_sample
+from walshmeans.summability import (
+    apply_mean,
+    builtin_matrix,
+    kernel_V,
+    matrix_from_spec,
+    mean_coefficient_weights,
+)
+from walshmeans.transform import (
+    GridFunction1D,
+    forward_array,
+    fwht,
+    inverse_array,
+    walsh_sample,
+)
 
 
 def test_subsequence_validation():
@@ -211,3 +228,139 @@ def test_abs_fejer_full_range_stability():
         sub = subsequence_from_spec(f"all:1..{1 << K}")
         ratios[K] = weak_type_experiment(T, sub, trials=12, K=K, seed=11).max_ratio
     assert ratios[9] <= 1.2 * ratios[7]
+
+
+# ---------------------------------------------------------------------------
+# The band-limited, streamed sup against full-resolution references.
+
+def full_bank(T, subseq, K, absolute):
+    """Multiplier rows at the full 2^K: mean weights, or the coefficients
+    of |V_n| for the absolute-kernel operator."""
+    w = np.stack([mean_coefficient_weights(T, n, 1 << K) for n in subseq])
+    return forward_array(np.abs(inverse_array(w, K)), K) if absolute else w
+
+
+def full_sup(T, subseq, samples, K, absolute):
+    """sup_a |inverse(f_hat * row_a)| over the full grid, one row per n_a."""
+    fh = forward_array(samples, K)
+    return np.abs(inverse_array(fh * full_bank(T, subseq, K, absolute), K)).max(0)
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+def _custom_matrix(tmp_path, rows):
+    rng = np.random.default_rng(17)
+    lines = []
+    for n in range(rows):
+        r = np.sort(rng.random(n + 1))[::-1]
+        lines.append(",".join(repr(float(v)) for v in r / r.sum()))
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return matrix_from_spec(f"custom:{path}")
+
+
+# n = 1, powers of two, one past them, and 2^K
+EDGE_INDICES = {10: (1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 512, 513, 1000, 1024),
+                5: (1, 2, 3, 4, 5, 8, 9, 16, 17, 31, 32)}
+
+
+def _cases(tmp_path):
+    for name in ("fejer", "nlog", "cesaro:0.5", "identity"):
+        yield matrix_from_spec(name), 10
+    yield _custom_matrix(tmp_path, 33), 5
+
+
+def test_band_limited_sup_matches_full_resolution(tmp_path):
+    rng = np.random.default_rng(21)
+    for T, K in _cases(tmp_path):
+        sub = IndexSubsequence(EDGE_INDICES[K])
+        f = GridFunction1D(GridSpec(K), rng.normal(size=1 << K))
+        assert_rel_close(maximal_mean(T, sub, f).samples,
+                         full_sup(T, sub, f.samples, K, absolute=False))
+        assert_rel_close(maximal_abs_mean(T, sub, f).samples,
+                         full_sup(T, sub, f.samples, K, absolute=True))
+
+
+def test_weak_type_experiment_matches_per_trial_loop(tmp_path):
+    # the batched, band-limited experiment against one full-resolution
+    # sup per trial, for each operator
+    for T, K in _cases(tmp_path):
+        sub = IndexSubsequence(EDGE_INDICES[K])
+        spec = GridSpec(K)
+        for operator in ("abs_mean", "mean", "dyadic_maximal"):
+            rep = weak_type_experiment(T, sub, trials=6, K=K, seed=5,
+                                       operator=operator)
+            rng = np.random.default_rng(5)
+            ratios = []
+            for _ in range(6):
+                f = random_test_function(spec, rng)
+                if operator == "dyadic_maximal":
+                    sup = dyadic_maximal(f).samples
+                else:
+                    sup = full_sup(T, sub, f.samples, K, operator == "abs_mean")
+                ratios.append(weak_quasinorm(GridFunction1D(spec, sup)) / f.l1_norm())
+            assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+            for p in (25, 50, 75, 90):
+                assert rep.quantiles[f"q{p}"] == pytest.approx(
+                    np.quantile(ratios, p / 100), rel=1e-12)
+
+
+def test_small_chunks_give_the_same_sup(monkeypatch):
+    # blocks of a few cells split the trial and row axes of every level
+    T = builtin_matrix("nlog")
+    sub = IndexSubsequence(EDGE_INDICES[10])
+    rep = weak_type_experiment(T, sub, trials=5, K=10, seed=2)
+    f = random_test_function(GridSpec(10), np.random.default_rng(4))
+    sup = maximal_abs_mean(T, sub, f).samples
+    monkeypatch.setattr(maximal, "_CHUNK_CELLS", 8)
+    assert weak_type_experiment(T, sub, trials=5, K=10, seed=2).max_ratio == \
+        pytest.approx(rep.max_ratio, rel=1e-13)
+    assert_rel_close(maximal_abs_mean(T, sub, f).samples, sup, rel=1e-13)
+
+
+def test_streamed_sup_memory_is_bounded():
+    # one level-10 group of 512 rows x 64 trials is 16 blocks unchunked
+    sub = subsequence_from_spec("all:513..1024")
+    trials, K = 64, 10
+    unchunked = trials * len(sub) * (1 << K)
+    assert unchunked > 4 * maximal._CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        weak_type_experiment(builtin_matrix("fejer"), sub, trials=trials, K=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * maximal._CHUNK_CELLS < 8 * unchunked / 2
+
+
+def test_mean_work_counts_every_index_tuple():
+    s0 = IndexSubsequence((1, 2, 3, 8, 9))
+    s1 = IndexSubsequence((4, 5, 64))
+
+    def level(n):
+        return math.ceil(math.log2(n))
+    assert mean_work(s0) == sum(level(n) * 2 ** level(n) for n in s0)
+    assert mean_work(s0, s1) == sum(
+        (level(a) + level(b)) * 2 ** (level(a) + level(b))
+        for a, b in itertools.product(s0, s1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda K: st.lists(
+    st.integers(-6, 6).map(lambda v: v / 4), min_size=1 << K, max_size=1 << K)))
+def test_weak_quasinorm_matches_brute_force(values):
+    # sup_t t mu(|g| > t) over every threshold: the supremum is approached
+    # as t rises to a value v of |g|, where it tends to v mu(|g| >= v)
+    K = len(values).bit_length() - 1
+    g = GridFunction1D(GridSpec(K), np.array(values))
+    a = [abs(v) for v in values]
+    brute = max([v * sum(x >= v for x in a) / len(a) for v in a if v > 0],
+                default=0.0)
+    wq = weak_quasinorm(g)
+    assert wq == pytest.approx(brute, rel=1e-15, abs=0)
+    for t in sorted(set(a)) + [v / 2 for v in a] + [v * (1 - 1e-9) for v in a]:
+        if t > 0:
+            assert t * sum(x > t for x in a) / len(a) <= wq * (1 + 1e-15)

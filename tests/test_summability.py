@@ -1,11 +1,14 @@
 """Transformation matrices: row conditions, cumulative weights, the
 boundedness functional, kernels, the V1+V2 split, and the means."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from walshmeans.dyadic import BinaryIndex, GridSpec
 from walshmeans.summability import (
+    GuardRailError,
     MatrixValidationError,
     TransformationMatrix,
     apply_mean,
@@ -453,3 +456,18 @@ def test_mean_report():
     assert r.l1_kernel_norm is not None and r.l1_kernel_norm >= 0
     d = r.to_dict()
     assert set(d) == {"n", "upsilon", "t0", "l1_kernel_norm"}
+
+
+def test_cumulative_table_size_guard():
+    # an index near 2^40 is refused before any table entry is allocated,
+    # and the table still serves the indices below the cap
+    for T in (builtin_matrix("nlog"), builtin_matrix("cesaro", alpha=0.5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardRailError, match=r"index 1099511627776 .* 2199023255552 entries"):
+                T.tau(0, 1 << 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert T.tau(5, 1 << 15) > 0

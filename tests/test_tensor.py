@@ -9,7 +9,13 @@ import pytest
 
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import IndexSubsequence, subsequence_from_spec
-from walshmeans.summability import apply_mean, builtin_matrix, kernel_V
+from walshmeans.summability import (
+    apply_mean,
+    builtin_matrix,
+    kernel_V,
+    matrix_from_spec,
+    mean_coefficient_weights,
+)
 from walshmeans.tensor import (
     GridFunction2D,
     apply_axis,
@@ -26,7 +32,12 @@ from walshmeans.tensor import (
     tensor_mean_kernel_path,
     weak_quasinorm_2d,
 )
-from walshmeans.transform import GridFunction1D, walsh_sample
+from walshmeans.transform import (
+    GridFunction1D,
+    forward_array,
+    inverse_array,
+    walsh_sample,
+)
 
 PAIRS = (("fejer", "fejer"), ("fejer", "nlog"), ("cesaro:0.5", "fejer"))
 
@@ -155,6 +166,61 @@ def test_iterated_majorant_singleton_orientation():
     got = iterated_majorant(T0, IndexSubsequence((n0,)),
                             T1, IndexSubsequence((n1,)), F).samples
     assert np.abs(got - direct).max() < 1e-12
+
+
+def test_tensor_maximal_matches_every_pair():
+    # n = 1, powers of two, one past them and 2^K on both axes
+    spec = GridSpec(6)
+    rng = np.random.default_rng(12)
+    s0 = IndexSubsequence((1, 2, 3, 8, 9, 33, 64))
+    s1 = IndexSubsequence((1, 4, 5, 16, 17, 63))
+    for name0, name1 in PAIRS + (("identity", "nlog"),):
+        T0, T1 = matrix_from_spec(name0), matrix_from_spec(name1)
+        F = _random_F(spec, rng)
+        got = tensor_maximal(T0, s0, T1, s1, F).samples
+        expect = np.maximum.reduce([np.abs(tensor_mean(T0, n0, T1, n1, F).samples)
+                                    for n0 in s0 for n1 in s1])
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def iterated_majorant_reference(T0, s0, T1, s1, F):
+    """The full-resolution formula: sup_b over axis 1, then the |V_{n_a}|
+    coefficient rows over axis 0, every row at length 2^K."""
+    K, N = F.spec.resolution, F.spec.size
+    w1 = np.stack([mean_coefficient_weights(T1, n, N) for n in s1])
+    fh = forward_array(F.samples, K)
+    inner = np.abs(inverse_array(fh[None, :, :] * w1[:, None, :], K)).max(axis=0)
+    w0 = np.stack([mean_coefficient_weights(T0, n, N) for n in s0])
+    spectra0 = forward_array(np.abs(inverse_array(w0, K)), K)
+    cols0 = forward_array(inner.T, K)
+    out = inverse_array(cols0[None, :, :] * spectra0[:, None, :], K)
+    return np.abs(out).max(axis=0).T
+
+
+def test_iterated_majorant_matches_full_resolution_formula():
+    spec = GridSpec(6)
+    rng = np.random.default_rng(13)
+    s0 = IndexSubsequence((1, 2, 5, 32, 33, 64))
+    s1 = IndexSubsequence((1, 3, 4, 17, 40))
+    for name0, name1 in PAIRS:
+        T0, T1 = matrix_from_spec(name0), matrix_from_spec(name1)
+        F = _random_F(spec, rng)
+        got = iterated_majorant(T0, s0, T1, s1, F).samples
+        expect = iterated_majorant_reference(T0, s0, T1, s1, F)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_tensor_maximal_small_chunks(monkeypatch):
+    # blocks of a few cells split both row axes of every level pair
+    from walshmeans import maximal
+    spec = GridSpec(5)
+    F = _random_F(spec, np.random.default_rng(14))
+    T0, T1 = builtin_matrix("nlog"), builtin_matrix("fejer")
+    s0, s1 = subsequence_from_spec("all:1..32"), subsequence_from_spec("all:5..20")
+    whole = tensor_maximal(T0, s0, T1, s1, F).samples
+    monkeypatch.setattr(maximal, "_CHUNK_CELLS", 16)
+    split = tensor_maximal(T0, s0, T1, s1, F).samples
+    assert np.abs(split - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 def test_tensor_maximal_dominated_by_iterated_majorant():
