@@ -7,13 +7,9 @@ diagnostics, and an exact rational divergence example.
 """
 
 from .dyadic import (
-    BinaryIndex,
     DyadicInterval,
     DyadicRational,
     GridSpec,
-    binary_bits,
-    dyadic_add,
-    interval_of,
     prefix,
 )
 from .exact import (
@@ -26,18 +22,15 @@ from .exact import (
 )
 from .lebesgue import (
     WlpDiagnostic,
-    classical_lebesgue_avg,
     classify_wlp,
     h0,
     h1,
     mt2_convergence_experiment,
-    w1,
     w2d,
 )
 from .maximal import (
     IndexSubsequence,
     dyadic_maximal,
-    h1_norm,
     llogl_norm,
     maximal_abs_mean,
     maximal_mean,
@@ -48,17 +41,13 @@ from .maximal import (
 )
 from .summability import (
     MatrixValidationError,
-    MeanReport,
     TransformationMatrix,
     apply_mean,
     builtin_matrix,
     c2_quantity,
-    cesaro_A,
     kernel_V,
     kernel_decomposition,
     matrix_from_spec,
-    mean_report,
-    tau,
     upsilon,
 )
 from .tensor import (
@@ -86,7 +75,6 @@ from .transform import (
     load_grid1d,
     partial_sum,
     save_grid1d,
-    translate,
     walsh_sample,
 )
 

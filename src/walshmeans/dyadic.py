@@ -43,61 +43,9 @@ class GridSpec:
         return i
 
 
-class BinaryIndex(int):
-    """Natural number with access to its binary coefficients.
-
-    binary coefficients eps_k, the order (position of the leading one,
-    undefined for zero, reported as None) and prefixes n(s).
-    """
-
-    def __new__(cls, value):
-        v = int(value)
-        if v < 0:
-            raise ValueError(f"BinaryIndex must be nonnegative, got {v}")
-        return super().__new__(cls, v)
-
-    @property
-    def order(self) -> int | None:
-        """Position of the leading binary digit; None for zero."""
-        if self == 0:
-            return None
-        return self.bit_length() - 1
-
-    def bit(self, k: int) -> int:
-        return (self >> k) & 1
-
-    def bits(self) -> list[int]:
-        """Binary coefficients [eps_0, ..., eps_order]; empty for zero."""
-        if self == 0:
-            return []
-        return [(self >> k) & 1 for k in range(self.bit_length())]
-
-    def prefix(self, s: int) -> int:
-        """Low-order part sum_{j<=s} eps_j 2^j; saturates to the full value."""
-        if s < 0:
-            return 0
-        return int(self) & ((1 << (s + 1)) - 1)
-
-
-def binary_bits(n: int) -> list[int]:
-    """Binary coefficients of n, least significant first, up to the order."""
-    return BinaryIndex(n).bits()
-
-
 def prefix(n: int, s: int) -> int:
     """sum_{j=0}^{s} eps_j(n) 2^j; equals n once s reaches the order of n."""
-    return BinaryIndex(n).prefix(s)
-
-
-def dyadic_add(i: int, j: int, spec: GridSpec) -> int:
-    """Dyadic sum of the points i/2^K and j/2^K, as a grid index.
-
-    Digitwise addition mod 2 of the binary expansions is the exclusive-or
-    of the indices.
-    """
-    spec.check_index(i)
-    spec.check_index(j)
-    return i ^ j
+    return n & ((1 << (s + 1)) - 1) if s >= 0 else 0
 
 
 @total_ordering
@@ -203,10 +151,6 @@ class DyadicRational:
         return f"{self.numerator}/2^{self.scale}"
 
 
-ZERO = DyadicRational(0)
-ONE = DyadicRational(1)
-
-
 @dataclass(frozen=True)
 class DyadicInterval:
     """Half-open dyadic interval [offset/2^depth, (offset+1)/2^depth)."""
@@ -250,26 +194,3 @@ class DyadicInterval:
             raise ValueError(f"interval depth {self.depth} exceeds resolution {K}")
         w = 1 << (K - self.depth)
         return range(self.offset * w, (self.offset + 1) * w)
-
-
-def interval_of(x, k: int, spec: GridSpec | None = None) -> DyadicInterval:
-    """The dyadic interval of depth k containing the point x.
-
-    x may be a DyadicRational in [0,1) or a grid index (spec required).
-    """
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    if isinstance(x, DyadicRational):
-        if not (ZERO <= x and x < ONE):
-            raise ValueError(f"point {x} outside [0,1)")
-        if x.scale <= k:
-            off = x.numerator << (k - x.scale)
-        else:
-            off = x.numerator >> (x.scale - k)
-        return DyadicInterval(k, off)
-    if spec is None:
-        raise ValueError("grid index form of interval_of needs a GridSpec")
-    spec.check_index(x)
-    if k > spec.resolution:
-        raise ValueError(f"depth {k} exceeds grid resolution {spec.resolution}")
-    return DyadicInterval(k, x >> (spec.resolution - k))

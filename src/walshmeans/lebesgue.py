@@ -14,7 +14,7 @@ import numpy as np
 
 from .summability import TransformationMatrix, mean_coefficient_weights
 from .tensor import GridFunction2D, apply_axis
-from .transform import GridFunction1D, forward_array, inverse_array
+from .transform import forward_array, inverse_array
 
 
 def _shifted_index(x: int, digit: int, K: int) -> int:
@@ -29,20 +29,6 @@ def _block_bounds(x: int, depth: int, K: int) -> tuple[int, int]:
     width = 1 << (K - depth)
     start = (x >> (K - depth)) << (K - depth)
     return start, start + width
-
-
-def w1(f: GridFunction1D, x: int, n: int) -> float:
-    """W_n f(x) = sum_{k<=n} 2^k int_{I_n(x + 2^-(k+1))} |f - f(x)|."""
-    K = f.spec.resolution
-    if not 0 <= n <= K:
-        raise ValueError(f"depth {n} exceeds resolution {K}")
-    f.spec.check_index(x)
-    fx = f.samples[x]
-    total = 0.0
-    for k in range(n + 1):
-        a, b = _block_bounds(_shifted_index(x, k, K), n, K)
-        total += (2.0 ** k) * np.abs(f.samples[a:b] - fx).sum()
-    return total * f.spec.cell_measure
 
 
 class _DeltaTable:
@@ -188,20 +174,6 @@ def classify_wlp(F: GridFunction2D, point: tuple[int, int],
     return WlpDiagnostic(point=(x0, x1), depths=depths, w_values=w_vals,
                          h0_sup=max(h0_vals), h1_sup=max(h1_vals),
                          verdict=verdict, thresholds=thresholds)
-
-
-def classical_lebesgue_avg(f: GridFunction1D, x: int, depth: int) -> float:
-    """(1/eps) int_[0,eps] |f(x+t) - f(x)| dt with eps = 2^-depth and
-    ordinary (non-dyadic) translation."""
-    K = f.spec.resolution
-    if not 0 <= depth <= K:
-        raise ValueError(f"depth {depth} exceeds resolution {K}")
-    f.spec.check_index(x)
-    width = 1 << (K - depth)
-    if x + width > f.spec.size:
-        raise ValueError("averaging window exits [0,1)")
-    fx = f.samples[x]
-    return float(np.abs(f.samples[x: x + width] - fx).mean())
 
 
 @dataclass

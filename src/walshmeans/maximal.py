@@ -22,6 +22,7 @@ import numpy as np
 
 from .dyadic import GridSpec
 from .summability import (
+    _MAX_TABLE,
     GuardRailError,
     TransformationMatrix,
     mean_coefficient_weights,
@@ -63,22 +64,29 @@ class IndexSubsequence:
 def subsequence_from_spec(text: str) -> IndexSubsequence:
     """Grammar: powers:a..b | alternating:a..b | list:1,3,7 | all:1..N.
 
-    powers yields 2^a..2^b; alternating yields sum_{j<=i} 4^j for i in a..b.
+    powers yields 2^a..2^b; alternating yields sum_{j<=i} 4^j = (4^{i+1} - 1)/3
+    for i in a..b.  A range is checked from its text before any term is
+    built: at most _MAX_TABLE terms, and indices below 2^63.
     """
     kind, _, arg = text.partition(":")
     if kind == "list":
         return IndexSubsequence(tuple(int(x) for x in arg.split(",")))
-    if kind == "all":
-        lo, hi = _parse_range(arg)
-        return IndexSubsequence(tuple(range(lo, hi + 1)))
+    if kind not in ("all", "powers", "alternating"):
+        raise ValueError(f"unrecognised subsequence spec {text!r}")
+    lo, hi = _parse_range(arg)
+    # bit length of the largest index: hi, 2^hi or (4^{hi+1} - 1)/3
+    bits = {"all": hi.bit_length(), "powers": hi + 1, "alternating": 2 * hi + 1}[kind]
+    for size, limit, what in ((hi - lo + 1, _MAX_TABLE, "terms"),
+                              (bits, 63, "bits in its largest index")):
+        if size > limit:
+            raise GuardRailError(
+                f"subsequence {text!r} has {size} {what}, above the limit of {limit}")
+    terms = range(lo, hi + 1)
     if kind == "powers":
-        lo, hi = _parse_range(arg)
-        return IndexSubsequence(tuple(2 ** m for m in range(lo, hi + 1)))
-    if kind == "alternating":
-        lo, hi = _parse_range(arg)
-        return IndexSubsequence(tuple(sum(4 ** j for j in range(i + 1))
-                                      for i in range(lo, hi + 1)))
-    raise ValueError(f"unrecognised subsequence spec {text!r}")
+        terms = (2 ** m for m in terms)
+    elif kind == "alternating":
+        terms = ((4 ** (i + 1) - 1) // 3 for i in terms)
+    return IndexSubsequence(tuple(terms))
 
 
 def _parse_range(arg: str) -> tuple[int, int]:
@@ -261,11 +269,6 @@ def _llogl_values(values: np.ndarray, cell_measure: float) -> float:
     if not big.any():
         return 0.0
     return float(np.sum(a[big] * np.log(a[big])) * cell_measure)
-
-
-def h1_norm(f: GridFunction1D) -> float:
-    """Dyadic Hardy norm: the L1 norm of the maximal function E*(f)."""
-    return dyadic_maximal(f).l1_norm()
 
 
 # ---------------------------------------------------------------------------

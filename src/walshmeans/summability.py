@@ -11,11 +11,10 @@ t_{s,n}, so a matrix is given by them and row n is their first difference.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BinaryIndex, GridSpec
+from .dyadic import GridSpec, prefix
 from .transform import (
     GridFunction1D,
     forward_array,
@@ -103,10 +102,6 @@ class TransformationMatrix:
         return float(t) if np.ndim(t) == 0 else t
 
 
-def tau(T: TransformationMatrix, s, n):
-    return T.tau(s, n)
-
-
 def _tau_of_rows(cum):
     """tau_fn from ``cum(n)`` = [tau_{0,n}, ..., tau_{n,n}], building each
     distinct row once per call."""
@@ -161,16 +156,6 @@ class _CumulativeTable:
         return np.cumsum(a)
 
 
-def cesaro_A(alpha: float, k: int) -> float:
-    """Cesaro number A_k^alpha by the product recurrence A_k = A_{k-1}(k+alpha)/k."""
-    if alpha <= -1:
-        raise ValueError("cesaro_A requires alpha > -1")
-    a = 1.0
-    for i in range(1, k + 1):
-        a *= (i + alpha) / i
-    return a
-
-
 def _cesaro_numbers(alpha: float, n: int) -> np.ndarray:
     # A_0..A_n for exponent alpha, vectorised
     if n == 0:
@@ -191,6 +176,10 @@ def _identity_tau(s, n):
 
 def _cesaro_seq_row(alpha_of_n):
     def row(n: int) -> np.ndarray:
+        if n + 1 > _MAX_TABLE:
+            raise GuardRailError(
+                f"cesaro-seq: row {n} needs {n + 1} entries, above the limit of "
+                f"{_MAX_TABLE} entries")
         if n == 0:
             return np.ones(1)
         a = alpha_of_n(n)
@@ -368,21 +357,20 @@ def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
     if not 1 <= n < spec.size:
         raise ValueError(
             f"decomposition needs 1 <= n < 2^K so that w_n is on the grid, got n={n}")
-    nb = BinaryIndex(n)
     K = spec.resolution
     size = spec.size
     row = T.row(n)
 
     v1_coeffs = np.zeros(size)
     v2 = np.zeros(size)
-    for s in range(nb.order + 1):
-        if not nb.bit(s):
+    for s in range(n.bit_length()):
+        if not (n >> s) & 1:
             continue
         # w_{2^s} D_{2^s} has spectrum 1 on [2^s, 2^{s+1})
-        v1_coeffs[1 << s: 1 << (s + 1)] = T.tau(nb.prefix(s) - 1, n)
+        v1_coeffs[1 << s: 1 << (s + 1)] = T.tau(prefix(n, s) - 1, n)
         if s == 0:
             continue  # empty difference block and a zero-length Fejer term
-        base = nb.prefix(s - 1)
+        base = prefix(n, s - 1)
         block = 1 << s
         coeff = np.zeros(block)             # coeff[l] multiplies l*K_l
         diffs = row[base + 1: base + block - 1] - row[base + 2: base + block]
@@ -395,34 +383,9 @@ def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
         bracket = np.zeros(size)
         bracket[:block] = s1 - np.arange(block) * s0
         inner = inverse_array(bracket, K)
-        v2 -= walsh_sample(nb.prefix(s) ^ (block - 1), spec).samples * inner
+        v2 -= walsh_sample(prefix(n, s) ^ (block - 1), spec).samples * inner
 
     wn = walsh_sample(n, spec).samples
     v1 = wn * inverse_array(v1_coeffs, K)
     v2 = wn * v2
     return GridFunction1D(spec, v1), GridFunction1D(spec, v2)
-
-
-@dataclass
-class MeanReport:
-    """Per-index record of an upsilon/boundedness sweep."""
-
-    n: int
-    upsilon: float
-    t0: float
-    l1_kernel_norm: float | None = None
-
-    def to_dict(self):
-        d = {"n": self.n, "upsilon": self.upsilon, "t0": self.t0}
-        if self.l1_kernel_norm is not None:
-            d["l1_kernel_norm"] = self.l1_kernel_norm
-        return d
-
-
-def mean_report(T: TransformationMatrix, n: int,
-                spec: GridSpec | None = None) -> MeanReport:
-    t0 = T.tau(0, n)
-    norm = None
-    if spec is not None and n <= spec.size:
-        norm = kernel_V(T, n, spec).l1_norm()
-    return MeanReport(n=n, upsilon=upsilon(T, n), t0=t0, l1_kernel_norm=norm)

@@ -7,12 +7,12 @@ diagonal in the Walsh basis and act on separate variables.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import GridSpec
+from .io import read_grid, write_grid
 from .maximal import (
     IndexSubsequence,
     _llogl_values,
@@ -22,7 +22,7 @@ from .maximal import (
     abs_kernel_spectra,
 )
 from .summability import TransformationMatrix, mean_coefficient_weights
-from .transform import _reject_non_finite, forward_array, inverse_array
+from .transform import forward_array, inverse_array
 
 
 @dataclass
@@ -72,25 +72,6 @@ def tensor_mean(T0: TransformationMatrix, n0: int, T1: TransformationMatrix,
                 n1: int, F: GridFunction2D) -> GridFunction2D:
     """(T0_{n0} x T1_{n1}) F by iterated axis application."""
     return apply_axis(T1, n1, apply_axis(T0, n0, F, axis=0), axis=1)
-
-
-def tensor_mean_kernel_path(T0: TransformationMatrix, n0: int,
-                            T1: TransformationMatrix, n1: int,
-                            F: GridFunction2D) -> GridFunction2D:
-    """Direct convolution with the product kernel V_{n0} (x) V_{n1}.
-
-    Quadratic in the grid size; intended for validating the iterated path
-    at small resolutions.
-    """
-    spec = F.spec
-    K = spec.resolution
-    v0 = inverse_array(mean_coefficient_weights(T0, n0, spec.size), K)
-    v1 = inverse_array(mean_coefficient_weights(T1, n1, spec.size), K)
-    idx = np.arange(spec.size)
-    A0 = v0[idx[:, None] ^ idx[None, :]]   # A0[x, u] = V0(x xor u)
-    A1 = v1[idx[:, None] ^ idx[None, :]]
-    out = A0 @ F.samples @ A1.T * spec.cell_measure ** 2
-    return GridFunction2D(spec, out)
 
 
 def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
@@ -222,43 +203,12 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
         max_ratio=float(ratios.max()), quantiles=qs)
 
 
-# ---------------------------------------------------------------------------
-# CSV serialisation: 2^K rows of 2^K comma-separated values.
-
 def save_grid2d(F: GridFunction2D, path_or_buf) -> None:
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    try:
-        buf.write(f"# resolution={F.spec.resolution} dims=2\n")
-        for row in F.samples:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
+    """Write F as a 2D grid CSV (see `walshmeans.io`)."""
+    write_grid(path_or_buf, F.spec.resolution, F.samples)
 
 
 def load_grid2d(path_or_buf) -> GridFunction2D:
-    buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-    try:
-        header = buf.readline().strip()
-        if not header.startswith("# resolution="):
-            raise ValueError(f"missing grid header, got {header!r}")
-        K = int(header.split("=", 1)[1].split()[0])
-        lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
-    rows = [[float(x) for x in line.split(",")] for _, line in lines]
-    for (no, _), row in zip(lines, rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(
-                f"line {no}: {len(row)} values, but line {lines[0][0]} has "
-                f"{len(rows[0])}")
-    values = np.array(rows)
-    _reject_non_finite(values, [no for no, _ in lines])
-    return GridFunction2D(GridSpec(K), values)
-
-
-def grid2d_to_csv(F: GridFunction2D) -> str:
-    s = io.StringIO()
-    save_grid2d(F, s)
-    return s.getvalue()
+    """Read a 2D grid CSV."""
+    K, samples = read_grid(path_or_buf)
+    return GridFunction2D(GridSpec(K), samples)

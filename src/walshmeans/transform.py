@@ -19,13 +19,13 @@ matrices, so no gather is needed.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .dyadic import GridSpec
+from .io import read_grid, write_grid
 
 
 @dataclass
@@ -42,41 +42,11 @@ class GridFunction1D:
                 f"expected {self.spec.size} samples for K={self.spec.resolution}, "
                 f"got shape {self.samples.shape}")
 
-    @classmethod
-    def constant(cls, c: float, spec: GridSpec) -> "GridFunction1D":
-        return cls(spec, np.full(spec.size, float(c)))
-
-    @classmethod
-    def indicator(cls, start_cell: int, stop_cell: int, spec: GridSpec) -> "GridFunction1D":
-        v = np.zeros(spec.size)
-        v[start_cell:stop_cell] = 1.0
-        return cls(spec, v)
-
     def l1_norm(self) -> float:
         return float(np.abs(self.samples).mean())
 
     def integral(self) -> float:
         return float(self.samples.mean())
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction1D):
-            _check_same_spec(self, other)
-            return GridFunction1D(self.spec, self.samples * other.samples)
-        return GridFunction1D(self.spec, self.samples * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction1D):
-            _check_same_spec(self, other)
-            return GridFunction1D(self.spec, self.samples + other.samples)
-        return GridFunction1D(self.spec, self.samples + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction1D):
-            _check_same_spec(self, other)
-            return GridFunction1D(self.spec, self.samples - other.samples)
-        return GridFunction1D(self.spec, self.samples - other)
 
 
 @dataclass
@@ -90,12 +60,6 @@ class WalshSpectrum:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.shape != (self.spec.size,):
             raise ValueError("coefficient count does not match the grid")
-
-
-def _check_same_spec(f, g):
-    if f.spec.resolution != g.spec.resolution:
-        raise ValueError(
-            f"mismatched resolutions {f.spec.resolution} vs {g.spec.resolution}")
 
 
 @lru_cache(maxsize=32)
@@ -212,60 +176,20 @@ def dyadic_convolve(f: GridFunction1D, g: GridFunction1D) -> GridFunction1D:
     Characters of the dyadic group diagonalise the convolution, so the
     product of the two coefficient vectors is the spectrum of f * g.
     """
-    _check_same_spec(f, g)
+    if f.spec.resolution != g.spec.resolution:
+        raise ValueError(
+            f"mismatched resolutions {f.spec.resolution} vs {g.spec.resolution}")
     K = f.spec.resolution
     c = forward_array(f.samples, K) * forward_array(g.samples, K)
     return GridFunction1D(f.spec, inverse_array(c, K))
 
 
-def translate(f: GridFunction1D, y: int) -> GridFunction1D:
-    """x -> f(x dyadic+ y) for a grid index y."""
-    f.spec.check_index(y)
-    idx = np.arange(f.spec.size) ^ y
-    return GridFunction1D(f.spec, f.samples[idx])
-
-
-# ---------------------------------------------------------------------------
-# CSV serialisation: one value per line under a "# resolution=K" header.
-
 def save_grid1d(f: GridFunction1D, path_or_buf) -> None:
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    try:
-        buf.write(f"# resolution={f.spec.resolution}\n")
-        for v in f.samples:
-            buf.write(repr(float(v)) + "\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
+    """Write f as a 1D grid CSV (see `walshmeans.io`)."""
+    write_grid(path_or_buf, f.spec.resolution, f.samples)
 
 
 def load_grid1d(path_or_buf) -> GridFunction1D:
-    buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-    try:
-        header = buf.readline().strip()
-        if not header.startswith("# resolution="):
-            raise ValueError(f"missing grid header, got {header!r}")
-        K = int(header.split("=", 1)[1].split()[0])
-        lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
-    values = np.array([float(line) for _, line in lines])
-    _reject_non_finite(values, [no for no, _ in lines])
-    return GridFunction1D(GridSpec(K), values)
-
-
-def _reject_non_finite(values: np.ndarray, line_numbers: list[int]) -> None:
-    """Raise ValueError naming the first nan/inf sample and its CSV line;
-    row i of values was read from line line_numbers[i]."""
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        first = tuple(bad[0])
-        raise ValueError(
-            f"line {line_numbers[first[0]]}: non-finite sample {values[first]}")
-
-
-def grid1d_to_csv(f: GridFunction1D) -> str:
-    s = io.StringIO()
-    save_grid1d(f, s)
-    return s.getvalue()
+    """Read a 1D grid CSV."""
+    K, samples = read_grid(path_or_buf)
+    return GridFunction1D(GridSpec(K), samples)

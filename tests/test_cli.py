@@ -2,6 +2,8 @@
 rails, and exit codes."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +230,41 @@ def test_cumulative_table_guard_rail(capsys):
     assert "index 1099511627776" in captured.err
     assert "2199023255552 entries (16384 GiB)" in captured.err
     assert captured.out == ""
+
+
+_TERMS = "has 100000000 terms, above the limit of 16777216"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["upsilon", "--matrix", "fejer", "--seq", "all:1..100000000"], _TERMS),
+    (["c2-check", "--alpha", "0.5", "--seq", "all:1..100000000"], _TERMS),
+    (["maximal", "--matrix", "fejer", "--seq", "all:1..100000000",
+      "--resolution", "14"], _TERMS),
+    (["upsilon", "--matrix", "nlog", "--seq", "alternating:1..40"],
+     "'alternating:1..40' has 81 bits in its largest index, above the limit of 63"),
+    (["upsilon", "--matrix", "cesaro-seq:{alpha}", "--seq", "list:1099511627776"],
+     "row 1099511627776 needs 1099511627777 entries, above the limit of 16777216"),
+])
+def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
+    # each request is refused from its text or index alone: exit 2 within a
+    # second, with no more than a few MiB allocated
+    alpha = tmp_path / "alpha.txt"
+    alpha.write_text("0.5\n")
+    argv = [a.format(alpha=alpha) for a in argv]
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+    assert peak < 16 << 20
 
 
 def test_ragged_grid2d_rejected(tmp_path, capsys):

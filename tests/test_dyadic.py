@@ -1,40 +1,11 @@
-"""Binary-expansion arithmetic: bits, prefixes, dyadic sums, intervals,
-and exact dyadic rationals."""
+"""Binary-expansion arithmetic: prefixes, dyadic intervals, and exact
+dyadic rationals."""
 
 import numpy as np
-import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from walshmeans.dyadic import (
-    BinaryIndex,
-    DyadicInterval,
-    DyadicRational,
-    GridSpec,
-    binary_bits,
-    dyadic_add,
-    interval_of,
-    prefix,
-)
-
-
-def test_binary_bits_examples():
-    assert binary_bits(0) == []
-    assert BinaryIndex(0).order is None
-    assert binary_bits(5) == [1, 0, 1]
-    assert BinaryIndex(5).order == 2
-    assert binary_bits(12) == [0, 0, 1, 1]
-    assert BinaryIndex(12).order == 3
-
-
-def test_binary_bits_reconstruct():
-    rng = np.random.default_rng(0)
-    for n in rng.integers(0, 1 << 30, 200):
-        n = int(n)
-        bits = binary_bits(n)
-        assert sum(b << k for k, b in enumerate(bits)) == n
-        if n >= 1:
-            assert 2 ** BinaryIndex(n).order <= n < 2 ** (BinaryIndex(n).order + 1)
+from walshmeans.dyadic import DyadicInterval, DyadicRational, prefix
 
 
 def test_prefix_examples():
@@ -49,47 +20,19 @@ def test_prefix_monotone_and_saturating():
         n = int(n)
         vals = [prefix(n, s) for s in range(24)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-        assert vals[BinaryIndex(n).order] == n
-        assert all(v == n for v in vals[BinaryIndex(n).order:])
-
-
-def test_dyadic_add_examples():
-    spec = GridSpec(2)
-    for i in range(4):
-        assert dyadic_add(i, i, spec) == 0
-    assert dyadic_add(2, 1, spec) == 3     # 1/2 + 1/4 = 3/4 digitwise
-    assert dyadic_add(5, 3, GridSpec(3)) == 6
-
-
-def test_dyadic_add_group_laws():
-    spec = GridSpec(5)
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        i, j = (int(v) for v in rng.integers(0, 32, 2))
-        assert dyadic_add(dyadic_add(i, j, spec), j, spec) == i
-        assert dyadic_add(0, j, spec) == j
-    with pytest.raises(ValueError):
-        dyadic_add(32, 0, spec)
-
-
-def test_interval_of_examples():
-    spec = GridSpec(4)
-    assert interval_of(0, 3, spec) == DyadicInterval(3, 0)
-    # x = 3/4 at depth 1 -> [1/2, 1)
-    assert interval_of(12, 1, spec) == DyadicInterval(1, 1)
-    # x = 5/16 at depth 2 -> [1/4, 1/2)
-    assert interval_of(5, 2, spec) == DyadicInterval(2, 1)
-    assert interval_of(DyadicRational(5, 4), 2) == DyadicInterval(2, 1)
+        assert vals[n.bit_length() - 1] == n
+        assert all(v == n for v in vals[n.bit_length() - 1:])
 
 
 def test_interval_nesting():
-    spec = GridSpec(6)
+    K = 6
     rng = np.random.default_rng(3)
     for x in rng.integers(0, 64, 50):
         x = int(x)
-        for k in range(6):
-            outer = interval_of(x, k, spec)
-            inner = interval_of(x, k + 1, spec)
+        for k in range(K):
+            # the depth-k interval holding the point x/2^K
+            outer = DyadicInterval(k, x >> (K - k))
+            inner = DyadicInterval(k + 1, x >> (K - k - 1))
             assert outer.intersect(inner) == inner
             assert outer.start <= inner.start
             assert inner.end <= outer.end

@@ -155,7 +155,7 @@ def test_exact_vs_grid_cross_validation():
 def test_exact_avg_vs_grid_classical_average():
     # the grid-path classical Lebesgue average at zero agrees with the
     # exact rational windows
-    from walshmeans.lebesgue import classical_lebesgue_avg
+    from test_lebesgue import classical_lebesgue_avg
     seq = (5, 17)
     f = build_example1(seq)
     grid = f.to_grid(GridSpec(17))

@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from walshmeans.dyadic import GridSpec
-from walshmeans.lebesgue import (
-    classical_lebesgue_avg,
-    classify_wlp,
-    h0,
-    h1,
-    mt2_convergence_experiment,
-    w1,
-    w2d,
-)
+from walshmeans.lebesgue import classify_wlp, h0, h1, mt2_convergence_experiment, w2d
 from walshmeans.maximal import subsequence_from_spec
 from walshmeans.summability import builtin_matrix
 from walshmeans.tensor import GridFunction2D, random_test_function_2d
@@ -21,6 +13,37 @@ from walshmeans.transform import GridFunction1D, dirichlet_kernel, fejer_kernel
 
 K = 6
 SPEC = GridSpec(K)
+
+
+# ---------------------------------------------------------------------------
+# Slow references: the one-dimensional functionals, cell by cell.
+
+def w1(f: GridFunction1D, x: int, n: int) -> float:
+    """W_n f(x) = sum_{k<=n} 2^k int_{I_n(x + 2^-(k+1))} |f - f(x)|."""
+    Kf = f.spec.resolution
+    if not 0 <= n <= Kf:
+        raise ValueError(f"depth {n} exceeds resolution {Kf}")
+    f.spec.check_index(x)
+    total = 0.0
+    for k in range(n + 1):
+        # x dyadic+ 2^-(k+1); digits at or below the cell width leave x
+        y = x ^ (1 << (Kf - 1 - k)) if k < Kf else x
+        a = (y >> (Kf - n)) << (Kf - n)
+        total += (2.0 ** k) * np.abs(f.samples[a: a + (1 << (Kf - n))] - f.samples[x]).sum()
+    return total * f.spec.cell_measure
+
+
+def classical_lebesgue_avg(f: GridFunction1D, x: int, depth: int) -> float:
+    """(1/eps) int_[0,eps] |f(x+t) - f(x)| dt with eps = 2^-depth and
+    ordinary (non-dyadic) translation."""
+    Kf = f.spec.resolution
+    if not 0 <= depth <= Kf:
+        raise ValueError(f"depth {depth} exceeds resolution {Kf}")
+    f.spec.check_index(x)
+    width = 1 << (Kf - depth)
+    if x + width > f.spec.size:
+        raise ValueError("averaging window exits [0,1)")
+    return float(np.abs(f.samples[x: x + width] - f.samples[x]).mean())
 
 
 def quarter_square(spec: GridSpec) -> GridFunction2D:
@@ -43,11 +66,11 @@ def spike_ladder(spec: GridSpec) -> GridFunction2D:
 
 
 def test_w1_examples():
-    f = GridFunction1D.constant(7.0, SPEC)
+    f = GridFunction1D(SPEC, np.full(SPEC.size, 7.0))
     for x in (0, 13, 40):
         for n in (0, 2, K):
             assert w1(f, x, n) == 0.0
-    half = GridFunction1D.indicator(0, SPEC.size // 2, SPEC)
+    half = GridFunction1D(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
     x = SPEC.size // 4          # the point 1/4
     for n in range(2, K + 1):
         assert w1(half, x, n) == pytest.approx(2.0 ** (-n), abs=1e-15)
@@ -203,9 +226,9 @@ def test_classify_wlp_verdicts():
 
 
 def test_classical_lebesgue_avg():
-    f = GridFunction1D.constant(3.0, SPEC)
+    f = GridFunction1D(SPEC, np.full(SPEC.size, 3.0))
     assert classical_lebesgue_avg(f, 5, 2) == 0.0
-    half = GridFunction1D.indicator(0, SPEC.size // 2, SPEC)
+    half = GridFunction1D(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
     for depth in range(1, K + 1):
         assert classical_lebesgue_avg(half, 0, depth) == 0.0
     x = SPEC.size // 2 - 1      # just left of the jump

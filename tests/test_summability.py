@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walshmeans.dyadic import BinaryIndex, GridSpec
+from walshmeans.dyadic import GridSpec
 from walshmeans.summability import (
     GuardRailError,
     MatrixValidationError,
@@ -14,12 +14,9 @@ from walshmeans.summability import (
     apply_mean,
     builtin_matrix,
     c2_quantity,
-    cesaro_A,
     kernel_V,
     kernel_decomposition,
     matrix_from_spec,
-    mean_report,
-    tau,
     upsilon,
 )
 from walshmeans.transform import (
@@ -61,21 +58,30 @@ def reference_row(name, n, alpha_seq=None):
 def upsilon_reference(cum, n):
     """sum_{k<=|n|} |eps_k - eps_{k+1}| tau_{2^k,n}, index by index, with
     cum[s] = tau_{s,n}."""
-    n = BinaryIndex(n)
     total = 0.0
-    for k in range(n.order + 1):
-        if n.bit(k) != n.bit(k + 1):
+    for k in range(n.bit_length()):
+        if (n >> k) & 1 != (n >> (k + 1)) & 1:
             total += cum[1 << k]
     return total
 
 
+def cesaro_A(alpha: float, k: int) -> float:
+    """Cesaro number A_k^alpha by the product recurrence A_k = A_{k-1}(k+alpha)/k."""
+    if alpha <= -1:
+        raise ValueError("cesaro_A requires alpha > -1")
+    a = 1.0
+    for i in range(1, k + 1):
+        a *= (i + alpha) / i
+    return a
+
+
 def c2_reference(alpha, n):
     """2^{-|n| alpha} sum_k |eps_k - eps_{k+1}| 2^{k alpha}, index by index."""
-    n = BinaryIndex(n)
+    order = n.bit_length() - 1
     total = 0.0
-    for k in range(n.order + 1):
-        if n.bit(k) != n.bit(k + 1):
-            total += 2.0 ** ((k - n.order) * alpha)
+    for k in range(order + 1):
+        if (n >> k) & 1 != (n >> (k + 1)) & 1:
+            total += 2.0 ** ((k - order) * alpha)
     return total
 
 
@@ -145,6 +151,10 @@ def test_cumulative_table_rejects_bad_base_sequence():
 
 
 def test_cesaro_A():
+    from walshmeans.summability import _cesaro_numbers
+    for a in (-0.5, 0.0, 0.5):
+        expect = [cesaro_A(a, k) for k in range(30)]
+        assert np.allclose(_cesaro_numbers(a, 29), expect, rtol=1e-14, atol=0)
     for n in (0, 1, 5, 20):
         assert cesaro_A(1.0, n) == pytest.approx(n + 1, rel=1e-14)
     assert cesaro_A(0.3, 0) == 1.0
@@ -159,15 +169,15 @@ def test_cesaro_A():
 def test_tau():
     F = builtin_matrix("fejer")
     L = builtin_matrix("nlog")
-    assert tau(F, 2, 4) == pytest.approx(0.75)
-    assert tau(L, 1, 2) == pytest.approx(9 / 11)
+    assert F.tau(2, 4) == pytest.approx(0.75)
+    assert L.tau(1, 2) == pytest.approx(9 / 11)
     for T in map(matrix_from_spec, FAMILIES):
         for n in (1, 6, 13):
-            assert tau(T, n, n) == pytest.approx(1.0, abs=1e-12)
-            vals = [tau(T, s, n) for s in range(n + 1)]
+            assert T.tau(n, n) == pytest.approx(1.0, abs=1e-12)
+            vals = [T.tau(s, n) for s in range(n + 1)]
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        tau(F, 5, 4)
+        F.tau(5, 4)
 
 
 def test_tau_fast_path_agrees_with_rows():
@@ -288,7 +298,7 @@ def test_apply_mean_special_cases():
     # constant rule: c -> c (1 - t_{n,n})
     for name in FAMILIES:
         T = matrix_from_spec(name)
-        c = GridFunction1D.constant(2.5, spec)
+        c = GridFunction1D(spec, np.full(spec.size, 2.5))
         for n in (1, 5, 9):
             expect = 2.5 * (1.0 - T.row(n)[n])
             assert np.abs(apply_mean(T, n, c).samples - expect).max() < 1e-12
@@ -448,16 +458,6 @@ def test_row_cache_thread_safety():
     assert all(np.array_equal(r, single.row(n)) for n, r in zip(ns, rows))
 
 
-def test_mean_report():
-    spec = GridSpec(5)
-    r = mean_report(builtin_matrix("fejer"), 4, spec)
-    assert r.n == 4 and r.upsilon == pytest.approx(7 / 4)
-    assert r.t0 == pytest.approx(0.25)
-    assert r.l1_kernel_norm is not None and r.l1_kernel_norm >= 0
-    d = r.to_dict()
-    assert set(d) == {"n", "upsilon", "t0", "l1_kernel_norm"}
-
-
 def test_cumulative_table_size_guard():
     # an index near 2^40 is refused before any table entry is allocated,
     # and the table still serves the indices below the cap
@@ -471,3 +471,19 @@ def test_cumulative_table_size_guard():
             tracemalloc.stop()
         assert peak < 1 << 20
         assert T.tau(5, 1 << 15) > 0
+
+
+def test_cesaro_seq_row_size_guard():
+    # a cesaro-seq row has n + 1 entries; one above the table cap is refused
+    # before it is allocated, and rows below the cap are still served
+    T = builtin_matrix("cesaro", alpha_seq=[1.0, 0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardRailError, match=r"row 1099511627776 needs "
+                           r"1099511627777 entries, above the limit of 16777216"):
+            T.tau(0, 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert T.tau(5, 1 << 10) > 0

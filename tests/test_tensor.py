@@ -1,7 +1,6 @@
 """Tensor-product means: axis iteration, kernel-path agreement, maximal
 operators, 2D functionals, and the L log L experiment."""
 
-import io
 import math
 
 import numpy as np
@@ -19,17 +18,13 @@ from walshmeans.summability import (
 from walshmeans.tensor import (
     GridFunction2D,
     apply_axis,
-    grid2d_to_csv,
     hybrid_maximal,
     iterated_majorant,
     llogl_2d,
     llogl_weak_type_experiment,
-    load_grid2d,
     random_test_function_2d,
-    save_grid2d,
     tensor_maximal,
     tensor_mean,
-    tensor_mean_kernel_path,
     weak_quasinorm_2d,
 )
 from walshmeans.transform import (
@@ -40,6 +35,20 @@ from walshmeans.transform import (
 )
 
 PAIRS = (("fejer", "fejer"), ("fejer", "nlog"), ("cesaro:0.5", "fejer"))
+
+
+def tensor_mean_kernel_path(T0, n0, T1, n1, F: GridFunction2D) -> GridFunction2D:
+    """Direct convolution with the product kernel V_{n0} (x) V_{n1}: the
+    quadratic reference for the iterated path."""
+    spec = F.spec
+    K = spec.resolution
+    v0 = inverse_array(mean_coefficient_weights(T0, n0, spec.size), K)
+    v1 = inverse_array(mean_coefficient_weights(T1, n1, spec.size), K)
+    idx = np.arange(spec.size)
+    A0 = v0[idx[:, None] ^ idx[None, :]]   # A0[x, u] = V0(x xor u)
+    A1 = v1[idx[:, None] ^ idx[None, :]]
+    out = A0 @ F.samples @ A1.T * spec.cell_measure ** 2
+    return GridFunction2D(spec, out)
 
 
 def _random_F(spec, rng):
@@ -317,17 +326,6 @@ def test_llogl_experiment_stability_fejer():
         ratios[K] = llogl_weak_type_experiment(T, s, T, s, trials=12, K=K,
                                                seed=21).max_ratio
     assert ratios[7] <= 1.2 * ratios[5]
-
-
-def test_2d_csv_roundtrip():
-    spec = GridSpec(3)
-    rng = np.random.default_rng(7)
-    F = GridFunction2D(spec, rng.normal(size=(8, 8)))
-    buf = io.StringIO()
-    save_grid2d(F, buf)
-    back = load_grid2d(io.StringIO(buf.getvalue()))
-    assert np.array_equal(back.samples, F.samples)
-    assert grid2d_to_csv(F).splitlines()[0] == "# resolution=3 dims=2"
 
 
 def test_random_test_function_2d_nonnegative():
