@@ -19,6 +19,7 @@ from .exact import avg_sweep_at_zero, divergence_report, validate_nseq
 from .lebesgue import classify_wlp, mt2_convergence_experiment
 from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
 from .summability import (
+    _MAX_TABLE,
     GuardRailError,
     MatrixValidationError,
     apply_mean,
@@ -40,6 +41,7 @@ from .transform import load_grid1d, save_grid1d
 MAX_K_1D = 14
 MAX_K_2D = 8
 MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
+MAX_REPORT_VALUES = 1 << 20   # errors in one mt2-experiment report
 
 OK, CONFIG_ERROR, GUARD_RAIL, IDENTITY_FAILURE = 0, 1, 2, 3
 
@@ -60,6 +62,16 @@ def _check_work(trials: int, *subseqs) -> None:
         raise GuardRailError(
             f"predicted work of {work} element-stages exceeds the limit of "
             f"{MAX_WORK}; shorten the subsequence or lower --trials")
+
+
+def _check_points(count: int, spec: GridSpec) -> None:
+    """Refuse `count` points whose prefix tables, 4^K cells each, would
+    hold more than _MAX_TABLE cells."""
+    cells = count * spec.size ** 2
+    if cells > _MAX_TABLE:
+        raise GuardRailError(
+            f"{count} points need {cells} prefix-table cells at K={spec.resolution}, "
+            f"above the limit of {_MAX_TABLE}")
 
 
 def _emit(payload, out: str | None) -> None:
@@ -172,6 +184,7 @@ def _parse_point(text: str) -> tuple[int, int]:
 def cmd_wlp(args) -> int:
     F = load_grid2d(args.input)
     _check_resolution(F.spec.resolution, 2)
+    _check_points(len(args.point), F.spec)
     depths = None
     if args.depths:
         lo, _, hi = args.depths.partition("..")
@@ -194,10 +207,16 @@ def cmd_mt2(args) -> int:
     _check_resolution(F.spec.resolution, 2)
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
+    subseq0 = subsequence_from_spec(args.seq0)
+    subseq1 = subsequence_from_spec(args.seq1)
+    _check_points(len(args.point), F.spec)
+    values = len(args.point) * len(subseq0) * len(subseq1)
+    if values > MAX_REPORT_VALUES:
+        raise GuardRailError(
+            f"{len(args.point)} points x {len(subseq0)} x {len(subseq1)} index pairs "
+            f"need {values} report values, above the limit of {MAX_REPORT_VALUES}")
     points = [_parse_point(p) for p in args.point]
-    report = mt2_convergence_experiment(
-        T0, T1, subsequence_from_spec(args.seq0), subsequence_from_spec(args.seq1),
-        F, points)
+    report = mt2_convergence_experiment(T0, T1, subseq0, subseq1, F, points)
     _emit(report.to_dict(), args.out)
     return OK
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .summability import TransformationMatrix, mean_coefficient_weights
-from .tensor import GridFunction2D, apply_axis
-from .transform import forward_array, inverse_array
+from .maximal import IndexSubsequence, _mean_weight_matrix
+from .summability import TransformationMatrix
+from .tensor import GridFunction2D
+from .transform import forward_array, walsh_sample
 
 
 def _shifted_index(x: int, digit: int, K: int) -> int:
@@ -59,22 +60,6 @@ class _DeltaTable:
                 total += 2.0 ** (i0 + i1) * self.rect(a0, b0, a1, b1)
         return total
 
-    def h0(self, n0: int) -> float:
-        K = self.K
-        total = 0.0
-        for i0 in range(n0 + 1):
-            a0, b0 = _block_bounds(_shifted_index(self.x0, i0, K), n0, K)
-            total += 2.0 ** i0 * self.rect(a0, b0, 0, 1 << K)
-        return total
-
-    def h1(self, n1: int) -> float:
-        K = self.K
-        total = 0.0
-        for i1 in range(n1 + 1):
-            a1, b1 = _block_bounds(_shifted_index(self.x1, i1, K), n1, K)
-            total += 2.0 ** i1 * self.rect(0, 1 << K, a1, b1)
-        return total
-
 
 def w2d(F: GridFunction2D, x0: int, x1: int, n0: int, n1: int) -> float:
     """Two-dimensional W_{n0,n1} f(x0,x1) as an exact double cell sum."""
@@ -85,19 +70,15 @@ def w2d(F: GridFunction2D, x0: int, x1: int, n0: int, n1: int) -> float:
 
 
 def h0(F: GridFunction2D, x0: int, x1: int, n0: int) -> float:
-    """H^(0)_{n0}: shifted first-variable averages integrated over the full
-    second variable."""
-    if not 0 <= n0 <= F.spec.resolution:
-        raise ValueError(f"depth {n0} exceeds resolution {F.spec.resolution}")
-    return _DeltaTable(F, x0, x1).h0(n0)
+    """H^(0)_{n0} = W_{n0,0}: shifted first-variable averages integrated
+    over the full second variable (a depth-0 block is the whole axis)."""
+    return w2d(F, x0, x1, n0, 0)
 
 
 def h1(F: GridFunction2D, x0: int, x1: int, n1: int) -> float:
-    """H^(1)_{n1}: shifted second-variable averages integrated over the full
-    first variable."""
-    if not 0 <= n1 <= F.spec.resolution:
-        raise ValueError(f"depth {n1} exceeds resolution {F.spec.resolution}")
-    return _DeltaTable(F, x0, x1).h1(n1)
+    """H^(1)_{n1} = W_{0,n1}: shifted second-variable averages integrated
+    over the full first variable."""
+    return w2d(F, x0, x1, 0, n1)
 
 
 @dataclass
@@ -151,8 +132,8 @@ def classify_wlp(F: GridFunction2D, point: tuple[int, int],
     x0, x1 = point
     table = _DeltaTable(F, x0, x1)
     w_vals = tuple(table.w(n, n) for n in depths)
-    h0_vals = [table.h0(n) for n in depths]
-    h1_vals = [table.h1(n) for n in depths]
+    h0_vals = [table.w(n, 0) for n in depths]
+    h1_vals = [table.w(0, n) for n in depths]
     thresholds = {"decay_factor": decay_factor,
                   "h_growth_limit": h_growth_limit, "atol": atol}
 
@@ -215,7 +196,8 @@ class Mt2Report:
 
 
 def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatrix,
-                               subseq0, subseq1, F: GridFunction2D,
+                               subseq0: IndexSubsequence, subseq1: IndexSubsequence,
+                               F: GridFunction2D,
                                points, depth_range=None) -> Mt2Report:
     """Pointwise error table of the tensor means over the index grid.
 
@@ -226,32 +208,33 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
     passing points are expected to shrink as min(n_a, n_b) grows; the
     report records whether the diagonal errors decrease.
     """
-    idx0 = tuple(subseq0)
-    idx1 = tuple(subseq1)
+    spec = F.spec
+    subseq0.check_resolution(spec)
+    subseq1.check_resolution(spec)
     points = [tuple(p) for p in points]
     diags = [classify_wlp(F, p, depth_range=depth_range) for p in points]
-    spec = F.spec
+
+    # the means are diagonal in the Walsh basis, so at one point x
+    # (T0_{n_a} x T1_{n_b} F)(x) = sum_{k,l} W0[a,k] w_k(x0) F^[k,l] W1[b,l] w_l(x1)
+    # for every pair at once; w_k(x0) = w_{x0}(k / 2^K) by symmetry
     K = spec.resolution
-    cells = tuple(np.array(points, dtype=int).reshape(-1, 2).T)
-
-    # means[a, b, j] = (T0_{n_a} x T1_{n_b} F)(point j); the grids are dropped
-    means = np.empty((len(idx0), len(idx1), len(points)))
-    for a, n0 in enumerate(idx0):
-        gh = forward_array(apply_axis(T0, n0, F, axis=0).samples, K)
-        for b, n1 in enumerate(idx1):
-            w = mean_coefficient_weights(T1, n1, spec.size)
-            means[a, b] = inverse_array(gh * w, K)[cells]
-
+    W0 = _mean_weight_matrix(T0, subseq0)
+    W1 = _mean_weight_matrix(T1, subseq1)
+    coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
+    coeffs = coeffs[:W0.shape[1], :W1.shape[1]]   # the weights vanish beyond
     reports = []
-    for j, ((x0, x1), diag) in enumerate(zip(points, diags)):
+    for (x0, x1), diag in zip(points, diags):
+        row0 = W0 * walsh_sample(x0, spec).samples[:W0.shape[1]]
+        row1 = W1 * walsh_sample(x1, spec).samples[:W1.shape[1]]
         value = float(F.samples[x0, x1])
-        errs = np.abs(means[:, :, j] - value).tolist()
-        diag_errs = [errs[i][i] for i in range(min(len(idx0), len(idx1)))]
+        errs = np.abs(row0 @ coeffs @ row1.T - value).tolist()
+        diag_errs = [errs[i][i] for i in range(min(len(subseq0), len(subseq1)))]
         decreasing = len(diag_errs) < 2 or diag_errs[-1] <= diag_errs[0] + 1e-15
         reports.append(Mt2PointReport(
             point=(x0, x1), value=value, diagnostic=diag, errors=errs,
             diag_errors=diag_errs, errors_decreasing=decreasing))
 
+    idx0, idx1 = subseq0.indices, subseq1.indices
     return Mt2Report(
         indices0=idx0, indices1=idx1,
         t0_axis0=T0.tau(0, np.array(idx0)).tolist(),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -225,15 +225,18 @@ def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
         f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
 
 
-def dyadic_maximal(f: GridFunction1D) -> GridFunction1D:
-    """E*(f) = sup_{0<=n<=K} |S_{2^n} f|, the dyadic martingale maximal function."""
+def dyadic_maximal(f):
+    """E*(f) = sup_{0<=n<=K} |S_{2^n} f|, the dyadic martingale maximal
+    function in the first variable: the later axes of ``f.samples`` (the
+    second variable of a 2D grid) are carried along."""
     K = f.spec.resolution
-    best = np.full(f.spec.size, abs(float(f.samples.mean())))  # n = 0 term
+    x = f.samples
+    best = np.repeat(np.abs(x.mean(axis=0))[None], len(x), axis=0)   # n = 0 term
     for n in range(1, K + 1):
         block = 1 << (K - n)
-        avg = f.samples.reshape(1 << n, block).mean(axis=1)
-        np.maximum(best, np.repeat(np.abs(avg), block), out=best)
-    return GridFunction1D(f.spec, best)
+        avg = x.reshape((1 << n, block) + x.shape[1:]).mean(axis=1)
+        np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
+    return type(f)(f.spec, best)
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +306,33 @@ _OPERATORS = ("abs_mean", "mean", "dyadic_maximal")
 
 @dataclass
 class WeakTypeReport:
-    family: str
-    subsequence: str
+    """A 1D report names one family and subsequence and its ``operator``; a
+    2D report lists the two of each and has no operator key."""
+
+    family: str | list
+    subsequence: str | list
     K: int
     trials: int
-    operator: str
     seed: int
     max_ratio: float
     quantiles: dict = field(default_factory=dict)
+    operator: str | None = None
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "subsequence": self.subsequence,
-            "K": self.K,
-            "trials": self.trials,
-            "operator": self.operator,
-            "seed": self.seed,
-            "max_ratio": self.max_ratio,
-            "quantiles": self.quantiles,
-        }
+        d = asdict(self)
+        if self.operator is None:
+            del d["operator"]
+        return d
+
+
+def _ratio_summary(sups, cell_measure: float, denominators) -> dict:
+    """max_ratio and quantiles of ||sup||_{1,infty} / denominator over the
+    trials, one quasinorm call per trial."""
+    ratios = np.array([_weak_quasinorm_values(sup, cell_measure) / d
+                       for sup, d in zip(sups, denominators)])
+    return {"max_ratio": float(ratios.max()),
+            "quantiles": {f"q{p}": float(np.quantile(ratios, p / 100))
+                          for p in (25, 50, 75, 90)}}
 
 
 def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
@@ -346,10 +356,7 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
                 else _mean_weight_matrix(T, subseq))
         fh = forward_array(np.stack([f.samples for f in inputs]), K)
         sups = _sup_of_means(fh, [(bank, subseq)], K)
-    ratios = np.array([
-        _weak_quasinorm_values(sup, spec.cell_measure)
-        / max(f.l1_norm(), np.finfo(float).tiny) for sup, f in zip(sups, inputs)])
-    qs = {f"q{p}": float(np.quantile(ratios, p / 100)) for p in (25, 50, 75, 90)}
+    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
     return WeakTypeReport(
-        family=T.name, subsequence=subseq.describe(), K=K, trials=trials,
-        operator=operator, seed=seed, max_ratio=float(ratios.max()), quantiles=qs)
+        family=T.name, subsequence=subseq.describe(), K=K, trials=trials, seed=seed,
+        operator=operator, **_ratio_summary(sups, spec.cell_measure, l1))

@@ -57,7 +57,7 @@ class TransformationMatrix:
         def cum(n: int) -> np.ndarray:
             return np.cumsum(T._validate(n, np.asarray(row_fn(n), dtype=float)))
 
-        T = cls(name, _tau_of_rows(cum), params)
+        T = cls(name, _tau_of_rows(cum, name), params)
         return T
 
     def __repr__(self):
@@ -102,12 +102,21 @@ class TransformationMatrix:
         return float(t) if np.ndim(t) == 0 else t
 
 
-def _tau_of_rows(cum):
+def _tau_of_rows(cum, name: str):
     """tau_fn from ``cum(n)`` = [tau_{0,n}, ..., tau_{n,n}], building each
-    distinct row once per call."""
+    distinct row once per call.  A call whose distinct rows hold more than
+    _MAX_TABLE entries in all is refused before any row is built."""
     def tau_fn(s, n):
         s, n = np.broadcast_arrays(s, n)
         shape, s, n = n.shape, s.ravel(), n.ravel()
+        entries = 0
+        for count, row in enumerate(np.unique(n), 1):
+            entries += int(row) + 1         # Python ints: rows reach 2^63
+            if entries > _MAX_TABLE:
+                what = f"row {row} needs" if count == 1 else f"{count} rows up to {row} need"
+                raise GuardRailError(
+                    f"{name}: {what} {entries} entries, above the limit of "
+                    f"{_MAX_TABLE} entries")
         out = np.empty(n.size)
         order = np.argsort(n, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(n[order])) + 1):
@@ -176,10 +185,6 @@ def _identity_tau(s, n):
 
 def _cesaro_seq_row(alpha_of_n):
     def row(n: int) -> np.ndarray:
-        if n + 1 > _MAX_TABLE:
-            raise GuardRailError(
-                f"cesaro-seq: row {n} needs {n + 1} entries, above the limit of "
-                f"{_MAX_TABLE} entries")
         if n == 0:
             return np.ones(1)
         a = alpha_of_n(n)
@@ -256,6 +261,9 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
 # ---------------------------------------------------------------------------
 # Boundedness functionals.
 
+_ALTERNATION_BLOCK = 1 << 14   # indices per block of (index, bit) arrays
+
+
 def _alternation_sum(n, what: str, weights):
     """sum_k |eps_k(n) - eps_{k+1}(n)| weights(col, k)[..., k] for an int
     n >= 1 (a float) or elementwise over an integer array.
@@ -270,14 +278,17 @@ def _alternation_sum(n, what: str, weights):
         raise ValueError(f"{what} takes indices below 2^63") from None
     if np.any(n < 1):
         raise ValueError(f"{what} is undefined for n = {int(n.min())}")
-    col = n[..., None]
+    flat = n.ravel()
     k = np.arange(int(n.max()).bit_length())
-    alternates = ((col >> k) ^ (col >> (k + 1))) & 1 == 1
-    w = weights(col, k)
-    total = np.zeros(n.shape)
-    for j in k:
-        total += np.where(alternates[..., j], w[..., j], 0.0)
-    return float(total) if n.ndim == 0 else total
+    total = np.zeros(flat.size)
+    for i in range(0, flat.size, _ALTERNATION_BLOCK):    # bounds the (index, k) arrays
+        col = flat[i: i + _ALTERNATION_BLOCK, None]
+        alternates = ((col >> k) ^ (col >> (k + 1))) & 1 == 1
+        w = weights(col, k)
+        part = total[i: i + _ALTERNATION_BLOCK]
+        for j in k:
+            part += np.where(alternates[:, j], w[:, j], 0.0)
+    return float(total[0]) if n.ndim == 0 else total.reshape(n.shape)
 
 
 def upsilon(T: TransformationMatrix, n):

@@ -7,7 +7,7 @@ diagonal in the Walsh basis and act on separate variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +15,14 @@ from .dyadic import GridSpec
 from .io import read_grid, write_grid
 from .maximal import (
     IndexSubsequence,
+    WeakTypeReport,
     _llogl_values,
     _mean_weight_matrix,
+    _ratio_summary,
     _sup_of_means,
     _weak_quasinorm_values,
     abs_kernel_spectra,
+    dyadic_maximal,
 )
 from .summability import TransformationMatrix, mean_coefficient_weights
 from .transform import forward_array, inverse_array
@@ -109,15 +112,8 @@ def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
 
 def hybrid_maximal(F: GridFunction2D) -> GridFunction2D:
     """sup_n of first-variable dyadic averages with the second variable
-    fixed: f-natural."""
-    K = F.spec.resolution
-    N = F.spec.size
-    best = np.abs(F.samples.mean(axis=0))[None, :].repeat(N, axis=0)  # n = 0
-    for n in range(1, K + 1):
-        block = 1 << (K - n)
-        avg = F.samples.reshape(1 << n, block, N).mean(axis=1)
-        np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
-    return GridFunction2D(F.spec, best)
+    fixed: f-natural, the dyadic maximal function along axis 0."""
+    return dyadic_maximal(F)
 
 
 def weak_quasinorm_2d(G: GridFunction2D) -> float:
@@ -154,53 +150,24 @@ def random_test_function_2d(spec: GridSpec, rng: np.random.Generator,
     return GridFunction2D(spec, F)
 
 
-@dataclass
-class LlogLReport:
-    family0: str
-    family1: str
-    subsequence0: str
-    subsequence1: str
-    K: int
-    trials: int
-    seed: int
-    max_ratio: float
-    quantiles: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "family": [self.family0, self.family1],
-            "subsequence": [self.subsequence0, self.subsequence1],
-            "K": self.K,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_ratio": self.max_ratio,
-            "quantiles": self.quantiles,
-        }
-
-
 def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequence,
                                T1: TransformationMatrix, subseq1: IndexSubsequence,
                                trials: int, K: int, seed: int = 0,
-                               generator=random_test_function_2d) -> LlogLReport:
+                               generator=random_test_function_2d) -> WeakTypeReport:
     """Ratio ||tensor maximal F||_{1,infty} / (1 + int |F| ln+ |F|) over a
-    seeded random ensemble."""
+    seeded random ensemble.  The trials run one at a time: stacked, their
+    means would hold every trial's blocks at once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = GridSpec(K)
     rng = np.random.default_rng(seed)
     inputs = [generator(spec, rng) for _ in range(trials)]
-
-    def ratio(F: GridFunction2D) -> float:
-        sup = tensor_maximal(T0, subseq0, T1, subseq1, F)
-        return weak_quasinorm_2d(sup) / (1.0 + llogl_2d(F))
-
-    ratios = np.array([ratio(F) for F in inputs])
-    qs = {f"q{p}": float(np.quantile(ratios, p / 100)) for p in (25, 50, 75, 90)}
-    return LlogLReport(
-        family0=T0.name, family1=T1.name,
-        subsequence0=subseq0.describe(), subsequence1=subseq1.describe(),
-        K=K, trials=trials, seed=seed,
-        max_ratio=float(ratios.max()), quantiles=qs)
+    sups = (tensor_maximal(T0, subseq0, T1, subseq1, F).samples for F in inputs)
+    summary = _ratio_summary(sups, spec.cell_measure ** 2,
+                             [1.0 + llogl_2d(F) for F in inputs])
+    return WeakTypeReport(
+        family=[T0.name, T1.name], subsequence=[subseq0.describe(), subseq1.describe()],
+        K=K, trials=trials, seed=seed, **summary)
 
 
 def save_grid2d(F: GridFunction2D, path_or_buf) -> None:

@@ -2,8 +2,10 @@
 rails, and exit codes."""
 
 import json
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,13 +246,28 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
      "'alternating:1..40' has 81 bits in its largest index, above the limit of 63"),
     (["upsilon", "--matrix", "cesaro-seq:{alpha}", "--seq", "list:1099511627776"],
      "row 1099511627776 needs 1099511627777 entries, above the limit of 16777216"),
+    (["upsilon", "--matrix", "cesaro-seq:{alpha}", "--seq", "all:1..6000"],
+     "5792 rows up to 5792 need 16782320 entries, above the limit of 16777216"),
+    (["mt2-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "all:1..256",
+      "--seq1", "all:1..256", "--resolution", "8"] + ["--point", "1,2"] * 17,
+     "17 points x 256 x 256 index pairs need 1114112 report values, above the limit of 1048576"),
+    (["wlp", "--input", "{grid}"] + ["--point", "1,2"] * 257,
+     "257 points need 16842752 prefix-table cells at K=8, above the limit of 16777216"),
+    # an index beyond the grid is a config error (exit 1), not a guard rail
+    (["mt2-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "list:1,257",
+      "--seq1", "all:1..256", "--resolution", "8", "--point", "1,2"],
+     "error: max index 257 exceeds 2^K = 256"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
-    # each request is refused from its text or index alone: exit 2 within a
-    # second, with no more than a few MiB allocated
+    # each request is refused from its text, index or point count alone:
+    # exit 2 (1 for a config error) within a second, with no more than a few
+    # MiB allocated
     alpha = tmp_path / "alpha.txt"
     alpha.write_text("0.5\n")
-    argv = [a.format(alpha=alpha) for a in argv]
+    grid = tmp_path / "F.csv"
+    if "{grid}" in argv:
+        save_grid2d(GridFunction2D(GridSpec(8), np.zeros((256, 256))), str(grid))
+    argv = [a.format(alpha=alpha, grid=grid) for a in argv]
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -260,11 +277,47 @@ def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     finally:
         tracemalloc.stop()
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == (1 if message.startswith("error: ") else 2)
     assert message in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
     assert peak < 16 << 20
+
+
+def test_mt2_all_pairs_at_full_resolution(tmp_path):
+    # 256 x 256 index pairs at three points, read from one 2D transform
+    out = tmp_path / "mt2.json"
+    t0 = time.perf_counter()
+    code = run(["mt2-experiment", "--matrix0", "fejer", "--matrix1", "nlog",
+                "--seq0", "all:1..256", "--seq1", "all:1..256", "--resolution", "8",
+                "--point", "0,0", "--point", "64,64", "--point", "255,128",
+                "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 1.0
+    points = json.loads(out.read_text())["points"]
+    assert [np.array(p["errors"]).shape for p in points] == [(256, 256)] * 3
+    assert all(len(p["diag_errors"]) == 256 for p in points)
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("walshmeans ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=lambda argv: " ".join(argv[:3]))
+def test_readme_cli_commands_run(argv, tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block runs as written; example1 at
+    # its default sequence reports the published bound and exits 3
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(2)
+    save_grid1d(GridFunction1D(GridSpec(7), rng.normal(size=128)), "f.csv")
+    save_grid2d(GridFunction2D(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
+    assert run(argv) == (3 if argv[0] == "example1" else 0)
+    capsys.readouterr()
 
 
 def test_ragged_grid2d_rejected(tmp_path, capsys):

@@ -6,10 +6,16 @@ import pytest
 
 from walshmeans.dyadic import GridSpec
 from walshmeans.lebesgue import classify_wlp, h0, h1, mt2_convergence_experiment, w2d
-from walshmeans.maximal import subsequence_from_spec
-from walshmeans.summability import builtin_matrix
-from walshmeans.tensor import GridFunction2D, random_test_function_2d
-from walshmeans.transform import GridFunction1D, dirichlet_kernel, fejer_kernel
+from walshmeans.maximal import IndexSubsequence, subsequence_from_spec
+from walshmeans.summability import builtin_matrix, matrix_from_spec, mean_coefficient_weights
+from walshmeans.tensor import GridFunction2D, apply_axis, random_test_function_2d
+from walshmeans.transform import (
+    GridFunction1D,
+    dirichlet_kernel,
+    fejer_kernel,
+    forward_array,
+    inverse_array,
+)
 
 K = 6
 SPEC = GridSpec(K)
@@ -44,6 +50,41 @@ def classical_lebesgue_avg(f: GridFunction1D, x: int, depth: int) -> float:
     if x + width > f.spec.size:
         raise ValueError("averaging window exits [0,1)")
     return float(np.abs(f.samples[x: x + width] - f.samples[x]).mean())
+
+
+def h_reference(F: GridFunction2D, x0: int, x1: int, n: int, axis: int) -> float:
+    """H^(0)_n (axis 0) or H^(1)_n (axis 1) as its own loop: shifted
+    averages along one axis over blocks spanning the whole other axis,
+    read from the prefix sums of |F - F(x0, x1)|."""
+    Kf, N = F.spec.resolution, F.spec.size
+    p = np.zeros((N + 1, N + 1))
+    np.cumsum(np.cumsum(np.abs(F.samples - F.samples[x0, x1]), axis=0), axis=1,
+              out=p[1:, 1:])
+    x = (x0, x1)[axis]
+    total = 0.0
+    for i in range(n + 1):
+        y = x ^ (1 << (Kf - 1 - i)) if i < Kf else x
+        a = (y >> (Kf - n)) << (Kf - n)
+        b = a + (1 << (Kf - n))
+        rect = (p[b, N] - p[a, N] - p[b, 0] + p[a, 0] if axis == 0
+                else p[N, b] - p[0, b] - p[N, a] + p[0, a])
+        total += 2.0 ** i * (rect * F.spec.cell_measure ** 2)
+    return total
+
+
+def mt2_means_reference(T0, T1, subseq0, subseq1, F: GridFunction2D, points):
+    """means[a, b, j] = (T0_{n_a} x T1_{n_b} F)(points[j]), one full 2D
+    grid per pair."""
+    spec = F.spec
+    Kf = spec.resolution
+    cells = tuple(np.array(points, dtype=int).reshape(-1, 2).T)
+    means = np.empty((len(subseq0), len(subseq1), len(points)))
+    for a, n0 in enumerate(subseq0):
+        gh = forward_array(apply_axis(T0, n0, F, axis=0).samples, Kf)
+        for b, n1 in enumerate(subseq1):
+            w = mean_coefficient_weights(T1, n1, spec.size)
+            means[a, b] = inverse_array(gh * w, Kf)[cells]
+    return means
 
 
 def quarter_square(spec: GridSpec) -> GridFunction2D:
@@ -236,6 +277,41 @@ def test_classical_lebesgue_avg():
     assert 0.0 < v <= 1.0
     with pytest.raises(ValueError):
         classical_lebesgue_avg(half, SPEC.size - 1, K - 1)
+
+
+def test_h_functionals_equal_their_loops():
+    # H^(0)_n = W_{n,0} and H^(1)_n = W_{0,n} to the last bit
+    spec = GridSpec(5)
+    rng = np.random.default_rng(4)
+    F = random_test_function_2d(spec, rng)
+    N = spec.size
+    points = [(0, 0), (N - 1, N // 2), (N // 2 - 1, 3)] + [tuple(p) for p in rng.integers(0, N, (6, 2))]
+    for x0, x1 in points:
+        for n in range(spec.resolution + 1):
+            assert h0(F, x0, x1, n) == h_reference(F, x0, x1, n, 0)
+            assert h1(F, x0, x1, n) == h_reference(F, x0, x1, n, 1)
+        d = classify_wlp(F, (x0, x1), depth_range=range(1, 6))
+        assert d.h0_sup == max(h_reference(F, x0, x1, n, 0) for n in range(1, 6))
+        assert d.h1_sup == max(h_reference(F, x0, x1, n, 1) for n in range(1, 6))
+
+
+@pytest.mark.parametrize("names", [("fejer", "nlog"), ("nlog", "cesaro:0.5"),
+                                   ("cesaro:0.3", "identity"), ("identity", "fejer")])
+def test_mt2_point_form_matches_per_pair_grids(names):
+    spec = GridSpec(5)
+    N = spec.size
+    T0, T1 = map(matrix_from_spec, names)
+    F = GridFunction2D(spec, np.random.default_rng(7).normal(size=(N, N)))
+    # 1, 2^m, 2^m + 1 and 2^K; points on the edges of the halves
+    sub0 = IndexSubsequence((1, 2, 3, 4, 5, 8, 9, 16, 17, 32))
+    sub1 = IndexSubsequence((1, 4, 5, 16, 17, 32))
+    edges = (0, N // 2 - 1, N // 2, N - 1)
+    points = [(a, b) for a in edges for b in edges]
+    rep = mt2_convergence_experiment(T0, T1, sub0, sub1, F, points)
+    ref = mt2_means_reference(T0, T1, sub0, sub1, F, points)
+    for j, p in enumerate(rep.points):
+        expect = np.abs(ref[:, :, j] - F.samples[points[j]])
+        assert np.abs(np.array(p.errors) - expect).max() <= 1e-13
 
 
 def test_mt2_experiment_quarter_square():

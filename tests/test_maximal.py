@@ -130,6 +130,14 @@ def test_dyadic_maximal():
     e = dyadic_maximal(f).samples
     assert np.all(e >= abs(fwht(f).coefficients[0]) - 1e-14)
     assert np.all(e >= np.abs(f.samples) - 1e-14)   # n = K term
+    # the shared sup along axis 0 equals the one-variable loop to the last bit
+    for K in (1, 2, 6, 11):
+        f = GridFunction1D(GridSpec(K), rng.normal(size=1 << K))
+        best = np.full(f.spec.size, abs(float(f.samples.mean())))
+        for n in range(1, K + 1):
+            avg = f.samples.reshape(1 << n, -1).mean(axis=1)
+            np.maximum(best, np.repeat(np.abs(avg), 1 << (K - n)), out=best)
+        assert np.array_equal(dyadic_maximal(f).samples, best)
 
 
 def test_weak_quasinorm():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from walshmeans import summability
 from walshmeans.dyadic import GridSpec
 from walshmeans.summability import (
     GuardRailError,
@@ -487,3 +488,50 @@ def test_cesaro_seq_row_size_guard():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert T.tau(5, 1 << 10) > 0
+
+
+def test_row_sum_guard_counts_every_distinct_row():
+    # the rows of one call are refused together, before any is built: the
+    # first 5792 rows of a sweep hold 16782320 > 2^24 entries
+    built = []
+
+    def row(n):
+        built.append(n)
+        return np.full(n + 1, 1.0 / (n + 1))
+    T = TransformationMatrix.from_rows("probe", row)
+    with pytest.raises(GuardRailError, match=r"probe: 5792 rows up to 5792 "
+                       r"need 16782320 entries, above the limit of 16777216"):
+        upsilon(T, np.arange(1, 6001))
+    assert built == []
+    assert upsilon(T, np.arange(1, 5001)).shape == (5000,)
+    assert sorted(built) == list(range(1, 5001))
+
+
+def test_alternation_blocks_give_the_same_sums(monkeypatch):
+    rng = np.random.default_rng(12)
+    grid = rng.integers(1, 1 << 40, size=(37, 11))
+    ns = np.arange(1, 3000)
+    C = builtin_matrix("cesaro", alpha=0.5)
+    whole = [upsilon(C, ns), upsilon(builtin_matrix("fejer"), grid), c2_quantity(0.3, grid)]
+    monkeypatch.setattr(summability, "_ALTERNATION_BLOCK", 7)
+    parts = [upsilon(C, ns), upsilon(builtin_matrix("fejer"), grid), c2_quantity(0.3, grid)]
+    for a, b in zip(whole, parts):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert upsilon(C, 1000) == whole[0][999]
+
+
+def test_alternation_sum_memory_is_bounded():
+    # the (index, bit) arrays are built one block of indices at a time: at
+    # 2^18 indices the peak stays a few times the 2 MiB result (one array
+    # for all indices peaked at about 115 MiB)
+    L = builtin_matrix("nlog")
+    ns = np.arange(1, 1 << 18)
+    L.tau(0, ns[-1])     # the cumulative table is not what is measured
+    tracemalloc.start()
+    try:
+        ups = upsilon(L, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ups.shape == ns.shape
+    assert peak < 16 << 20

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from walshmeans.dyadic import GridSpec
-from walshmeans.maximal import IndexSubsequence, subsequence_from_spec
+from walshmeans.maximal import (
+    IndexSubsequence,
+    subsequence_from_spec,
+    weak_type_experiment,
+)
 from walshmeans.summability import (
     apply_mean,
     builtin_matrix,
@@ -49,6 +53,18 @@ def tensor_mean_kernel_path(T0, n0, T1, n1, F: GridFunction2D) -> GridFunction2D
     A1 = v1[idx[:, None] ^ idx[None, :]]
     out = A0 @ F.samples @ A1.T * spec.cell_measure ** 2
     return GridFunction2D(spec, out)
+
+
+def hybrid_maximal_reference(F: GridFunction2D) -> np.ndarray:
+    """sup over n of the first-variable dyadic averages of depth n, as its
+    own loop."""
+    Kf, N = F.spec.resolution, F.spec.size
+    best = np.abs(F.samples.mean(axis=0))[None, :].repeat(N, axis=0)  # n = 0
+    for n in range(1, Kf + 1):
+        block = 1 << (Kf - n)
+        avg = F.samples.reshape(1 << n, block, N).mean(axis=1)
+        np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
+    return best
 
 
 def _random_F(spec, rng):
@@ -298,6 +314,25 @@ def test_hybrid_maximal():
     assert np.abs(got[: spec.size // 2, :] - np.abs(g)[None, :]).max() < 1e-12
     F = _random_F(spec, rng)
     assert np.all(hybrid_maximal(F).samples >= np.abs(F.samples) - 1e-14)
+    for K in (1, 2, 4, 7):
+        F = _random_F(GridSpec(K), rng)
+        assert np.array_equal(hybrid_maximal(F).samples, hybrid_maximal_reference(F))
+
+
+def test_report_key_sets():
+    # one report type: 1D names one family and its operator, 2D lists two
+    # families and has no operator key
+    T = builtin_matrix("fejer")
+    s = subsequence_from_spec("powers:1..4")
+    one = weak_type_experiment(T, s, trials=2, K=4, seed=1, operator="mean").to_dict()
+    two = llogl_weak_type_experiment(T, s, builtin_matrix("nlog"), s, trials=2, K=4,
+                                     seed=1).to_dict()
+    common = {"family", "subsequence", "K", "trials", "seed", "max_ratio", "quantiles"}
+    assert set(one) == common | {"operator"} and set(two) == common
+    assert one["family"] == "fejer" and one["operator"] == "mean"
+    assert two["family"] == ["fejer", "nlog"]
+    assert two["subsequence"] == ["2,4,8,16", "2,4,8,16"]
+    assert set(one["quantiles"]) == set(two["quantiles"]) == {"q25", "q50", "q75", "q90"}
 
 
 def test_llogl_experiment_constant_oracle_and_determinism():
