@@ -9,13 +9,13 @@ rail, 3 a checked identity failed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .dyadic import GridSpec
 from .exact import avg_sweep_at_zero, divergence_report, validate_nseq
+from .io import report_json
 from .lebesgue import classify_wlp, mt2_convergence_experiment
 from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
 from .summability import (
@@ -42,6 +42,7 @@ MAX_K_1D = 14
 MAX_K_2D = 8
 MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
 MAX_REPORT_VALUES = 1 << 20   # errors in one mt2-experiment report
+MAX_NSEQ = 1 << 12   # largest n_k of example1: n_max pieces of n_max-bit rationals
 
 OK, CONFIG_ERROR, GUARD_RAIL, IDENTITY_FAILURE = 0, 1, 2, 3
 
@@ -75,7 +76,7 @@ def _check_points(count: int, spec: GridSpec) -> None:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = report_json(payload) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -223,6 +224,10 @@ def cmd_mt2(args) -> int:
 
 def cmd_example1(args) -> int:
     seq = tuple(int(x) for x in args.nseq.split(","))
+    top = max(seq)
+    if top > MAX_NSEQ:
+        raise GuardRailError(
+            f"--nseq {args.nseq!r} has largest index {top}, above the limit of {MAX_NSEQ}")
     verdict = validate_nseq(seq)
     if not verdict.ok:
         sys.stderr.write("invalid sequence: " + "; ".join(verdict.violations) + "\n")

@@ -180,13 +180,6 @@ class DyadicInterval:
         x = DyadicRational._coerce(x) if not isinstance(x, DyadicRational) else x
         return self.start <= x < self.end
 
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval | None":
-        """Dyadic intervals are nested or disjoint; returns the deeper one or None."""
-        shallow, deep = (self, other) if self.depth <= other.depth else (other, self)
-        if deep.offset >> (deep.depth - shallow.depth) == shallow.offset:
-            return deep
-        return None
-
     def cells(self, spec: GridSpec) -> range:
         """Grid-index range covered at resolution K (requires depth <= K)."""
         K = spec.resolution

@@ -11,7 +11,9 @@ and are handled by arbitrary-precision integers.  No grid is involved.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,31 +26,52 @@ ZERO = DyadicRational(0)
 @dataclass(frozen=True)
 class SparseStepFunction:
     """Finitely many disjoint dyadic intervals with exact dyadic values;
-    zero off the listed pieces."""
+    zero off the listed pieces.
+
+    Construction tabulates the antiderivative in integers.  With P the
+    deepest piece and V the largest value scale, the pieces sorted by start
+    have integer ends in units of 2^-P, integer values in units of 2^-V and
+    integer prefix masses in units of 2^-(P+V), so an integral over any
+    window is two bisections and no rational arithmetic.
+    """
 
     pieces: tuple[tuple[DyadicInterval, DyadicRational], ...]
 
     def __post_init__(self):
-        spans = sorted(((p.start, p.end) for p, _ in self.pieces),
-                       key=lambda se: se[0])
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            if s2 < e1:
-                raise ValueError("pieces overlap")
+        depth = max((p.depth for p, _ in self.pieces), default=0)
+        vscale = max((v.scale for _, v in self.pieces), default=0)
+        rows = sorted((p.offset << (depth - p.depth), (p.offset + 1) << (depth - p.depth),
+                       v.numerator << (vscale - v.scale)) for p, v in self.pieces)
+        if any(later[0] < row[1] for row, later in zip(rows, rows[1:])):
+            raise ValueError("pieces overlap")
+        prefix = list(accumulate((v * (e - s) for s, e, v in rows), initial=0))
+        starts = [s for s, _, _ in rows]
+        # the table is derived from `pieces`, so it stays out of eq/hash/repr
+        object.__setattr__(self, "_table", (depth, vscale, rows, starts, prefix))
+
+    def _mass_below(self, x: int, shift: int) -> int:
+        """Integral of f over [0, x/2^(P+shift)), in units of 2^-(P+shift+V)."""
+        _, _, rows, starts, prefix = self._table
+        i = bisect_right(starts, x >> shift) - 1
+        if i < 0:
+            return 0
+        start, stop, value = rows[i]
+        return (prefix[i] << shift) + value * (min(x, stop << shift) - (start << shift))
 
     def integral(self) -> DyadicRational:
-        total = ZERO
-        for interval, value in self.pieces:
-            total = total + value * interval.length
-        return total
+        depth, vscale, *_, prefix = self._table
+        return DyadicRational(prefix[-1], depth + vscale)
 
     def integral_over(self, window: DyadicInterval) -> DyadicRational:
-        """Exact integral over a dyadic window."""
-        total = ZERO
-        for interval, value in self.pieces:
-            common = interval.intersect(window)
-            if common is not None:
-                total = total + value * common.length
-        return total
+        """Exact integral over a dyadic window, F(end) - F(start); the window
+        may be deeper than every piece."""
+        depth, vscale = self._table[:2]
+        shift = max(window.depth - depth, 0)
+        scale = depth + shift
+        lo = window.offset << (scale - window.depth)
+        hi = (window.offset + 1) << (scale - window.depth)
+        return DyadicRational(self._mass_below(hi, shift) - self._mass_below(lo, shift),
+                              scale + vscale)
 
     def value_at(self, x: DyadicRational) -> DyadicRational:
         for interval, value in self.pieces:
@@ -129,8 +152,8 @@ def _fejer_pow2_plateaus(m: int):
 def exact_fejer_at_zero(f: SparseStepFunction, m: int) -> DyadicRational:
     """Fejer mean of order 2^m at zero, as an exact dyadic rational.
 
-    The kernel is never materialised; the integral walks its m+1 plateaus
-    against the pieces of f, intersecting dyadic intervals exactly.
+    The kernel is never materialised; the mean sums f's exact integral over
+    each of its m+1 plateaus.
     """
     if m < 0:
         raise ValueError("order exponent must be >= 0")

@@ -1,12 +1,20 @@
-"""The grid CSV format.
+"""The grid CSV format and the JSON report text.
 
-A file starts with the header ``# resolution=K``, then holds one line per
+A grid file starts with the header ``# resolution=K``, then holds one line per
 grid row.  A 1D grid is a one-column 2D grid: one value per line.  A 2D
 grid adds ``dims=2`` to the header and writes each row as comma-separated
 values.  Values are written with ``repr``, which round-trips every float.
+
+A report is ``json.dumps(payload, indent=2, sort_keys=True)``, written
+column by column (see `report_json`).
 """
 
 from __future__ import annotations
+
+import json
+import math
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,3 +63,61 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
         first = tuple(bad[0])
         raise ValueError(f"line {lines[first[0]][0]}: non-finite sample {values[first]}")
     return int(K), values
+
+
+# JSON text of a leaf, by exact type; bools (an int subclass), non-finite
+# floats and everything else take the stdlib path
+_LEAF = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def report_json(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    The stdlib encodes with indent in pure Python, one value at a time.
+    Here a list of scalars of one type is mapped through its leaf encoder,
+    a list of dicts sharing one key set is encoded column by column and
+    joined through one row template, and every other value is left to the
+    stdlib.  JSON text holds no raw newline, so a subtree dumped on its
+    own is placed at depth `level` by indenting its lines.
+    """
+    return _encode(payload, 0)
+
+
+def _encode(obj, level: int) -> str:
+    """JSON text of obj at depth `level`."""
+    if type(obj) in (list, tuple) and obj:
+        items = _rows(obj, level + 1) or _column(obj, level + 1)
+        pad = "\n" + "  " * (level + 1)
+        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+    as_row = _rows([obj], level)
+    if as_row:
+        return as_row[0]
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _column(values, level: int) -> list[str]:
+    """JSON texts of values at depth `level`."""
+    kinds = set(map(type, values))
+    leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+    if leaf is float.__repr__ and not all(map(math.isfinite, values)):
+        leaf = None
+    if leaf is None:
+        return [_encode(v, level) for v in values]
+    return list(map(leaf, values))
+
+
+def _rows(items, level: int) -> list[str] | None:
+    """JSON texts of non-empty dicts at depth `level` that share one key
+    set of str keys, encoded column by column through one %-template;
+    None for any other list."""
+    first = items[0]
+    if set(map(type, items)) != {dict} or not first or not all(type(k) is str for k in first):
+        return None
+    if not all(map(first.keys().__eq__, map(dict.keys, items))):
+        return None
+    keys = sorted(first)
+    pad = "\n" + "  " * (level + 1)
+    fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + pad + ("," + pad).join(fields) + "\n" + "  " * level + "}"
+    columns = [_column(list(map(itemgetter(k), items)), level + 1) for k in keys]
+    return [template % row for row in zip(*columns)]

@@ -257,17 +257,34 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
     (["mt2-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "list:1,257",
       "--seq1", "all:1..256", "--resolution", "8", "--point", "1,2"],
      "error: max index 257 exceeds 2^K = 256"),
+    (["kernel", "--matrix", "fejer", "--n", "4", "--resolution", "15"],
+     "resolution 15 exceeds the 1D guard rail of 14"),
+    (["mean", "--matrix", "fejer", "--n", "4", "--input", "{grid15}"],
+     "resolution 15 exceeds the 1D guard rail of 14"),
+    # tensor's only limit is the file it reads: one whose header claims K = 30
+    # is refused by its sample count, with no 2^30 x 2^30 grid built
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
+      "--input", "{huge}"],
+     "error: expected 1073741824x1073741824 samples for K=30, got (1, 1)"),
+    (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "powers:1..8",
+      "--seq1", "powers:1..8", "--resolution", "8", "--trials", "1000000"],
+     "predicted work of 3657720000000 element-stages exceeds the limit of 2147483648"),
+    (["example1", "--nseq", "5,17,65,257,1048577"],
+     "'5,17,65,257,1048577' has largest index 1048577, above the limit of 4096"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
-    # each request is refused from its text, index or point count alone:
-    # exit 2 (1 for a config error) within a second, with no more than a few
-    # MiB allocated
+    # each request is refused from its text, index or point count, or from
+    # the resolution of the file it reads: exit 2 (1 for a config error)
+    # within a second, with no more than a few MiB allocated
     alpha = tmp_path / "alpha.txt"
     alpha.write_text("0.5\n")
-    grid = tmp_path / "F.csv"
+    grid, grid15, huge = tmp_path / "F.csv", tmp_path / "f15.csv", tmp_path / "huge.csv"
     if "{grid}" in argv:
         save_grid2d(GridFunction2D(GridSpec(8), np.zeros((256, 256))), str(grid))
-    argv = [a.format(alpha=alpha, grid=grid) for a in argv]
+    if "{grid15}" in argv:
+        save_grid1d(GridFunction1D(GridSpec(15), np.zeros(1 << 15)), str(grid15))
+    huge.write_text("# resolution=30 dims=2\n0.0\n")
+    argv = [a.format(alpha=alpha, grid=grid, grid15=grid15, huge=huge) for a in argv]
     tracemalloc.start()
     try:
         t0 = time.perf_counter()

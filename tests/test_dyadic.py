@@ -33,17 +33,8 @@ def test_interval_nesting():
             # the depth-k interval holding the point x/2^K
             outer = DyadicInterval(k, x >> (K - k))
             inner = DyadicInterval(k + 1, x >> (K - k - 1))
-            assert outer.intersect(inner) == inner
             assert outer.start <= inner.start
             assert inner.end <= outer.end
-
-
-def test_interval_intersect_disjoint():
-    a = DyadicInterval(2, 1)   # [1/4, 1/2)
-    b = DyadicInterval(3, 5)   # [5/8, 3/4)
-    assert a.intersect(b) is None
-    c = DyadicInterval(3, 2)   # [1/4, 3/8) inside a
-    assert a.intersect(c) == c
 
 
 def test_dyadic_rational_canonical_form():

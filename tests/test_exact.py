@@ -2,12 +2,15 @@
 function, Fejer means at zero, and Lebesgue averages, cross-checked against
 an independent Fraction-based quadrature oracle and the float grid path."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from walshmeans.cli import main
 from walshmeans.dyadic import DyadicRational, GridSpec
 from walshmeans.exact import (
     SparseStepFunction,
@@ -55,6 +58,51 @@ def oracle_avg(pieces, depth):
     w = Fraction(1, 2 ** depth)
     mass = sum((min(e, w) - s) * v for s, e, v in pieces if s < w)
     return mass / w
+
+def oracle_integral(pieces, window):
+    ws = Fraction(window.offset, 2 ** window.depth)
+    we = ws + Fraction(1, 2 ** window.depth)
+    return sum((max(min(e, we) - max(s, ws), 0) * v for s, e, v in pieces), Fraction(0))
+
+
+def piece_loop_integral(f, window):
+    """The piece loop `SparseStepFunction.integral_over` once ran: dyadic
+    intervals are nested or disjoint, so each piece meets the window in
+    the deeper of the two or not at all."""
+    total = DyadicRational(0)
+    for interval, value in f.pieces:
+        shallow, deep = sorted((interval, window), key=lambda i: i.depth)
+        if deep.offset >> (deep.depth - shallow.depth) == shallow.offset:
+            total = total + value * deep.length
+    return total
+
+
+@st.composite
+def valid_nseqs(draw, top=300):
+    """Sequences with n_k > 3 n_{k-1} and n_k > 4^k, all at most `top`."""
+    seq, prev = [], 0
+    for k in range(1, 5):
+        low = max(3 * prev, 4 ** k) + 1
+        if low > top or (seq and not draw(st.booleans())):
+            break
+        prev = draw(st.integers(low, top))
+        seq.append(prev)
+    return tuple(seq)
+
+
+@st.composite
+def windows(draw, pieces, max_depth):
+    """A dyadic window of depth 0..max_depth: anywhere, or next to the
+    start of one of the pieces at that depth."""
+    depth = draw(st.integers(0, max_depth))
+    if draw(st.booleans()):
+        offset = draw(st.integers(0, (1 << depth) - 1))
+    else:
+        piece = draw(st.sampled_from(pieces))[0]
+        gap = depth - piece.depth
+        near = piece.offset << gap if gap >= 0 else piece.offset >> -gap
+        offset = min(max(near + draw(st.integers(-1, 1)), 0), (1 << depth) - 1)
+    return DyadicInterval(depth, offset)
 
 
 def test_validate_nseq():
@@ -121,6 +169,45 @@ def test_exact_results_invariant_under_piece_order():
     g = SparseStepFunction(tuple(pieces))
     assert exact_fejer_at_zero(f, 17) == exact_fejer_at_zero(g, 17)
     assert exact_avg_at_zero(f, 9) == exact_avg_at_zero(g, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_antiderivative_matches_piece_loop_and_fractions(data):
+    # F(end) - F(start) from the integer table, on shuffled pieces, against
+    # the piece loop and the Fraction quadrature, at windows deeper than
+    # every piece too
+    seq = data.draw(valid_nseqs())
+    f = build_example1(seq)
+    pieces = list(f.pieces)
+    data.draw(st.randoms(use_true_random=False)).shuffle(pieces)
+    g = SparseStepFunction(tuple(pieces))
+    fractions = oracle_pieces(seq)
+    assert g.integral() == f.integral()
+    for _ in range(4):
+        window = data.draw(windows(f.pieces, seq[-1] + 3))
+        got = g.integral_over(window)
+        assert got == piece_loop_integral(f, window)
+        assert got.as_fraction() == oracle_integral(fractions, window)
+
+
+def test_overlapping_pieces_rejected():
+    half = DyadicInterval(1, 0)
+    with pytest.raises(ValueError, match="pieces overlap"):
+        SparseStepFunction(((DyadicInterval(3, 3), DyadicRational(1)),
+                            (half, DyadicRational(1))))
+    adjacent = SparseStepFunction(((DyadicInterval(1, 1), DyadicRational(3, 2)),
+                                   (half, DyadicRational(1))))
+    assert adjacent.integral() == DyadicRational(7, 3)
+
+
+def test_example1_report_bytes_pinned(tmp_path):
+    # the sweep benchmark's example1 report, byte for byte as the piece
+    # loop wrote it
+    out = tmp_path / "ex1.json"
+    assert main(["example1", "--nseq", "5,17,65,257", "--out", str(out)]) == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c9d867d418e4daef8ecaee820bdfba639e869454a27d31bee7c61118b0b7e470")
 
 
 def test_exact_avg_matches_oracle_and_bound():
