@@ -55,14 +55,12 @@ from .tensor import (
     apply_axis,
     hybrid_maximal,
     iterated_majorant,
-    llogl_2d,
     llogl_weak_type_experiment,
     load_grid2d,
     random_test_function_2d,
     save_grid2d,
     tensor_maximal,
     tensor_mean,
-    weak_quasinorm_2d,
 )
 from .transform import (
     GridFunction1D,

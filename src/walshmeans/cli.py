@@ -14,13 +14,12 @@ import sys
 import numpy as np
 
 from .dyadic import GridSpec
-from .exact import avg_sweep_at_zero, divergence_report, validate_nseq
-from .io import report_json
+from .exact import avg_sweep_at_zero, divergence_report
+from .io import GuardRailError, check_grid_resolution, report_json
 from .lebesgue import classify_wlp, mt2_convergence_experiment
 from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
 from .summability import (
     _MAX_TABLE,
-    GuardRailError,
     MatrixValidationError,
     apply_mean,
     c2_quantity,
@@ -38,8 +37,6 @@ from .tensor import (
 )
 from .transform import load_grid1d, save_grid1d
 
-MAX_K_1D = 14
-MAX_K_2D = 8
 MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
 MAX_REPORT_VALUES = 1 << 20   # errors in one mt2-experiment report
 MAX_NSEQ = 1 << 12   # largest n_k of example1: n_max pieces of n_max-bit rationals
@@ -48,10 +45,7 @@ OK, CONFIG_ERROR, GUARD_RAIL, IDENTITY_FAILURE = 0, 1, 2, 3
 
 
 def _check_resolution(K: int, dims: int) -> GridSpec:
-    cap = MAX_K_1D if dims == 1 else MAX_K_2D
-    if K > cap:
-        raise GuardRailError(
-            f"resolution {K} exceeds the {dims}D guard rail of {cap}")
+    check_grid_resolution(K, dims)
     return GridSpec(K)
 
 
@@ -84,13 +78,6 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_grid(f, out: str | None, saver) -> None:
-    if out:
-        saver(f, out)
-    else:
-        saver(f, sys.stdout)
-
-
 def cmd_kernel(args) -> int:
     spec = _check_resolution(args.resolution, 1)
     T = matrix_from_spec(args.matrix)
@@ -105,18 +92,17 @@ def cmd_kernel(args) -> int:
         save_grid1d(v2, f"{stem}.part2.csv")
         sys.stderr.write(f"max |V1+V2-V| = {err:.3e}\n")
         return OK if err <= 1e-9 else IDENTITY_FAILURE
-    _emit_grid(kernel_V(T, args.n, spec), args.out, save_grid1d)
+    save_grid1d(kernel_V(T, args.n, spec), args.out or sys.stdout)
     return OK
 
 
 def cmd_mean(args) -> int:
     f = load_grid1d(args.input)
-    _check_resolution(f.spec.resolution, 1)
     T = matrix_from_spec(args.matrix)
     coeff = apply_mean(T, args.n, f, path="coefficient")
     kern = apply_mean(T, args.n, f, path="kernel")
     err = float(abs(coeff.samples - kern.samples).max())
-    _emit_grid(coeff, args.out, save_grid1d)
+    save_grid1d(coeff, args.out or sys.stdout)
     if not err <= 1e-10:
         sys.stderr.write(f"mean path disagreement: {err:.3e}\n")
         return IDENTITY_FAILURE
@@ -136,8 +122,8 @@ def cmd_maximal(args) -> int:
     spec = _check_resolution(args.resolution, 1)
     T = matrix_from_spec(args.matrix)
     subseq = subsequence_from_spec(args.seq)
-    if args.operator != "dyadic_maximal":   # the only one that reads --seq
-        subseq.check_resolution(spec)
+    subseq.check_resolution(spec)   # before the work guard: an index off the grid exits 1
+    if args.operator != "dyadic_maximal":   # whose work does not depend on --seq
         _check_work(args.trials, subseq)
     report = weak_type_experiment(T, subseq, trials=args.trials,
                                   K=args.resolution, seed=args.seed,
@@ -148,13 +134,12 @@ def cmd_maximal(args) -> int:
 
 def cmd_tensor(args) -> int:
     F = load_grid2d(args.input)
-    _check_resolution(F.spec.resolution, 2)
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
     first = tensor_mean(T0, args.n0, T1, args.n1, F)
     other = tensor_mean(T1, args.n1, T0, args.n0, F.__class__(F.spec, F.samples.T))
     err = float(abs(first.samples - other.samples.T).max())
-    _emit_grid(first, args.out, save_grid2d)
+    save_grid2d(first, args.out or sys.stdout)
     if not err <= 1e-10:
         sys.stderr.write(f"iteration order disagreement: {err:.3e}\n")
         return IDENTITY_FAILURE
@@ -184,7 +169,6 @@ def _parse_point(text: str) -> tuple[int, int]:
 
 def cmd_wlp(args) -> int:
     F = load_grid2d(args.input)
-    _check_resolution(F.spec.resolution, 2)
     _check_points(len(args.point), F.spec)
     depths = None
     if args.depths:
@@ -205,7 +189,6 @@ def cmd_mt2(args) -> int:
         samples = np.zeros((spec.size, spec.size))
         samples[:half, :half] = 1.0
         F = GridFunction2D(spec, samples)
-    _check_resolution(F.spec.resolution, 2)
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
     subseq0 = subsequence_from_spec(args.seq0)
@@ -228,10 +211,6 @@ def cmd_example1(args) -> int:
     if top > MAX_NSEQ:
         raise GuardRailError(
             f"--nseq {args.nseq!r} has largest index {top}, above the limit of {MAX_NSEQ}")
-    verdict = validate_nseq(seq)
-    if not verdict.ok:
-        sys.stderr.write("invalid sequence: " + "; ".join(verdict.violations) + "\n")
-        return CONFIG_ERROR
     rows = divergence_report(seq)
     sweep = avg_sweep_at_zero(seq)
     payload = {

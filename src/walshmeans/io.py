@@ -5,6 +5,9 @@ grid row.  A 1D grid is a one-column 2D grid: one value per line.  A 2D
 grid adds ``dims=2`` to the header and writes each row as comma-separated
 values.  Values are written with ``repr``, which round-trips every float.
 
+A grid file is refused from its header when K exceeds the resolution cap
+of its dimension, ``MAX_K``, before its body is read.
+
 A report is ``json.dumps(payload, indent=2, sort_keys=True)``, written
 column by column (see `report_json`).
 """
@@ -17,6 +20,20 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
+
+MAX_K = {1: 14, 2: 8}   # largest resolution of a 1D and of a 2D grid
+
+
+class GuardRailError(ValueError):
+    """A request would exceed a size or work limit; raised before any of
+    it is allocated or computed."""
+
+
+def check_grid_resolution(K: int, dims: int) -> None:
+    """Refuse a `dims`-dimensional grid of resolution K above MAX_K."""
+    if K > MAX_K[dims]:
+        raise GuardRailError(
+            f"resolution {K} exceeds the {dims}D guard rail of {MAX_K[dims]}")
 
 
 def write_grid(path_or_buf, K: int, samples: np.ndarray) -> None:
@@ -35,20 +52,23 @@ def write_grid(path_or_buf, K: int, samples: np.ndarray) -> None:
 
 def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     """K and the samples of a grid CSV: a vector, or a matrix with one row
-    per line under a ``dims=2`` header.  Blank lines are skipped.  A line
-    whose value count differs from the first line's, or a nan/inf value,
-    is a ValueError naming its line."""
+    per line under a ``dims=2`` header.  Blank lines are skipped.  A K
+    above MAX_K is a GuardRailError raised from the header.  A line whose
+    value count differs from the first line's, or a nan/inf value, is a
+    ValueError naming its line."""
     buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
     try:
         header = buf.readline().strip()
         if not header.startswith("# resolution="):
             raise ValueError(f"missing grid header, got {header!r}")
         K, *fields = header[len("# resolution="):].split()
+        K, dims = int(K), (2 if "dims=2" in fields else 1)
+        check_grid_resolution(K, dims)
         lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
     finally:
         if buf is not path_or_buf:
             buf.close()
-    if "dims=2" in fields:
+    if dims == 2:
         rows = [[float(x) for x in line.split(",")] for _, line in lines]
         for (no, _), row in zip(lines, rows):
             if len(row) != len(rows[0]):
@@ -62,7 +82,7 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     if len(bad):
         first = tuple(bad[0])
         raise ValueError(f"line {lines[first[0]][0]}: non-finite sample {values[first]}")
-    return int(K), values
+    return K, values
 
 
 # JSON text of a leaf, by exact type; bools (an int subclass), non-finite

@@ -8,7 +8,8 @@ converge.  All functionals are evaluated as exact cell sums on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,13 +43,13 @@ class _DeltaTable:
         delta = np.abs(F.samples - F.samples[x0, x1])
         self.pref = np.zeros((delta.shape[0] + 1, delta.shape[1] + 1))
         np.cumsum(np.cumsum(delta, axis=0), axis=1, out=self.pref[1:, 1:])
-        self.cell_area = F.spec.cell_measure ** 2
+        self.cell_measure = F.cell_measure
         self.x0 = x0
         self.x1 = x1
 
     def rect(self, a0: int, b0: int, a1: int, b1: int) -> float:
         p = self.pref
-        return (p[b0, b1] - p[a0, b1] - p[b0, a1] + p[a0, a1]) * self.cell_area
+        return (p[b0, b1] - p[a0, b1] - p[b0, a1] + p[a0, a1]) * self.cell_measure
 
     def w(self, n0: int, n1: int) -> float:
         K = self.K
@@ -81,14 +82,22 @@ def h1(F: GridFunction2D, x0: int, x1: int, n1: int) -> float:
     return w2d(F, x0, x1, 0, n1)
 
 
+_DECAY_FACTOR = 4.0     # wl1: the deepest diagonal W is at most 1/4 of the first
+_H_GROWTH_LIMIT = 2.0   # wl2/wl3: an H sup at most doubles past the shallow half
+_ATOL = 1e-13           # a value at or below it counts as zero
+
+
 @dataclass
 class WlpDiagnostic:
     """Finite-depth Walsh-Lebesgue verdict at one grid point.
 
     The verdict speaks only about the tested depth range: wl1 passes when
-    the diagonal W values decay by the configured factor, wl2/wl3 pass
-    when the H sups do not keep growing across the range.
+    the diagonal W values decay by the factor in ``thresholds``, wl2/wl3
+    pass when the H sups do not keep growing across the range.
     """
+
+    thresholds: ClassVar[dict] = {"decay_factor": _DECAY_FACTOR,
+                                  "h_growth_limit": _H_GROWTH_LIMIT, "atol": _ATOL}
 
     point: tuple[int, int]
     depths: tuple[int, ...]
@@ -96,7 +105,6 @@ class WlpDiagnostic:
     h0_sup: float
     h1_sup: float
     verdict: str
-    thresholds: dict = field(default_factory=dict)
 
     @property
     def passes(self) -> bool:
@@ -110,18 +118,17 @@ class WlpDiagnostic:
             "H0_sup": self.h0_sup,
             "H1_sup": self.h1_sup,
             "verdict": self.verdict,
-            "thresholds": self.thresholds,
+            "thresholds": dict(self.thresholds),
         }
 
 
 def classify_wlp(F: GridFunction2D, point: tuple[int, int],
-                 depth_range=None, decay_factor: float = 4.0,
-                 h_growth_limit: float = 2.0, atol: float = 1e-13) -> WlpDiagnostic:
+                 depth_range=None) -> WlpDiagnostic:
     """Classify a grid point against the three Walsh-Lebesgue conditions
     over a finite depth range.
 
     Limits are not decidable from samples, so the verdict is relative to
-    the tested depths and the thresholds are recorded in the diagnostic.
+    the tested depths and to the thresholds the diagnostic records.
     """
     K = F.spec.resolution
     if depth_range is None:
@@ -134,17 +141,15 @@ def classify_wlp(F: GridFunction2D, point: tuple[int, int],
     w_vals = tuple(table.w(n, n) for n in depths)
     h0_vals = [table.w(n, 0) for n in depths]
     h1_vals = [table.w(0, n) for n in depths]
-    thresholds = {"decay_factor": decay_factor,
-                  "h_growth_limit": h_growth_limit, "atol": atol}
 
     half = max(1, len(depths) // 2)
 
     def h_bounded(vals):
         shallow = max(vals[:half])
         deep = max(vals)
-        return deep <= atol or deep <= h_growth_limit * max(shallow, atol)
+        return deep <= _ATOL or deep <= _H_GROWTH_LIMIT * max(shallow, _ATOL)
 
-    if not (w_vals[-1] <= atol or w_vals[-1] * decay_factor <= w_vals[0]):
+    if not (w_vals[-1] <= _ATOL or w_vals[-1] * _DECAY_FACTOR <= w_vals[0]):
         verdict = "fails wl1"
     elif not h_bounded(h1_vals):
         verdict = "fails wl2"
@@ -154,7 +159,7 @@ def classify_wlp(F: GridFunction2D, point: tuple[int, int],
         verdict = "passes"
     return WlpDiagnostic(point=(x0, x1), depths=depths, w_values=w_vals,
                          h0_sup=max(h0_vals), h1_sup=max(h1_vals),
-                         verdict=verdict, thresholds=thresholds)
+                         verdict=verdict)
 
 
 @dataclass
@@ -197,8 +202,7 @@ class Mt2Report:
 
 def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatrix,
                                subseq0: IndexSubsequence, subseq1: IndexSubsequence,
-                               F: GridFunction2D,
-                               points, depth_range=None) -> Mt2Report:
+                               F: GridFunction2D, points) -> Mt2Report:
     """Pointwise error table of the tensor means over the index grid.
 
     For every requested point the report carries the Walsh-Lebesgue
@@ -212,7 +216,7 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
     subseq0.check_resolution(spec)
     subseq1.check_resolution(spec)
     points = [tuple(p) for p in points]
-    diags = [classify_wlp(F, p, depth_range=depth_range) for p in points]
+    diags = [classify_wlp(F, p) for p in points]
 
     # the means are diagonal in the Walsh basis, so at one point x
     # (T0_{n_a} x T1_{n_b} F)(x) = sum_{k,l} W0[a,k] w_k(x0) F^[k,l] W1[b,l] w_l(x1)

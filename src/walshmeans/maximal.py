@@ -21,12 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dyadic import GridSpec
-from .summability import (
-    _MAX_TABLE,
-    GuardRailError,
-    TransformationMatrix,
-    mean_coefficient_weights,
-)
+from .io import GuardRailError
+from .summability import _MAX_TABLE, TransformationMatrix, mean_coefficient_weights
 from .transform import GridFunction1D, forward_array, inverse_array
 
 
@@ -242,14 +238,15 @@ def dyadic_maximal(f):
 # ---------------------------------------------------------------------------
 # Size functionals.
 
-def weak_quasinorm(g: GridFunction1D) -> float:
-    """sup_{t>0} t mu(|g| > t), exact for grid step functions.
+def weak_quasinorm(g) -> float:
+    """sup_{t>0} t mu(|g| > t) of a 1D or 2D grid function g, mu being its
+    cell measure (the product measure in 2D); exact for step functions.
 
     The supremum over t of the right-continuous map t -> t mu(|g| > t) is
     attained approaching a value of |g| from the left, so it equals
     max_v v mu(|g| >= v) over the distinct values v > 0.
     """
-    return _weak_quasinorm_values(np.abs(g.samples), g.spec.cell_measure)
+    return _weak_quasinorm_values(np.abs(g.samples), g.cell_measure)
 
 
 def _weak_quasinorm_values(values: np.ndarray, cell_measure: float) -> float:
@@ -261,9 +258,10 @@ def _weak_quasinorm_values(values: np.ndarray, cell_measure: float) -> float:
     return float(np.max(uniq * tail) * cell_measure)
 
 
-def llogl_norm(f: GridFunction1D) -> float:
-    """Integral of |f| ln+ |f| (ln+ vanishes below 1)."""
-    return _llogl_values(f.samples, f.spec.cell_measure)
+def llogl_norm(f) -> float:
+    """Integral of |f| ln+ |f| (ln+ vanishes below 1) of a 1D or 2D grid
+    function."""
+    return _llogl_values(f.samples, f.cell_measure)
 
 
 def _llogl_values(values: np.ndarray, cell_measure: float) -> float:
@@ -277,15 +275,15 @@ def _llogl_values(values: np.ndarray, cell_measure: float) -> float:
 # ---------------------------------------------------------------------------
 # Weak-type experiment harness.
 
-def random_test_function(spec: GridSpec, rng: np.random.Generator,
-                         n_spikes: int = 12, n_blocks: int = 3) -> GridFunction1D:
-    """Nonnegative test function: sparse unit-mass spikes plus smooth dyadic
-    blocks.
+def random_test_function(spec: GridSpec, rng: np.random.Generator) -> GridFunction1D:
+    """Nonnegative test function: 12 sparse unit-mass spikes plus 3 smooth
+    dyadic blocks.
 
     All random draws are resolution-independent (positions are uniform
     floats), so a fixed seed produces matched functions across grids.
     """
     N = spec.size
+    n_spikes, n_blocks = 12, 3
     f = np.zeros(N)
     positions = rng.random(n_spikes)
     masses = 0.2 + rng.random(n_spikes)

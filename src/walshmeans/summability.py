@@ -15,6 +15,7 @@ import csv
 import numpy as np
 
 from .dyadic import GridSpec, prefix
+from .io import GuardRailError
 from .transform import (
     GridFunction1D,
     forward_array,
@@ -29,11 +30,6 @@ class MatrixValidationError(ValueError):
     pass
 
 
-class GuardRailError(ValueError):
-    """A request would exceed a size or work limit; raised before any of
-    it is allocated or computed."""
-
-
 _MAX_TABLE = 1 << 24   # entries of a cumulative table (128 MiB of float64)
 
 
@@ -45,19 +41,18 @@ class TransformationMatrix:
     difference and is checked against conditions (a)-(c) on every call.
     """
 
-    def __init__(self, name, tau_fn, params=None):
+    def __init__(self, name, tau_fn):
         self.name = name
-        self.params = dict(params or {})
         self._tau_fn = tau_fn
 
     @classmethod
-    def from_rows(cls, name, row_fn, params=None) -> "TransformationMatrix":
+    def from_rows(cls, name, row_fn) -> "TransformationMatrix":
         """A matrix given row by row: tau_{.,n} is the cumulative sum of
         ``row_fn(n)``, which is validated each time it is built."""
         def cum(n: int) -> np.ndarray:
             return np.cumsum(T._validate(n, np.asarray(row_fn(n), dtype=float)))
 
-        T = cls(name, _tau_of_rows(cum, name), params)
+        T = cls(name, _tau_of_rows(cum, name))
         return T
 
     def __repr__(self):
@@ -183,11 +178,13 @@ def _identity_tau(s, n):
     return np.ones(np.broadcast(s, n).shape)
 
 
-def _cesaro_seq_row(alpha_of_n):
+def _cesaro_seq_row(alphas: list[float]):
+    """Row n of the Cesaro matrix of exponent alphas[n], the last exponent
+    standing for every later n."""
     def row(n: int) -> np.ndarray:
         if n == 0:
             return np.ones(1)
-        a = alpha_of_n(n)
+        a = alphas[min(n, len(alphas) - 1)]
         if not 0.0 < a <= 1.0:
             raise MatrixValidationError(f"cesaro exponent {a} outside (0, 1]")
         A = _cesaro_numbers(a - 1.0, n)
@@ -198,8 +195,8 @@ def _cesaro_seq_row(alpha_of_n):
 
 
 def builtin_matrix(family: str, alpha: float | None = None,
-                   alpha_seq=None) -> TransformationMatrix:
-    """Built-in families: identity, fejer, cesaro (fixed alpha or a sequence
+                   alpha_seq: list[float] | None = None) -> TransformationMatrix:
+    """Built-in families: identity, fejer, cesaro (fixed alpha or a list
     alpha_n), and the Norlund logarithmic family."""
     if family == "identity":
         return TransformationMatrix("identity", _identity_tau)
@@ -211,14 +208,13 @@ def builtin_matrix(family: str, alpha: float | None = None,
             "nlog", _CumulativeTable("nlog", lambda m: 1.0 / np.arange(1, m + 1)))
     if family == "cesaro":
         if alpha_seq is not None:
-            seq = alpha_seq if callable(alpha_seq) else (lambda n, s=list(alpha_seq): s[min(n, len(s) - 1)])
-            return TransformationMatrix.from_rows("cesaro-seq", _cesaro_seq_row(seq))
+            return TransformationMatrix.from_rows("cesaro-seq", _cesaro_seq_row(list(alpha_seq)))
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise ValueError(f"cesaro needs alpha in (0, 1], got {alpha}")
         # a_k = A_k^{alpha-1}, so C[s] = A_s^alpha
         name = f"cesaro:{alpha:g}"
         table = _CumulativeTable(name, lambda m: _cesaro_numbers(alpha - 1.0, m - 1))
-        return TransformationMatrix(name, table, params={"alpha": alpha})
+        return TransformationMatrix(name, table)
     raise ValueError(f"unknown matrix family {family!r}")
 
 

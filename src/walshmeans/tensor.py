@@ -16,13 +16,12 @@ from .io import read_grid, write_grid
 from .maximal import (
     IndexSubsequence,
     WeakTypeReport,
-    _llogl_values,
     _mean_weight_matrix,
     _ratio_summary,
     _sup_of_means,
-    _weak_quasinorm_values,
     abs_kernel_spectra,
     dyadic_maximal,
+    llogl_norm,
 )
 from .summability import TransformationMatrix, mean_coefficient_weights
 from .transform import forward_array, inverse_array
@@ -48,7 +47,7 @@ class GridFunction2D:
         return float(np.abs(self.samples).mean())
 
     @property
-    def cell_area(self) -> float:
+    def cell_measure(self) -> float:
         return self.spec.cell_measure ** 2
 
 
@@ -116,24 +115,14 @@ def hybrid_maximal(F: GridFunction2D) -> GridFunction2D:
     return dyadic_maximal(F)
 
 
-def weak_quasinorm_2d(G: GridFunction2D) -> float:
-    """sup_{t>0} t mu2(|G| > t), exact for grid step functions."""
-    return _weak_quasinorm_values(np.abs(G.samples), G.cell_area)
-
-
-def llogl_2d(F: GridFunction2D) -> float:
-    """Double integral of |F| ln+ |F|."""
-    return _llogl_values(F.samples, F.cell_area)
-
-
 # ---------------------------------------------------------------------------
 # Experiment harness.
 
-def random_test_function_2d(spec: GridSpec, rng: np.random.Generator,
-                            n_spikes: int = 10, n_blocks: int = 2) -> GridFunction2D:
-    """Nonnegative 2D test function: point spikes plus product blocks,
+def random_test_function_2d(spec: GridSpec, rng: np.random.Generator) -> GridFunction2D:
+    """Nonnegative 2D test function: 10 point spikes plus 2 product blocks,
     resolution-matched through float draws."""
     N = spec.size
+    n_spikes, n_blocks = 10, 2
     F = np.zeros((N, N))
     pos = rng.random((n_spikes, 2))
     masses = 0.2 + rng.random(n_spikes)
@@ -163,8 +152,8 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
     rng = np.random.default_rng(seed)
     inputs = [generator(spec, rng) for _ in range(trials)]
     sups = (tensor_maximal(T0, subseq0, T1, subseq1, F).samples for F in inputs)
-    summary = _ratio_summary(sups, spec.cell_measure ** 2,
-                             [1.0 + llogl_2d(F) for F in inputs])
+    summary = _ratio_summary(sups, inputs[0].cell_measure,
+                             [1.0 + llogl_norm(F) for F in inputs])
     return WeakTypeReport(
         family=[T0.name, T1.name], subsequence=[subseq0.describe(), subseq1.describe()],
         K=K, trials=trials, seed=seed, **summary)

@@ -48,6 +48,10 @@ class GridFunction1D:
     def integral(self) -> float:
         return float(self.samples.mean())
 
+    @property
+    def cell_measure(self) -> float:
+        return self.spec.cell_measure
+
 
 @dataclass
 class WalshSpectrum:

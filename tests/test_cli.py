@@ -261,16 +261,19 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
      "resolution 15 exceeds the 1D guard rail of 14"),
     (["mean", "--matrix", "fejer", "--n", "4", "--input", "{grid15}"],
      "resolution 15 exceeds the 1D guard rail of 14"),
-    # tensor's only limit is the file it reads: one whose header claims K = 30
-    # is refused by its sample count, with no 2^30 x 2^30 grid built
+    # tensor's only limit is the file it reads, refused from its header: one
+    # that claims K = 30, and a full 1024 x 1024 body under K = 10 (last row)
     (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
       "--input", "{huge}"],
-     "error: expected 1073741824x1073741824 samples for K=30, got (1, 1)"),
+     "resolution 30 exceeds the 2D guard rail of 8"),
     (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "powers:1..8",
       "--seq1", "powers:1..8", "--resolution", "8", "--trials", "1000000"],
      "predicted work of 3657720000000 element-stages exceeds the limit of 2147483648"),
     (["example1", "--nseq", "5,17,65,257,1048577"],
      "'5,17,65,257,1048577' has largest index 1048577, above the limit of 4096"),
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
+      "--input", "{big}"],
+     "resolution 10 exceeds the 2D guard rail of 8"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     # each request is refused from its text, index or point count, or from
@@ -278,13 +281,17 @@ def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     # within a second, with no more than a few MiB allocated
     alpha = tmp_path / "alpha.txt"
     alpha.write_text("0.5\n")
-    grid, grid15, huge = tmp_path / "F.csv", tmp_path / "f15.csv", tmp_path / "huge.csv"
+    grid, grid15 = tmp_path / "F.csv", tmp_path / "f15.csv"
+    huge, big = tmp_path / "huge.csv", tmp_path / "big.csv"
     if "{grid}" in argv:
         save_grid2d(GridFunction2D(GridSpec(8), np.zeros((256, 256))), str(grid))
     if "{grid15}" in argv:
         save_grid1d(GridFunction1D(GridSpec(15), np.zeros(1 << 15)), str(grid15))
+    if "{big}" in argv:
+        big.write_text("# resolution=10 dims=2\n" + (",".join(["0.0"] * 1024) + "\n") * 1024)
     huge.write_text("# resolution=30 dims=2\n0.0\n")
-    argv = [a.format(alpha=alpha, grid=grid, grid15=grid15, huge=huge) for a in argv]
+    argv = [a.format(alpha=alpha, grid=grid, grid15=grid15, huge=huge, big=big)
+            for a in argv]
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -335,6 +342,44 @@ def test_readme_cli_commands_run(argv, tmp_path, monkeypatch, capsys):
     save_grid2d(GridFunction2D(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
     assert run(argv) == (3 if argv[0] == "example1" else 0)
     capsys.readouterr()
+
+
+def test_benchmark_tracer_installs(tmp_path, monkeypatch, capsys):
+    # perfbench/spans.py wraps about 40 names of the package, methods through
+    # the class __dict__, so deleting or renaming one breaks every traced
+    # benchmark run: install it, and the README commands must give the same
+    # exit codes, output and files as untraced, with every layer timed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import Tracer
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(2)
+    save_grid1d(GridFunction1D(GridSpec(7), rng.normal(size=128)), "f.csv")
+    save_grid2d(GridFunction2D(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
+    inputs = {"f.csv", "F.csv"}
+
+    def outputs():
+        for path in tmp_path.iterdir():
+            if path.name not in inputs:
+                path.unlink()
+        codes = [run(argv) for argv in _readme_commands()]
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
+        return codes, capsys.readouterr(), files
+
+    untraced = outputs()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert {"transform.short", "csv.load", "csv.save", "summability.weights",
+            "summability.upsilon", "summability.decomposition", "summability.mean",
+            "maximal.bank", "maximal.experiment", "maximal.quasinorm", "maximal.llogl",
+            "tensor.maximal", "tensor.mean", "tensor.experiment", "lebesgue.classify",
+            "lebesgue.mt2", "exact.divergence", "exact.avg_sweep",
+            "exact.integral_over", "dyadic"} <= set(tracer.spans)
 
 
 def test_ragged_grid2d_rejected(tmp_path, capsys):

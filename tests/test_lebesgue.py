@@ -264,6 +264,8 @@ def test_classify_wlp_verdicts():
     payload = d.to_dict()
     assert set(payload) == {"point", "depths", "W_values", "H0_sup", "H1_sup",
                             "verdict", "thresholds"}
+    assert payload["thresholds"] == {"decay_factor": 4.0, "h_growth_limit": 2.0,
+                                     "atol": 1e-13}
 
 
 def test_classical_lebesgue_avg():

@@ -1,6 +1,7 @@
 """Maximal operators, weak quasi-norms, size functionals, and the
 weak-type experiment harness."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -204,6 +205,11 @@ def test_random_test_function_matched_across_resolutions():
     fb = random_test_function(GridSpec(9), np.random.default_rng(9))
     assert fa.samples.min() >= 0 and fb.samples.min() >= 0
     assert fa.l1_norm() == pytest.approx(fb.l1_norm(), rel=0.02)
+    # the spike and block counts are fixed: pin the draws (no BLAS is
+    # involved, so the bytes are portable)
+    f = random_test_function(GridSpec(6), np.random.default_rng(0))
+    assert hashlib.sha256(f.samples.tobytes()).hexdigest() == (
+        "6f52b7d5fe0735bfde79eb033cf590adb4ea273ba0007744dd01f349222149af")
 
 
 def test_dyadic_maximal_weak_type_stability():
