@@ -6,7 +6,8 @@ grid adds ``dims=2`` to the header and writes each row as comma-separated
 values.  Values are written with ``repr``, which round-trips every float.
 
 A grid file is refused from its header when K exceeds the resolution cap
-of its dimension, ``MAX_K``, before its body is read.
+of its dimension, ``MAX_K``, before its body is read, and at its first
+line past the header's shape, before the rest is read.
 
 A report is ``json.dumps(payload, indent=2, sort_keys=True)``, written
 column by column (see `report_json`).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -53,9 +55,10 @@ def write_grid(path_or_buf, K: int, samples: np.ndarray) -> None:
 def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     """K and the samples of a grid CSV: a vector, or a matrix with one row
     per line under a ``dims=2`` header.  Blank lines are skipped.  A K
-    above MAX_K is a GuardRailError raised from the header.  A line whose
-    value count differs from the first line's, or a nan/inf value, is a
-    ValueError naming its line."""
+    above MAX_K is a GuardRailError raised from the header, and a K below
+    1 a ValueError.  The body is refused, with a ValueError naming the
+    line, at its first line past 2^K rows or (in 2D) without 2^K values,
+    before any later line is read, and at a nan/inf value."""
     buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
     try:
         header = buf.readline().strip()
@@ -64,25 +67,35 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
         K, *fields = header[len("# resolution="):].split()
         K, dims = int(K), (2 if "dims=2" in fields else 1)
         check_grid_resolution(K, dims)
-        lines = [(no, line) for no, line in enumerate(buf, start=2) if line.strip()]
+        if K < 1:
+            raise ValueError(f"grid resolution must be >= 1, got {K}")
+        lines = ((no, line) for no, line in enumerate(buf, start=2) if line.strip())
+        if dims == 2:
+            lines = ((no, _grid_row(no, line, K)) for no, line in lines)
+        body = list(islice(lines, 1 << K))
+        extra = next(lines, None)
+        if extra:
+            raise ValueError(f"line {extra[0]}: past the {1 << K} rows of resolution {K}")
     finally:
         if buf is not path_or_buf:
             buf.close()
-    if dims == 2:
-        rows = [[float(x) for x in line.split(",")] for _, line in lines]
-        for (no, _), row in zip(lines, rows):
-            if len(row) != len(rows[0]):
-                raise ValueError(
-                    f"line {no}: {len(row)} values, but line {lines[0][0]} has "
-                    f"{len(rows[0])}")
-        values = np.array(rows)
-    else:
-        values = np.array([float(line) for _, line in lines])
+    values = np.array([row for _, row in body] if dims == 2
+                      else [float(line) for _, line in body])
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         first = tuple(bad[0])
-        raise ValueError(f"line {lines[first[0]][0]}: non-finite sample {values[first]}")
+        raise ValueError(f"line {body[first[0]][0]}: non-finite sample {values[first]}")
     return K, values
+
+
+def _grid_row(no: int, line: str, K: int) -> list[float]:
+    """The values of line `no` of a 2D grid, which must hold 2^K (counted
+    before the line is split)."""
+    count = line.count(",") + 1
+    if count != 1 << K:
+        raise ValueError(
+            f"line {no}: {count} values, but a row at resolution {K} has {1 << K}")
+    return [float(x) for x in line.split(",")]
 
 
 # JSON text of a leaf, by exact type; bools (an int subclass), non-finite

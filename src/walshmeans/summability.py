@@ -16,12 +16,7 @@ import numpy as np
 
 from .dyadic import GridSpec, prefix
 from .io import GuardRailError
-from .transform import (
-    GridFunction1D,
-    forward_array,
-    inverse_array,
-    walsh_sample,
-)
+from .transform import GridFunction1D, forward_array, inverse_array
 
 ROW_SUM_TOL = 1e-12
 
@@ -243,13 +238,15 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
         path = text.split(":", 1)[1]
         with open(path) as fh:
             seq = [float(line.strip()) for line in fh if line.strip()]
+        if not seq:
+            raise MatrixValidationError(f"{path}: no exponents")
         return builtin_matrix("cesaro", alpha_seq=seq)
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
         row_fn, count = _rows_from_csv(path)
         T = TransformationMatrix.from_rows(f"custom:{path}", row_fn)
         for n in range(count):      # validation happens on load
-            T.row(n)
+            T.tau(0, n)
         return T
     raise ValueError(f"unrecognised matrix spec {text!r}")
 
@@ -354,45 +351,32 @@ def apply_mean(T: TransformationMatrix, n: int, f: GridFunction1D,
 def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
                          ) -> tuple[GridFunction1D, GridFunction1D]:
     """Split V_n into the Dirichlet-driven part V1 and the Fejer-driven
-    remainder V2 with V1 + V2 = V_n.
+    remainder V2 with V1 + V2 = V_n, from row n's cumulative weights t.
 
-    V1 = w_n sum_s eps_s tau_{n(s)-1, n} w_{2^s} D_{2^s}; the cumulative
-    weight index n(s)-1 is forced by the reconstruction identity (the sum
-    of row entries strictly below the prefix n(s)).  V2 collects first
-    differences of the row against scaled Fejer kernels.
+    Set bit s of n, with block = 2^s and base = n(s-1), adds to V1 the
+    term t[n(s)-1] w_{2^s} D_{2^s} (the index is forced by the
+    reconstruction identity) and to V2, by Abel summation of the row
+    differences against scaled Fejer kernels, w_m times the polynomial with
+    coefficients t[base+i] - t[base+block-1], i < block, where
+    m = n(s) xor (block-1) = block + (block-1-base).  Both parts are then
+    multiplied by w_n.  As w_i w_m = w_{i xor m}, each term fills one band
+    [2^s, 2^{s+1}): V2's coefficient i lands at block + (i xor (block-1-base)).
+    Bands of different bits do not overlap, so each part is one spectrum,
+    multiplied by w_n as the gather c[j xor n] and inverted once.
     """
     if not 1 <= n < spec.size:
         raise ValueError(
             f"decomposition needs 1 <= n < 2^K so that w_n is on the grid, got n={n}")
-    K = spec.resolution
-    size = spec.size
-    row = T.row(n)
-
-    v1_coeffs = np.zeros(size)
-    v2 = np.zeros(size)
+    K, size = spec.resolution, spec.size
+    t = T.tau(np.arange(n + 1), n)
+    c1, c2 = np.zeros(size), np.zeros(size)
     for s in range(n.bit_length()):
         if not (n >> s) & 1:
             continue
-        # w_{2^s} D_{2^s} has spectrum 1 on [2^s, 2^{s+1})
-        v1_coeffs[1 << s: 1 << (s + 1)] = T.tau(prefix(n, s) - 1, n)
-        if s == 0:
-            continue  # empty difference block and a zero-length Fejer term
-        base = prefix(n, s - 1)
-        block = 1 << s
-        coeff = np.zeros(block)             # coeff[l] multiplies l*K_l
-        diffs = row[base + 1: base + block - 1] - row[base + 2: base + block]
-        coeff[1: block - 1] = diffs
-        coeff[block - 1] = row[base + block - 1]
-        # spectrum of sum_l coeff[l] * l * K_l at i is sum_{l>i} coeff[l](l-i)
-        l = np.arange(block, dtype=float)
-        s1 = np.cumsum((coeff * l)[::-1])[::-1]
-        s0 = np.cumsum(coeff[::-1])[::-1]
-        bracket = np.zeros(size)
-        bracket[:block] = s1 - np.arange(block) * s0
-        inner = inverse_array(bracket, K)
-        v2 -= walsh_sample(prefix(n, s) ^ (block - 1), spec).samples * inner
-
-    wn = walsh_sample(n, spec).samples
-    v1 = wn * inverse_array(v1_coeffs, K)
-    v2 = wn * v2
-    return GridFunction1D(spec, v1), GridFunction1D(spec, v2)
+        block, base = 1 << s, prefix(n, s - 1)
+        c1[block: 2 * block] = t[block + base - 1]
+        c2[block + (np.arange(block) ^ (block - 1 - base))] = (
+            t[base: base + block] - t[base + block - 1])
+    shift = np.arange(size) ^ n
+    return (GridFunction1D(spec, inverse_array(c1[shift], K)),
+            GridFunction1D(spec, inverse_array(c2[shift], K)))

@@ -274,6 +274,10 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
     (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
       "--input", "{big}"],
      "resolution 10 exceeds the 2D guard rail of 8"),
+    # the same body under K = 2 is refused at its first line
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
+      "--input", "{wide}"],
+     "error: line 2: 1024 values, but a row at resolution 2 has 4"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     # each request is refused from its text, index or point count, or from
@@ -282,15 +286,18 @@ def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     alpha = tmp_path / "alpha.txt"
     alpha.write_text("0.5\n")
     grid, grid15 = tmp_path / "F.csv", tmp_path / "f15.csv"
-    huge, big = tmp_path / "huge.csv", tmp_path / "big.csv"
+    huge, big, wide = tmp_path / "huge.csv", tmp_path / "big.csv", tmp_path / "wide.csv"
     if "{grid}" in argv:
         save_grid2d(GridFunction2D(GridSpec(8), np.zeros((256, 256))), str(grid))
     if "{grid15}" in argv:
         save_grid1d(GridFunction1D(GridSpec(15), np.zeros(1 << 15)), str(grid15))
+    body = (",".join(["0.0"] * 1024) + "\n") * 1024
     if "{big}" in argv:
-        big.write_text("# resolution=10 dims=2\n" + (",".join(["0.0"] * 1024) + "\n") * 1024)
+        big.write_text("# resolution=10 dims=2\n" + body)
+    if "{wide}" in argv:
+        wide.write_text("# resolution=2 dims=2\n" + body)
     huge.write_text("# resolution=30 dims=2\n0.0\n")
-    argv = [a.format(alpha=alpha, grid=grid, grid15=grid15, huge=huge, big=big)
+    argv = [a.format(alpha=alpha, grid=grid, grid15=grid15, huge=huge, big=big, wide=wide)
             for a in argv]
     tracemalloc.start()
     try:
@@ -387,4 +394,25 @@ def test_ragged_grid2d_rejected(tmp_path, capsys):
     src.write_text("# resolution=1 dims=2\n1.0,2.0\n3.0,4.0,5.0\n")
     assert run(["wlp", "--input", str(src), "--point", "0,0"]) == 1
     err = capsys.readouterr().err
-    assert "line 3: 3 values, but line 2 has 2" in err
+    assert "line 3: 3 values, but a row at resolution 1 has 2" in err
+
+
+def test_grid_refused_past_header_shape(tmp_path, capsys):
+    # a 1D body is refused at its first line past 2^K values, blank lines
+    # not counted, and a header K below 1 is named
+    src = tmp_path / "f.csv"
+    src.write_text("# resolution=1\n1.0\n\n2.0\n3.0\n4.0\n")
+    assert run(["mean", "--matrix", "fejer", "--n", "1", "--input", str(src)]) == 1
+    assert "error: line 5: past the 2 rows of resolution 1" in capsys.readouterr().err
+    src.write_text("# resolution=0\n1.0\n")
+    assert run(["mean", "--matrix", "fejer", "--n", "1", "--input", str(src)]) == 1
+    assert "error: grid resolution must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_empty_cesaro_seq_rejected(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    assert run(["upsilon", "--matrix", f"cesaro-seq:{empty}", "--seq", "list:1"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {empty}: no exponents" in captured.err
+    assert captured.out == ""

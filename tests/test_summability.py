@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from walshmeans import summability
-from walshmeans.dyadic import GridSpec
+from walshmeans.dyadic import GridSpec, prefix
 from walshmeans.summability import (
     GuardRailError,
     MatrixValidationError,
@@ -24,6 +24,7 @@ from walshmeans.transform import (
     GridFunction1D,
     dirichlet_kernel,
     fejer_kernel,
+    inverse_array,
     partial_sum,
     walsh_sample,
 )
@@ -84,6 +85,36 @@ def c2_reference(alpha, n):
         if (n >> k) & 1 != (n >> (k + 1)) & 1:
             total += 2.0 ** ((k - order) * alpha)
     return total
+
+
+def kernel_decomposition_reference(T, n, spec):
+    """V1 and V2 bit by bit, from the row differences: one inverse
+    transform and one Walsh-sample product per set bit of n."""
+    K, size = spec.resolution, spec.size
+    row = T.row(n)
+    v1_coeffs = np.zeros(size)
+    v2 = np.zeros(size)
+    for s in range(n.bit_length()):
+        if not (n >> s) & 1:
+            continue
+        # w_{2^s} D_{2^s} has spectrum 1 on [2^s, 2^{s+1})
+        v1_coeffs[1 << s: 1 << (s + 1)] = T.tau(prefix(n, s) - 1, n)
+        if s == 0:
+            continue  # empty difference block and a zero-length Fejer term
+        base = prefix(n, s - 1)
+        block = 1 << s
+        coeff = np.zeros(block)             # coeff[l] multiplies l*K_l
+        coeff[1: block - 1] = row[base + 1: base + block - 1] - row[base + 2: base + block]
+        coeff[block - 1] = row[base + block - 1]
+        # spectrum of sum_l coeff[l] * l * K_l at i is sum_{l>i} coeff[l](l-i)
+        l = np.arange(block, dtype=float)
+        s1 = np.cumsum((coeff * l)[::-1])[::-1]
+        s0 = np.cumsum(coeff[::-1])[::-1]
+        bracket = np.zeros(size)
+        bracket[:block] = s1 - np.arange(block) * s0
+        v2 -= walsh_sample(prefix(n, s) ^ (block - 1), spec).samples * inverse_array(bracket, K)
+    wn = walsh_sample(n, spec).samples
+    return wn * inverse_array(v1_coeffs, K), wn * v2
 
 
 def test_builtin_rows():
@@ -259,6 +290,34 @@ def test_kernel_decomposition_identity():
             v1, v2 = kernel_decomposition(T, n, spec)
             v = kernel_V(T, n, spec)
             assert np.abs(v1.samples + v2.samples - v.samples).max() < 1e-10
+
+
+@pytest.mark.parametrize("K", [4, 7, 12])
+def test_kernel_decomposition_parts_against_reference(K, tmp_path):
+    # each part on its own, not only their sum: a term moved from V2 into
+    # V1 keeps V1 + V2 = V_n but fails here
+    count = 130             # rows of the custom matrix
+    rows = tmp_path / "rows.csv"
+    rows.write_text("".join(",".join(map(repr, reference_row("cesaro:0.3", n).tolist())) + "\n"
+                            for n in range(count)))
+    alphas = tmp_path / "alphas.txt"
+    alphas.write_text("1.0\n0.3\n0.8\n0.5\n0.2\n0.9\n0.4\n")
+    specs = FAMILIES + ("cesaro:0.01", f"custom:{rows}", f"cesaro-seq:{alphas}")
+    spec = GridSpec(K)
+    ns = {1, 2, 3, spec.size - 1}
+    for m in range(2, K):
+        ns |= {(1 << m) - 1, 1 << m, (1 << m) + 1}
+    ns |= {int(n) for n in np.random.default_rng(K).integers(1, spec.size, 8)}
+    for text in specs:
+        T = matrix_from_spec(text)
+        for n in sorted(ns):
+            if text.startswith("custom:") and n >= count:
+                continue
+            v1, v2 = kernel_decomposition(T, n, spec)
+            r1, r2 = kernel_decomposition_reference(T, n, spec)
+            tol = 1e-12 * np.abs(kernel_V(T, n, spec).samples).max()
+            assert np.abs(v1.samples - r1).max() <= tol, (text, n)
+            assert np.abs(v2.samples - r2).max() <= tol, (text, n)
 
 
 def test_kernel_decomposition_single_bit():
