@@ -64,14 +64,8 @@ from .tensor import (
 )
 from .transform import (
     GridFunction1D,
-    WalshSpectrum,
-    dirichlet_kernel,
     dyadic_convolve,
-    fejer_kernel,
-    fwht,
-    inverse_fwht,
     load_grid1d,
-    partial_sum,
     save_grid1d,
     walsh_sample,
 )

@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the library operations and emit CSV for
 grid data and JSON for structured reports.  A fixed seed makes reports
-byte-identical across runs.  Exit codes: 0 ok, 1 config error, 2 guard
-rail, 3 a checked identity failed.
+byte-identical across runs.  Exit codes: 0 ok, 1 config or usage error,
+2 guard rail, 3 a checked identity failed.
 """
 
 from __future__ import annotations
@@ -311,7 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:   # --help
+            raise
+        # argparse has printed the usage error; its own exit code, 2, is
+        # the guard-rail code
+        return CONFIG_ERROR
     try:
         return args.fn(args)
     except GuardRailError as exc:

@@ -163,27 +163,3 @@ class DyadicInterval:
             raise ValueError("interval depth must be >= 0")
         if not 0 <= self.offset < (1 << self.depth):
             raise ValueError(f"offset {self.offset} out of range at depth {self.depth}")
-
-    @property
-    def start(self) -> DyadicRational:
-        return DyadicRational(self.offset, self.depth)
-
-    @property
-    def end(self) -> DyadicRational:
-        return DyadicRational(self.offset + 1, self.depth)
-
-    @property
-    def length(self) -> DyadicRational:
-        return DyadicRational(1, self.depth)
-
-    def contains(self, x) -> bool:
-        x = DyadicRational._coerce(x) if not isinstance(x, DyadicRational) else x
-        return self.start <= x < self.end
-
-    def cells(self, spec: GridSpec) -> range:
-        """Grid-index range covered at resolution K (requires depth <= K)."""
-        K = spec.resolution
-        if self.depth > K:
-            raise ValueError(f"interval depth {self.depth} exceeds resolution {K}")
-        w = 1 << (K - self.depth)
-        return range(self.offset * w, (self.offset + 1) * w)

@@ -15,10 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
-from .dyadic import DyadicInterval, DyadicRational, GridSpec
-from .transform import GridFunction1D
+from .dyadic import DyadicInterval, DyadicRational
 
 ZERO = DyadicRational(0)
 
@@ -58,10 +55,6 @@ class SparseStepFunction:
         start, stop, value = rows[i]
         return (prefix[i] << shift) + value * (min(x, stop << shift) - (start << shift))
 
-    def integral(self) -> DyadicRational:
-        depth, vscale, *_, prefix = self._table
-        return DyadicRational(prefix[-1], depth + vscale)
-
     def integral_over(self, window: DyadicInterval) -> DyadicRational:
         """Exact integral over a dyadic window, F(end) - F(start); the window
         may be deeper than every piece."""
@@ -73,29 +66,11 @@ class SparseStepFunction:
         return DyadicRational(self._mass_below(hi, shift) - self._mass_below(lo, shift),
                               scale + vscale)
 
-    def value_at(self, x: DyadicRational) -> DyadicRational:
-        for interval, value in self.pieces:
-            if interval.contains(x):
-                return value
-        return ZERO
-
-    def to_grid(self, spec: GridSpec) -> GridFunction1D:
-        """Float samples at resolution K; requires every piece to be
-        cell-aligned (depth <= K)."""
-        samples = np.zeros(spec.size)
-        for interval, value in self.pieces:
-            cells = interval.cells(spec)
-            samples[cells.start: cells.stop] = float(value)
-        return GridFunction1D(spec, samples)
-
 
 @dataclass
 class NSeqVerdict:
     ok: bool
     violations: list
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate_nseq(seq) -> NSeqVerdict:

@@ -132,6 +132,9 @@ def classify_wlp(F: GridFunction2D, point: tuple[int, int],
     """
     K = F.spec.resolution
     if depth_range is None:
+        if K < 2:
+            raise ValueError(f"resolution K = {K} leaves the default depths "
+                             f"2..min(K, 7) empty")
         depth_range = range(2, min(K, 7) + 1)
     depths = tuple(depth_range)
     if not depths or depths[-1] > K:

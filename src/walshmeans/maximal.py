@@ -61,28 +61,34 @@ def subsequence_from_spec(text: str) -> IndexSubsequence:
     """Grammar: powers:a..b | alternating:a..b | list:1,3,7 | all:1..N.
 
     powers yields 2^a..2^b; alternating yields sum_{j<=i} 4^j = (4^{i+1} - 1)/3
-    for i in a..b.  A range is checked from its text before any term is
+    for i in a..b.  A spec is checked from its text before any array is
     built: at most _MAX_TABLE terms, and indices below 2^63.
     """
     kind, _, arg = text.partition(":")
     if kind == "list":
-        return IndexSubsequence(tuple(int(x) for x in arg.split(",")))
+        subseq = IndexSubsequence(tuple(int(x) for x in arg.split(",")))
+        _check_spec_size(text, len(subseq), subseq.indices[-1].bit_length())
+        return subseq
     if kind not in ("all", "powers", "alternating"):
         raise ValueError(f"unrecognised subsequence spec {text!r}")
     lo, hi = _parse_range(arg)
     # bit length of the largest index: hi, 2^hi or (4^{hi+1} - 1)/3
     bits = {"all": hi.bit_length(), "powers": hi + 1, "alternating": 2 * hi + 1}[kind]
-    for size, limit, what in ((hi - lo + 1, _MAX_TABLE, "terms"),
-                              (bits, 63, "bits in its largest index")):
-        if size > limit:
-            raise GuardRailError(
-                f"subsequence {text!r} has {size} {what}, above the limit of {limit}")
+    _check_spec_size(text, hi - lo + 1, bits)
     terms = range(lo, hi + 1)
     if kind == "powers":
         terms = (2 ** m for m in terms)
     elif kind == "alternating":
         terms = ((4 ** (i + 1) - 1) // 3 for i in terms)
     return IndexSubsequence(tuple(terms))
+
+
+def _check_spec_size(text: str, terms: int, bits: int) -> None:
+    for size, limit, what in ((terms, _MAX_TABLE, "terms"),
+                              (bits, 63, "bits in its largest index")):
+        if size > limit:
+            raise GuardRailError(
+                f"subsequence {text!r} has {size} {what}, above the limit of {limit}")
 
 
 def _parse_range(arg: str) -> tuple[int, int]:

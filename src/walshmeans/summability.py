@@ -176,6 +176,9 @@ def _identity_tau(s, n):
 def _cesaro_seq_row(alphas: list[float]):
     """Row n of the Cesaro matrix of exponent alphas[n], the last exponent
     standing for every later n."""
+    if not alphas:
+        raise MatrixValidationError("cesaro-seq needs at least one exponent")
+
     def row(n: int) -> np.ndarray:
         if n == 0:
             return np.ones(1)

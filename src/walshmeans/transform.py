@@ -45,25 +45,9 @@ class GridFunction1D:
     def l1_norm(self) -> float:
         return float(np.abs(self.samples).mean())
 
-    def integral(self) -> float:
-        return float(self.samples.mean())
-
     @property
     def cell_measure(self) -> float:
         return self.spec.cell_measure
-
-
-@dataclass
-class WalshSpectrum:
-    """Walsh-Fourier coefficients in Paley order; entry i is f_hat(i)."""
-
-    spec: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.spec.size,):
-            raise ValueError("coefficient count does not match the grid")
 
 
 @lru_cache(maxsize=32)
@@ -126,52 +110,6 @@ def walsh_sample(n: int, spec: GridSpec) -> GridFunction1D:
     if not 0 <= n < spec.size:
         raise ValueError(f"w_{n} is not representable at resolution {spec.resolution}")
     return GridFunction1D(spec, _walsh_signs(n, spec.resolution))
-
-
-def fwht(f: GridFunction1D) -> WalshSpectrum:
-    return WalshSpectrum(f.spec, forward_array(f.samples, f.spec.resolution))
-
-
-def inverse_fwht(spectrum: WalshSpectrum) -> GridFunction1D:
-    return GridFunction1D(spectrum.spec,
-                          inverse_array(spectrum.coefficients, spectrum.spec.resolution))
-
-
-def partial_sum(f: GridFunction1D, m: int) -> GridFunction1D:
-    """S_m(f): reconstruction from coefficients below m; S_0 = 0."""
-    if not 0 <= m <= f.spec.size:
-        raise ValueError(f"partial sum order {m} out of range [0, {f.spec.size}]")
-    c = forward_array(f.samples, f.spec.resolution).copy()
-    c[m:] = 0.0
-    return GridFunction1D(f.spec, inverse_array(c, f.spec.resolution))
-
-
-def dirichlet_kernel(n: int, spec: GridSpec) -> GridFunction1D:
-    """D_n = w_0 + ... + w_{n-1}; D_0 = 0.
-
-    Built through the inverse transform; all intermediate values are
-    integers, so the samples are exact.
-    """
-    if not 0 <= n <= spec.size:
-        raise ValueError(f"Dirichlet order {n} exceeds 2^K = {spec.size}")
-    c = np.zeros(spec.size)
-    c[:n] = 1.0
-    return GridFunction1D(spec, inverse_array(c, spec.resolution))
-
-
-def fejer_kernel_coefficients(n: int, size: int) -> np.ndarray:
-    c = np.zeros(size)
-    if n >= 1:
-        c[:n] = (n - np.arange(n)) / n
-    return c
-
-
-def fejer_kernel(n: int, spec: GridSpec) -> GridFunction1D:
-    """The Fejer kernel (1/n) (D_1 + ... + D_n); the n = 0 kernel is 0."""
-    if not 0 <= n <= spec.size:
-        raise ValueError(f"Fejer order {n} exceeds 2^K = {spec.size}")
-    c = fejer_kernel_coefficients(n, spec.size)
-    return GridFunction1D(spec, inverse_array(c, spec.resolution))
 
 
 def dyadic_convolve(f: GridFunction1D, g: GridFunction1D) -> GridFunction1D:

@@ -1,0 +1,126 @@
+"""Reference helpers that only the tests call.
+
+The classical Walsh objects built through the package's transform (the
+spectrum of a grid function, partial sums S_m, the Dirichlet and Fejer
+kernels), the total integral of a grid function, and point, length and
+grid views of dyadic intervals and exact step functions.  No program path
+needs them, so they live here and not in `walshmeans`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
+from walshmeans.exact import SparseStepFunction
+from walshmeans.transform import GridFunction1D, forward_array, inverse_array
+
+
+@dataclass
+class WalshSpectrum:
+    """Walsh-Fourier coefficients in Paley order; entry i is f_hat(i)."""
+
+    spec: GridSpec
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        if self.coefficients.shape != (self.spec.size,):
+            raise ValueError("coefficient count does not match the grid")
+
+
+def fwht(f: GridFunction1D) -> WalshSpectrum:
+    return WalshSpectrum(f.spec, forward_array(f.samples, f.spec.resolution))
+
+
+def inverse_fwht(spectrum: WalshSpectrum) -> GridFunction1D:
+    return GridFunction1D(spectrum.spec,
+                          inverse_array(spectrum.coefficients, spectrum.spec.resolution))
+
+
+def partial_sum(f: GridFunction1D, m: int) -> GridFunction1D:
+    """S_m(f): reconstruction from coefficients below m; S_0 = 0."""
+    if not 0 <= m <= f.spec.size:
+        raise ValueError(f"partial sum order {m} out of range [0, {f.spec.size}]")
+    c = forward_array(f.samples, f.spec.resolution).copy()
+    c[m:] = 0.0
+    return GridFunction1D(f.spec, inverse_array(c, f.spec.resolution))
+
+
+def dirichlet_kernel(n: int, spec: GridSpec) -> GridFunction1D:
+    """D_n = w_0 + ... + w_{n-1}; D_0 = 0.
+
+    Built through the inverse transform; all intermediate values are
+    integers, so the samples are exact.
+    """
+    if not 0 <= n <= spec.size:
+        raise ValueError(f"Dirichlet order {n} exceeds 2^K = {spec.size}")
+    c = np.zeros(spec.size)
+    c[:n] = 1.0
+    return GridFunction1D(spec, inverse_array(c, spec.resolution))
+
+
+def fejer_kernel(n: int, spec: GridSpec) -> GridFunction1D:
+    """The Fejer kernel (1/n) (D_1 + ... + D_n); the n = 0 kernel is 0."""
+    if not 0 <= n <= spec.size:
+        raise ValueError(f"Fejer order {n} exceeds 2^K = {spec.size}")
+    c = np.zeros(spec.size)
+    if n >= 1:
+        c[:n] = (n - np.arange(n)) / n
+    return GridFunction1D(spec, inverse_array(c, spec.resolution))
+
+
+def grid_integral(f: GridFunction1D) -> float:
+    """Integral of a grid function over [0, 1)."""
+    return float(f.samples.mean())
+
+
+def interval_start(interval: DyadicInterval) -> DyadicRational:
+    return DyadicRational(interval.offset, interval.depth)
+
+
+def interval_end(interval: DyadicInterval) -> DyadicRational:
+    return DyadicRational(interval.offset + 1, interval.depth)
+
+
+def interval_length(interval: DyadicInterval) -> DyadicRational:
+    return DyadicRational(1, interval.depth)
+
+
+def interval_contains(interval: DyadicInterval, x) -> bool:
+    return interval_start(interval) <= x < interval_end(interval)
+
+
+def interval_cells(interval: DyadicInterval, spec: GridSpec) -> range:
+    """Grid-index range covered at resolution K (requires depth <= K)."""
+    K = spec.resolution
+    if interval.depth > K:
+        raise ValueError(f"interval depth {interval.depth} exceeds resolution {K}")
+    w = 1 << (K - interval.depth)
+    return range(interval.offset * w, (interval.offset + 1) * w)
+
+
+def step_integral(f: SparseStepFunction) -> DyadicRational:
+    """Integral of f over [0, 1), summed piece by piece: independent of the
+    antiderivative table that `SparseStepFunction.integral_over` reads."""
+    return sum((value * interval_length(interval) for interval, value in f.pieces),
+               DyadicRational(0))
+
+
+def value_at(f: SparseStepFunction, x: DyadicRational) -> DyadicRational:
+    for interval, value in f.pieces:
+        if interval_contains(interval, x):
+            return value
+    return DyadicRational(0)
+
+
+def to_grid(f: SparseStepFunction, spec: GridSpec) -> GridFunction1D:
+    """Float samples at resolution K; requires every piece to be
+    cell-aligned (depth <= K)."""
+    samples = np.zeros(spec.size)
+    for interval, value in f.pieces:
+        cells = interval_cells(interval, spec)
+        samples[cells.start: cells.stop] = float(value)
+    return GridFunction1D(spec, samples)

@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dirichlet_kernel, fejer_kernel, fwht, inverse_fwht
 from walshmeans.dyadic import GridSpec
 from walshmeans.exact import (
     avg_sweep_at_zero,
@@ -60,14 +61,7 @@ from walshmeans.tensor import (
     random_test_function_2d,
     tensor_mean,
 )
-from walshmeans.transform import (
-    GridFunction1D,
-    dirichlet_kernel,
-    fejer_kernel,
-    fwht,
-    inverse_fwht,
-    walsh_sample,
-)
+from walshmeans.transform import GridFunction1D, walsh_sample
 
 
 class Criterion:

@@ -10,15 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import fejer_kernel
 from walshmeans.cli import main
 from walshmeans.dyadic import GridSpec
 from walshmeans.summability import builtin_matrix
-from walshmeans.transform import (
-    GridFunction1D,
-    fejer_kernel,
-    load_grid1d,
-    save_grid1d,
-)
+from walshmeans.transform import GridFunction1D, load_grid1d, save_grid1d
 from walshmeans.tensor import GridFunction2D, load_grid2d, save_grid2d
 
 
@@ -171,6 +167,23 @@ def test_help_renders(capsys):
     assert "kernel" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["upsilon", "--matrix", "fejer"], "the following arguments are required: --seq"),
+    (["maximal", "--matrix", "fejer", "--seq", "powers:1..4", "--resolution", "4",
+      "--operator", "bogus"], "argument --operator: invalid choice: 'bogus'"),
+    # argparse reads -1,0 as an option, not as the value of --point
+    (["wlp", "--input", "F.csv", "--point", "-1,0"], "argument --point: expected one argument"),
+], ids=["missing-seq", "bogus-operator", "negative-point"])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # a usage error is a config error (exit 1), not argparse's 2, which
+    # is the guard-rail code
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_guard_rails_and_errors(tmp_path, capsys):
     assert run(["kernel", "--matrix", "fejer", "--n", "4",
                 "--resolution", "15"]) == 2
@@ -278,6 +291,9 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
     (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
       "--input", "{wide}"],
      "error: line 2: 1024 values, but a row at resolution 2 has 4"),
+    # a list term is checked from its text too, before it can wrap in int64
+    (["upsilon", "--matrix", "fejer", "--seq", "list:9223372036854775808"],
+     "'list:9223372036854775808' has 64 bits in its largest index, above the limit of 63"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     # each request is refused from its text, index or point count, or from
@@ -416,3 +432,22 @@ def test_empty_cesaro_seq_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"error: {empty}: no exponents" in captured.err
     assert captured.out == ""
+
+
+def test_mt2_default_depths_need_resolution_2(capsys):
+    # classify_wlp's default depths 2..min(K, 7) are empty at K = 1
+    assert run(["mt2-experiment", "--matrix0", "fejer", "--matrix1", "fejer",
+                "--seq0", "list:1", "--seq1", "list:1", "--resolution", "1",
+                "--point", "0,0"]) == 1
+    captured = capsys.readouterr()
+    assert "error: resolution K = 1 leaves the default depths 2..min(K, 7) empty" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_tour_runs():
+    # the README's library tour runs as written, at K = 7 for speed, so a
+    # name it uses cannot leave the package unseen
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = text.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert tour.count("K = 10\n") == 1
+    exec(tour.replace("K = 10\n", "K = 7\n"), {})

@@ -5,6 +5,7 @@ import numpy as np
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from oracles import interval_end, interval_start
 from walshmeans.dyadic import DyadicInterval, DyadicRational, prefix
 
 
@@ -33,8 +34,8 @@ def test_interval_nesting():
             # the depth-k interval holding the point x/2^K
             outer = DyadicInterval(k, x >> (K - k))
             inner = DyadicInterval(k + 1, x >> (K - k - 1))
-            assert outer.start <= inner.start
-            assert inner.end <= outer.end
+            assert interval_start(outer) <= interval_start(inner)
+            assert interval_end(inner) <= interval_end(outer)
 
 
 def test_dyadic_rational_canonical_form():

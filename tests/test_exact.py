@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import interval_length, interval_start, step_integral, to_grid, value_at
 from walshmeans.cli import main
 from walshmeans.dyadic import DyadicRational, GridSpec
 from walshmeans.exact import (
@@ -73,7 +74,7 @@ def piece_loop_integral(f, window):
     for interval, value in f.pieces:
         shallow, deep = sorted((interval, window), key=lambda i: i.depth)
         if deep.offset >> (deep.depth - shallow.depth) == shallow.offset:
-            total = total + value * deep.length
+            total = total + value * interval_length(deep)
     return total
 
 
@@ -118,15 +119,15 @@ def test_build_example1_structure():
     f = build_example1((5,))
     assert len(f.pieces) == 5
     for interval, _ in f.pieces:
-        assert interval.length.as_fraction() == Fraction(1, 32)
+        assert interval_length(interval).as_fraction() == Fraction(1, 32)
     # values 2^(5-a)/2 for a = 1..5
     vals = sorted(v.as_fraction() for _, v in f.pieces)
     assert vals == [Fraction(2 ** (5 - a), 2) for a in (5, 4, 3, 2, 1)]
 
     f = build_example1(SEQ)
     assert len(f.pieces) == 65
-    assert f.value_at(DyadicRational(0)) == 0
-    total = f.integral().as_fraction()
+    assert value_at(f, DyadicRational(0)) == 0
+    total = f.integral_over(DyadicInterval(0, 0)).as_fraction()
     oracle = sum((e - s) * v for s, e, v in oracle_pieces(SEQ))
     assert total == oracle
     assert total < 1
@@ -142,8 +143,8 @@ def test_group_masses_match_tail_bound():
     prev = 0
     for k, nk in enumerate(SEQ, start=1):
         group = [(p, v) for p, v in f.pieces
-                 if Fraction(1, 2 ** nk) <= p.start.as_fraction() < Fraction(1, 2 ** prev if prev else 1)]
-        mass = sum((v * p.length).as_fraction() for p, v in group)
+                 if Fraction(1, 2 ** nk) <= interval_start(p).as_fraction() < Fraction(1, 2 ** prev if prev else 1)]
+        mass = sum((v * interval_length(p)).as_fraction() for p, v in group)
         assert mass == (Fraction(1, 2 ** prev if prev else 1) - Fraction(1, 2 ** nk)) / 2 ** k
         prev = nk
 
@@ -183,7 +184,7 @@ def test_antiderivative_matches_piece_loop_and_fractions(data):
     data.draw(st.randoms(use_true_random=False)).shuffle(pieces)
     g = SparseStepFunction(tuple(pieces))
     fractions = oracle_pieces(seq)
-    assert g.integral() == f.integral()
+    assert g.integral_over(DyadicInterval(0, 0)) == step_integral(f)
     for _ in range(4):
         window = data.draw(windows(f.pieces, seq[-1] + 3))
         got = g.integral_over(window)
@@ -198,7 +199,7 @@ def test_overlapping_pieces_rejected():
                             (half, DyadicRational(1))))
     adjacent = SparseStepFunction(((DyadicInterval(1, 1), DyadicRational(3, 2)),
                                    (half, DyadicRational(1))))
-    assert adjacent.integral() == DyadicRational(7, 3)
+    assert adjacent.integral_over(DyadicInterval(0, 0)) == DyadicRational(7, 3)
 
 
 def test_example1_report_bytes_pinned(tmp_path):
@@ -223,7 +224,7 @@ def test_exact_avg_matches_oracle_and_bound():
         prev = nk
     # a window containing every piece averages to the full mass over eps
     full = exact_avg_at_zero(f, 0).as_fraction()
-    assert full == f.integral().as_fraction()
+    assert full == step_integral(f).as_fraction()
 
 
 def test_exact_vs_grid_cross_validation():
@@ -231,7 +232,7 @@ def test_exact_vs_grid_cross_validation():
     seq = (5, 17)
     f = build_example1(seq)
     spec = GridSpec(17)
-    grid = f.to_grid(spec)
+    grid = to_grid(f, spec)
     F = builtin_matrix("fejer")
     for m in (0, 2, 5, 9, 17):
         exact = float(exact_fejer_at_zero(f, m))
@@ -245,7 +246,7 @@ def test_exact_avg_vs_grid_classical_average():
     from test_lebesgue import classical_lebesgue_avg
     seq = (5, 17)
     f = build_example1(seq)
-    grid = f.to_grid(GridSpec(17))
+    grid = to_grid(f, GridSpec(17))
     for depth in (1, 4, 9, 16):
         exact = float(exact_avg_at_zero(f, depth))
         approx = classical_lebesgue_avg(grid, 0, depth)

@@ -4,18 +4,13 @@ inequalities, point classification, and the tensor convergence report."""
 import numpy as np
 import pytest
 
+from oracles import dirichlet_kernel, fejer_kernel
 from walshmeans.dyadic import GridSpec
 from walshmeans.lebesgue import classify_wlp, h0, h1, mt2_convergence_experiment, w2d
 from walshmeans.maximal import IndexSubsequence, subsequence_from_spec
 from walshmeans.summability import builtin_matrix, matrix_from_spec, mean_coefficient_weights
 from walshmeans.tensor import GridFunction2D, apply_axis, random_test_function_2d
-from walshmeans.transform import (
-    GridFunction1D,
-    dirichlet_kernel,
-    fejer_kernel,
-    forward_array,
-    inverse_array,
-)
+from walshmeans.transform import GridFunction1D, forward_array, inverse_array
 
 K = 6
 SPEC = GridSpec(K)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fwht
 from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
@@ -34,7 +35,6 @@ from walshmeans.summability import (
 from walshmeans.transform import (
     GridFunction1D,
     forward_array,
-    fwht,
     inverse_array,
     walsh_sample,
 )

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import dirichlet_kernel, fejer_kernel, grid_integral, partial_sum
 from walshmeans import summability
 from walshmeans.dyadic import GridSpec, prefix
 from walshmeans.summability import (
@@ -20,14 +21,7 @@ from walshmeans.summability import (
     matrix_from_spec,
     upsilon,
 )
-from walshmeans.transform import (
-    GridFunction1D,
-    dirichlet_kernel,
-    fejer_kernel,
-    inverse_array,
-    partial_sum,
-    walsh_sample,
-)
+from walshmeans.transform import GridFunction1D, inverse_array, walsh_sample
 
 FAMILIES = ("fejer", "nlog", "cesaro:0.5", "identity")
 
@@ -182,6 +176,12 @@ def test_cumulative_table_rejects_bad_base_sequence():
             "nan", lambda m: np.where(np.arange(m) == 2, np.nan, 0.0))).row(3)
 
 
+def test_empty_cesaro_alpha_seq_rejected_when_built():
+    # refused by the library itself, not by a first tau call's IndexError
+    with pytest.raises(MatrixValidationError, match="cesaro-seq needs at least one exponent"):
+        builtin_matrix("cesaro", alpha_seq=[])
+
+
 def test_cesaro_A():
     from walshmeans.summability import _cesaro_numbers
     for a in (-0.5, 0.0, 0.5):
@@ -265,7 +265,7 @@ def test_kernel_V():
     for name in FAMILIES:
         T = matrix_from_spec(name)
         for n in (1, 3, 10, 40):
-            got = kernel_V(T, n, spec).integral()
+            got = grid_integral(kernel_V(T, n, spec))
             assert got == pytest.approx(1.0 - T.row(n)[n], abs=1e-12)
 
 

@@ -4,19 +4,15 @@ convolution, checked against naive definition-based oracles."""
 import numpy as np
 import pytest
 
+from oracles import dirichlet_kernel, fejer_kernel, fwht, inverse_fwht, partial_sum
 from walshmeans.dyadic import GridSpec
 from walshmeans.transform import (
     GridFunction1D,
     bit_reversal,
-    dirichlet_kernel,
     dyadic_convolve,
-    fejer_kernel,
     forward_array,
-    fwht,
     inverse_array,
-    inverse_fwht,
     paley_matrix,
-    partial_sum,
     walsh_sample,
 )
 
