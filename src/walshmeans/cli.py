@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .dyadic import GridSpec
-from .exact import avg_sweep_at_zero, divergence_report
+from .exact import avg_sweep_at_zero, build_example1, divergence_report
 from .io import GuardRailError, check_grid_resolution, report_json
 from .lebesgue import classify_wlp, mt2_convergence_experiment
 from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
@@ -162,20 +162,33 @@ def cmd_llogl(args) -> int:
     return OK
 
 
+def _ints(option: str, text: str, sep: str, count: int | None = None) -> list[int]:
+    """The integers of `text` split at `sep`, exactly `count` of them when
+    given; a ValueError naming the option and the value otherwise."""
+    try:
+        values = [int(x) for x in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"{option} {text!r}: expected {count or 'one or more'} "
+                         f"integers separated by {sep!r}")
+    return values
+
+
 def _parse_point(text: str) -> tuple[int, int]:
-    a, _, b = text.partition(",")
-    return int(a), int(b)
+    i, j = _ints("--point", text, ",", 2)
+    return i, j
 
 
 def cmd_wlp(args) -> int:
-    F = load_grid2d(args.input)
-    _check_points(len(args.point), F.spec)
+    points = [_parse_point(p) for p in args.point]
     depths = None
     if args.depths:
-        lo, _, hi = args.depths.partition("..")
-        depths = range(int(lo), int(hi) + 1)
-    diags = [classify_wlp(F, _parse_point(p), depth_range=depths).to_dict()
-             for p in args.point]
+        lo, hi = _ints("--depths", args.depths, "..", 2)
+        depths = range(lo, hi + 1)
+    F = load_grid2d(args.input)
+    _check_points(len(points), F.spec)
+    diags = [classify_wlp(F, p, depth_range=depths).to_dict() for p in points]
     _emit({"diagnostics": diags}, args.out)
     return OK
 
@@ -206,13 +219,14 @@ def cmd_mt2(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    seq = tuple(int(x) for x in args.nseq.split(","))
+    seq = tuple(_ints("--nseq", args.nseq, ","))
     top = max(seq)
     if top > MAX_NSEQ:
         raise GuardRailError(
             f"--nseq {args.nseq!r} has largest index {top}, above the limit of {MAX_NSEQ}")
-    rows = divergence_report(seq)
-    sweep = avg_sweep_at_zero(seq)
+    f = build_example1(seq)
+    rows = divergence_report(seq, f)
+    sweep = avg_sweep_at_zero(seq, f)
     payload = {
         "nseq": list(seq),
         "divergence": [r.to_dict() for r in rows],

@@ -169,11 +169,13 @@ class DivergenceRow:
         }
 
 
-def divergence_report(seq) -> list[DivergenceRow]:
+def divergence_report(seq, f: SparseStepFunction | None = None) -> list[DivergenceRow]:
     """Exact sigma_{2^{n_k}}(f, 0) against the lower bound
-    (n_k - n_{k-1}) / 2^{k+1} for each k."""
+    (n_k - n_{k-1}) / 2^{k+1} for each k; f is `build_example1(seq)`,
+    built here when not given."""
     seq = tuple(int(v) for v in seq)
-    f = build_example1(seq)
+    if f is None:
+        f = build_example1(seq)
     rows = []
     prev = 0
     for k, nk in enumerate(seq, start=1):
@@ -186,11 +188,13 @@ def divergence_report(seq) -> list[DivergenceRow]:
     return rows
 
 
-def avg_sweep_at_zero(seq) -> list[dict]:
+def avg_sweep_at_zero(seq, f: SparseStepFunction | None = None) -> list[dict]:
     """Exact Lebesgue averages at zero for every depth in the sweep
-    (n_{k-1}, n_k], with the group index k of each depth."""
+    (n_{k-1}, n_k], with the group index k of each depth; f is
+    `build_example1(seq)`, built here when not given."""
     seq = tuple(int(v) for v in seq)
-    f = build_example1(seq)
+    if f is None:
+        f = build_example1(seq)
     out = []
     prev = 0
     for k, nk in enumerate(seq, start=1):

@@ -7,7 +7,8 @@ values.  Values are written with ``repr``, which round-trips every float.
 
 A grid file is refused from its header when K exceeds the resolution cap
 of its dimension, ``MAX_K``, before its body is read, and at its first
-line past the header's shape, before the rest is read.
+line past the header's shape, before the rest is read.  No line is held
+longer than ``VALUE_CHARS`` characters per value of a row.
 
 A report is ``json.dumps(payload, indent=2, sort_keys=True)``, written
 column by column (see `report_json`).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -24,6 +26,10 @@ from operator import itemgetter
 import numpy as np
 
 MAX_K = {1: 14, 2: 8}   # largest resolution of a 1D and of a 2D grid
+# characters a line may spend per value: twice the longest float repr,
+# '-2.2250738585072014e-308', so other writers' formats fit too
+VALUE_CHARS = 48
+_HEADER_CHARS = 64
 
 
 class GuardRailError(ValueError):
@@ -57,11 +63,16 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     per line under a ``dims=2`` header.  Blank lines are skipped.  A K
     above MAX_K is a GuardRailError raised from the header, and a K below
     1 a ValueError.  The body is refused, with a ValueError naming the
-    line, at its first line past 2^K rows or (in 2D) without 2^K values,
-    before any later line is read, and at a nan/inf value."""
+    line, at its first line past 2^K rows, without 2^K values (in 2D) or
+    longer than VALUE_CHARS per value, before any later line is read, and
+    at a nan/inf value."""
     buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
     try:
-        header = buf.readline().strip()
+        header = buf.readline(_HEADER_CHARS + 1)
+        if len(header) > _HEADER_CHARS:
+            raise ValueError(f"line 1: longer than the {_HEADER_CHARS} characters "
+                             "of a grid header")
+        header = header.strip()
         if not header.startswith("# resolution="):
             raise ValueError(f"missing grid header, got {header!r}")
         K, *fields = header[len("# resolution="):].split()
@@ -69,7 +80,13 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
         check_grid_resolution(K, dims)
         if K < 1:
             raise ValueError(f"grid resolution must be >= 1, got {K}")
-        lines = ((no, line) for no, line in enumerate(buf, start=2) if line.strip())
+        # each line is read at most `limit` characters at a time, and one
+        # longer than that is refused (_too_long raises) before it is parsed
+        limit = (1 << K if dims == 2 else 1) * VALUE_CHARS
+        read = iter(partial(buf.readline, limit + 1), "")
+        lines = ((no, line) for no, line in enumerate(read, start=2)
+                 if (len(line) <= limit or _too_long(buf, no, line, K, dims))
+                 and line.strip())
         if dims == 2:
             lines = ((no, _grid_row(no, line, K)) for no, line in lines)
         body = list(islice(lines, 1 << K))
@@ -88,13 +105,32 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     return K, values
 
 
+def _too_long(buf, no: int, head: str, K: int, dims: int):
+    """Refuse line `no`, of which `head` holds more than VALUE_CHARS per
+    value of a row; in 2D its values are counted chunk by chunk, so the
+    line is never held whole."""
+    values = 1 << K if dims == 2 else 1
+    limit = values * VALUE_CHARS
+    count, line = head.count(",") + 1, head
+    while dims == 2 and line and not line.endswith("\n"):
+        line = buf.readline(1 << 16)
+        count += line.count(",")
+    if dims == 2 and count != values:
+        raise _row_size_error(no, count, K)
+    raise ValueError(f"line {no}: longer than the limit of {limit} characters "
+                     f"for {values} value{'s' * (values > 1)}")
+
+
+def _row_size_error(no: int, count: int, K: int) -> ValueError:
+    return ValueError(f"line {no}: {count} values, but a row at resolution {K} has {1 << K}")
+
+
 def _grid_row(no: int, line: str, K: int) -> list[float]:
     """The values of line `no` of a 2D grid, which must hold 2^K (counted
     before the line is split)."""
     count = line.count(",") + 1
     if count != 1 << K:
-        raise ValueError(
-            f"line {no}: {count} values, but a row at resolution {K} has {1 << K}")
+        raise _row_size_error(no, count, K)
     return [float(x) for x in line.split(",")]
 
 

@@ -146,36 +146,80 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
     along axis j and vanishes from 2^{m_a} on.  The means of one level tuple
     (m_0, ...) are therefore constant on 2^{m_0} x ... cells: they are
     inverted at that resolution, in blocks of at most _CHUNK_CELLS cells
-    over (batch x rows), and folded by a running maximum into a
-    (..., 2^m, 2^{K-m}, ...) view of the result.
+    over (batch x rows).
+
+    The supremum is folded coarse to fine, one axis inside the other (see
+    `_fold_levels`), so each block folds into a running maximum at its own
+    levels, never into the full grid.  The maximum reaches the top level
+    m*_j of each axis, the level of its largest index, and is spread over
+    the 2^K grid once at the end.
     """
     d = len(banks)
     batch = coeffs.shape[:coeffs.ndim - d]
     coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
-    out = np.zeros(coeffs.shape)
-    for group in itertools.product(*(_level_groups(s) for _, s in banks)):
-        ms = [m for m, _ in group]
-        band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
-        fine = sum(((1 << m, 1 << (K - m)) for m in ms), ())    # of the result
-        coarse = sum(((1 << m, 1) for m in ms), ())             # of one sup
-        counts = [len(coeffs)] + [len(ix) for _, ix in group]
-        sizes = _block_sizes(counts, 1 << sum(ms))
-        for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
-            t = slice(starts[0], starts[0] + sizes[0])
-            # axes: batch, one row axis per bank, one coefficient axis per bank
-            x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
-            for j, ((rows, _), (m, ix)) in enumerate(zip(banks, group)):
-                w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
-                shape = [1] * (1 + 2 * d)
-                shape[1 + j], shape[1 + d + j] = w.shape
-                x = x * w.reshape(shape)
-            for j, m in enumerate(ms):
-                axis = 1 + d + j
-                x = np.moveaxis(inverse_array(np.moveaxis(x, axis, -1), m), -1, axis)
-            view = out[t].reshape((-1,) + fine)
-            sup = np.abs(x).max(axis=tuple(range(1, d + 1)))
-            np.maximum(view, sup.reshape((-1,) + coarse), out=view)
-    return out.reshape(batch + out.shape[1:])
+    groups = [_level_groups(s) for _, s in banks]
+    sup = np.zeros((len(coeffs),) + tuple(1 << g[-1][0] for g in groups))
+    _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup)
+    for j, g in enumerate(groups):
+        if g[-1][0] < K:
+            sup = np.repeat(sup, 1 << (K - g[-1][0]), axis=1 + j)
+    return sup.reshape(batch + sup.shape[1:])
+
+
+def _fold_levels(coeffs, banks, groups, levels, into) -> None:
+    """Fold into ``into`` the sup over the level tuples that begin with
+    ``levels``, the chosen (m, positions) of the first len(levels) axes.
+    ``into`` is on 2^m cells along those axes and 2^{m*} along the others.
+
+    The next axis walks its levels in increasing m.  Below its top level
+    m* the maximum runs in a buffer at the current level, repeated up to
+    each next level before that level is folded into it; it is folded into
+    ``into`` before the top level, which folds into ``into`` directly.
+    """
+    j = len(levels)
+    if j == len(groups):
+        _fold_blocks(coeffs, banks, levels, into)
+        return
+    *lower, top = groups[j]
+    acc = None
+    for m, ix in lower:
+        if acc is None:
+            shape = list(into.shape)
+            shape[1 + j] = 1 << m
+            acc = np.zeros(shape)
+        else:
+            acc = np.repeat(acc, 1 << (m - prev), axis=1 + j)
+        _fold_levels(coeffs, banks, groups, levels + ((m, ix),), acc)
+        prev = m
+    if acc is not None:
+        np.maximum(into, np.repeat(acc, 1 << (top[0] - prev), axis=1 + j), out=into)
+        del acc   # before the top level's blocks allocate
+    _fold_levels(coeffs, banks, groups, levels + (top,), into)
+
+
+def _fold_blocks(coeffs, banks, group, into) -> None:
+    """Fold the means of one level tuple ``group`` into ``into``, which is
+    on its 2^{m_0} x ... cells, inverting them in blocks of at most
+    _CHUNK_CELLS cells over (batch x rows)."""
+    d = len(group)
+    ms = [m for m, _ in group]
+    band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
+    counts = [len(coeffs)] + [len(ix) for _, ix in group]
+    sizes = _block_sizes(counts, 1 << sum(ms))
+    for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
+        t = slice(starts[0], starts[0] + sizes[0])
+        # axes: batch, one row axis per bank, one coefficient axis per bank
+        x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
+        for j, (rows, (m, ix)) in enumerate(zip(banks, group)):
+            w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
+            shape = [1] * (1 + 2 * d)
+            shape[1 + j], shape[1 + d + j] = w.shape
+            x = x * w.reshape(shape)
+        for j, m in enumerate(ms):
+            axis = 1 + d + j
+            x = inverse_array(x.swapaxes(axis, -1), m).swapaxes(axis, -1)
+        view = into[t]
+        np.maximum(view, np.abs(x).max(axis=tuple(range(1, d + 1))), out=view)
 
 
 def _mean_weight_matrix(T: TransformationMatrix,

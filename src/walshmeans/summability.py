@@ -326,10 +326,17 @@ def mean_coefficient_weights(T: TransformationMatrix, n: int, size: int) -> np.n
     return w
 
 
+def check_order(what: str, n: int, spec: GridSpec) -> None:
+    """Refuse an order n of a mean or kernel outside 0 <= n <= 2^K."""
+    if n < 0:
+        raise ValueError(f"{what} order must be >= 0, got {n}")
+    if n > spec.size:
+        raise ValueError(f"{what} order {n} exceeds 2^K = {spec.size}")
+
+
 def kernel_V(T: TransformationMatrix, n: int, spec: GridSpec) -> GridFunction1D:
     """V_n = sum_{k=1}^{n} t_{n-k,n} D_k on the grid."""
-    if not 0 <= n <= spec.size:
-        raise ValueError(f"kernel order {n} exceeds 2^K = {spec.size}")
+    check_order("kernel", n, spec)
     w = mean_coefficient_weights(T, n, spec.size)
     return GridFunction1D(spec, inverse_array(w, spec.resolution))
 
@@ -339,8 +346,7 @@ def apply_mean(T: TransformationMatrix, n: int, f: GridFunction1D,
     """The matrix mean T_n(f), evaluated in coefficient space or through
     convolution with the kernel; the two paths agree up to round-off."""
     spec = f.spec
-    if not 0 <= n <= spec.size:
-        raise ValueError(f"mean order {n} exceeds 2^K = {spec.size}")
+    check_order("mean", n, spec)
     K = spec.resolution
     if path == "coefficient":
         c = forward_array(f.samples, K) * mean_coefficient_weights(T, n, spec.size)

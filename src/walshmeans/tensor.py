@@ -23,7 +23,7 @@ from .maximal import (
     dyadic_maximal,
     llogl_norm,
 )
-from .summability import TransformationMatrix, mean_coefficient_weights
+from .summability import TransformationMatrix, check_order, mean_coefficient_weights
 from .transform import forward_array, inverse_array
 
 
@@ -64,8 +64,7 @@ def apply_axis(T: TransformationMatrix, n: int, F: GridFunction2D,
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     spec = F.spec
-    if not 0 <= n <= spec.size:
-        raise ValueError(f"mean order {n} exceeds 2^K = {spec.size}")
+    check_order("mean", n, spec)
     w = mean_coefficient_weights(T, n, spec.size)
     return GridFunction2D(spec, _axis_apply(F.samples, w, spec.resolution, axis))
 

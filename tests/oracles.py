@@ -2,19 +2,22 @@
 
 The classical Walsh objects built through the package's transform (the
 spectrum of a grid function, partial sums S_m, the Dirichlet and Fejer
-kernels), the total integral of a grid function, and point, length and
-grid views of dyadic intervals and exact step functions.  No program path
-needs them, so they live here and not in `walshmeans`.
+kernels), the total integral of a grid function, point, length and grid
+views of dyadic intervals and exact step functions, and the full-grid fold
+of the streamed maximal supremum.  No program path needs them, so they
+live here and not in `walshmeans`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
+from walshmeans.maximal import _block_sizes, _level_groups
 from walshmeans.transform import GridFunction1D, forward_array, inverse_array
 
 
@@ -124,3 +127,36 @@ def to_grid(f: SparseStepFunction, spec: GridSpec) -> GridFunction1D:
         cells = interval_cells(interval, spec)
         samples[cells.start: cells.stop] = float(value)
     return GridFunction1D(spec, samples)
+
+
+def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
+    """`maximal._sup_of_means` folded over the full grid: each level tuple's
+    block sups go into a (..., 2^m, 2^{K-m}, ...) view of the 2^K result by
+    a broadcast running maximum.  The blocks, and so every transform, are
+    the same as the coarse-to-fine fold's, so the two agree bit for bit."""
+    d = len(banks)
+    batch = coeffs.shape[:coeffs.ndim - d]
+    coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
+    out = np.zeros(coeffs.shape)
+    for group in itertools.product(*(_level_groups(s) for _, s in banks)):
+        ms = [m for m, _ in group]
+        band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
+        fine = sum(((1 << m, 1 << (K - m)) for m in ms), ())    # of the result
+        coarse = sum(((1 << m, 1) for m in ms), ())             # of one sup
+        counts = [len(coeffs)] + [len(ix) for _, ix in group]
+        sizes = _block_sizes(counts, 1 << sum(ms))
+        for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
+            t = slice(starts[0], starts[0] + sizes[0])
+            x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
+            for j, ((rows, _), (m, ix)) in enumerate(zip(banks, group)):
+                w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
+                shape = [1] * (1 + 2 * d)
+                shape[1 + j], shape[1 + d + j] = w.shape
+                x = x * w.reshape(shape)
+            for j, m in enumerate(ms):
+                axis = 1 + d + j
+                x = np.moveaxis(inverse_array(np.moveaxis(x, axis, -1), m), -1, axis)
+            view = out[t].reshape((-1,) + fine)
+            sup = np.abs(x).max(axis=tuple(range(1, d + 1)))
+            np.maximum(view, sup.reshape((-1,) + coarse), out=view)
+    return out.reshape(batch + out.shape[1:])

@@ -152,6 +152,23 @@ def test_example1_command(tmp_path):
     assert run(["example1", "--nseq", "4,17,65"]) == 1
 
 
+def test_example1_builds_the_function_once(monkeypatch, capsys):
+    # cmd_example1 hands one built function to both reports
+    from walshmeans import cli, exact
+    built = []
+    real = exact.build_example1
+
+    def build(seq):
+        built.append(tuple(seq))
+        return real(seq)
+
+    monkeypatch.setattr(exact, "build_example1", build)
+    monkeypatch.setattr(cli, "build_example1", build)
+    assert run(["example1", "--nseq", "5,17,65"]) == 3
+    assert built == [(5, 17, 65)]
+    capsys.readouterr()
+
+
 def test_c2_command(capsys):
     code = run(["c2-check", "--alpha", "0.5", "--seq", "powers:1..4"])
     assert code == 0
@@ -177,6 +194,32 @@ def test_help_renders(capsys):
 def test_usage_errors_exit_1(argv, message, capsys):
     # a usage error is a config error (exit 1), not argparse's 2, which
     # is the guard-rail code
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--matrix", "fejer", "--n", "-1", "--resolution", "3"],
+     "kernel order must be >= 0, got -1"),
+    (["mean", "--matrix", "fejer", "--n", "-1", "--input", "{f}"],
+     "mean order must be >= 0, got -1"),
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "-1",
+      "--input", "{F}"], "mean order must be >= 0, got -1"),
+    (["wlp", "--input", "{F}", "--point=1"],
+     "--point '1': expected 2 integers separated by ','"),
+    (["example1", "--nseq", "5,,17"],
+     "--nseq '5,,17': expected one or more integers separated by ','"),
+], ids=["kernel-negative-n", "mean-negative-n", "tensor-negative-n1", "wlp-point-one-int",
+        "example1-empty-term"])
+def test_config_errors_name_the_value(argv, message, tmp_path, capsys):
+    # a bad order or integer is a config error (exit 1) whose message names
+    # the option or order and the value given
+    save_grid1d(GridFunction1D(GridSpec(3), np.ones(8)), str(tmp_path / "f.csv"))
+    save_grid2d(GridFunction2D(GridSpec(2), np.ones((4, 4))), str(tmp_path / "F.csv"))
+    argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv") for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err

@@ -4,13 +4,14 @@ JSON report text against the stdlib encoder."""
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshmeans.dyadic import GridSpec
-from walshmeans.io import report_json
+from walshmeans.io import read_grid, report_json
 from walshmeans.tensor import GridFunction2D, load_grid2d, save_grid2d
 from walshmeans.transform import GridFunction1D, load_grid1d, save_grid1d
 
@@ -49,6 +50,48 @@ def test_grid_csv_roundtrip_and_bytes(dims, tmp_path):
     save(g, str(path))
     assert path.read_text() == pinned
     assert load(str(path)).samples.tobytes() == values.tobytes()
+
+
+def test_long_line_refused_without_holding_it(tmp_path):
+    # one 4,000,000-value line (16 MB) under K = 2 is refused at line 2 from
+    # chunks of at most 4 x VALUE_CHARS characters, its values counted
+    # chunk by chunk
+    path = tmp_path / "long.csv"
+    path.write_text("# resolution=2 dims=2\n" + ",".join(["0.0"] * 4_000_000) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            read_grid(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 2: 4000000 values, but a row at resolution 2 has 4"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("text, message", [
+    # the right number of values, padded past the limit
+    ("# resolution=1 dims=2\n1.0,2.0\n" + " " * 96 + "3.0,4.0\n",
+     "line 3: longer than the limit of 96 characters for 2 values"),
+    ("# resolution=1\n1.0\n1." + "0" * 60 + "\n",
+     "line 3: longer than the limit of 48 characters for 1 value"),
+    ("# resolution=1" + " " * 64 + "\n1.0\n2.0\n",
+     "line 1: longer than the 64 characters of a grid header"),
+], ids=["2d-padded-row", "1d-long-value", "long-header"])
+def test_line_past_its_character_limit_refused(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_grid(io.StringIO(text))
+
+
+def test_other_float_formats_fit_the_line_limit():
+    # '%.18e' (numpy.savetxt's default, 25 characters with its sign) is read
+    values = np.random.default_rng(3).normal(size=(4, 4))
+    text = "# resolution=2 dims=2\n" + "".join(
+        ",".join("%.18e" % v for v in row) + "\n" for row in values)
+    assert max(map(len, text.splitlines())) > 24 * 4   # 24: the longest repr
+    K, got = read_grid(io.StringIO(text))
+    assert K == 2 and np.array_equal(got, np.array([[float("%.18e" % v) for v in row]
+                                                    for row in values]))
 
 
 # report-shaped payloads: nested dicts, lists of row dicts with equal or

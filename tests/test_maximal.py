@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fwht
+from oracles import fwht, sup_of_means_reference
 from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
@@ -322,6 +322,38 @@ def test_small_chunks_give_the_same_sup(monkeypatch):
     assert weak_type_experiment(T, sub, trials=5, K=10, seed=2).max_ratio == \
         pytest.approx(rep.max_ratio, rel=1e-13)
     assert_rel_close(maximal_abs_mean(T, sub, f).samples, sup, rel=1e-13)
+
+
+FOLD_SPECS = ("list:1,3,7,20", "list:2,64", "list:1", "alternating:0..3", "all:1..9")
+
+
+@pytest.mark.parametrize("chunk", [None, 8], ids=["whole", "chunk8"])
+def test_coarse_to_fine_fold_matches_full_grid_fold(chunk, monkeypatch):
+    # bit for bit against the full-grid fold, in 1D and 2D: level gaps,
+    # an index at level 0 (n = 1), top levels below K, a (2, 3) batch, and
+    # with 8-cell blocks the batch and row axes split
+    if chunk:
+        monkeypatch.setattr(maximal, "_CHUNK_CELLS", chunk)
+    K = 7
+    rng = np.random.default_rng(12)
+    banks = {}
+    for spec, name in zip(FOLD_SPECS, ("fejer", "nlog", "cesaro:0.5", "identity", "nlog")):
+        sub = subsequence_from_spec(spec)
+        T = matrix_from_spec(name)
+        banks[spec] = (maximal._mean_weight_matrix(T, sub), sub)
+        banks["abs " + spec] = (maximal.abs_kernel_spectra(T, sub), sub)
+    coeffs = rng.normal(size=(2, 3, 1 << K))
+    for bank in banks.values():
+        got = maximal._sup_of_means(coeffs, [bank], K)
+        assert got.shape == coeffs.shape
+        assert np.array_equal(got, sup_of_means_reference(coeffs, [bank], K))
+    coeffs = rng.normal(size=(2, 1 << K, 1 << K))
+    for s0, s1 in [("list:1,3,7,20", "list:2,64"), ("list:2,64", "alternating:0..3"),
+                   ("list:1", "all:1..9"), ("alternating:0..3", "abs list:1,3,7,20")]:
+        pair = [banks[s0], banks[s1]]
+        got = maximal._sup_of_means(coeffs, pair, K)
+        assert got.shape == coeffs.shape
+        assert np.array_equal(got, sup_of_means_reference(coeffs, pair, K))
 
 
 def test_streamed_sup_memory_is_bounded():
