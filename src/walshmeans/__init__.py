@@ -51,7 +51,6 @@ from .summability import (
     upsilon,
 )
 from .tensor import (
-    GridFunction2D,
     apply_axis,
     hybrid_maximal,
     iterated_majorant,
@@ -63,7 +62,7 @@ from .tensor import (
     tensor_mean,
 )
 from .transform import (
-    GridFunction1D,
+    GridFunction,
     dyadic_convolve,
     load_grid1d,
     save_grid1d,

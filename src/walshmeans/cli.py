@@ -15,7 +15,7 @@ import numpy as np
 
 from .dyadic import GridSpec
 from .exact import avg_sweep_at_zero, build_example1, divergence_report
-from .io import GuardRailError, check_grid_resolution, report_json
+from .io import MAX_REPORT_VALUES, GuardRailError, check_grid_resolution, parse_numbers, report_json
 from .lebesgue import classify_wlp, mt2_convergence_experiment
 from .maximal import mean_work, subsequence_from_spec, weak_type_experiment
 from .summability import (
@@ -28,17 +28,10 @@ from .summability import (
     matrix_from_spec,
     upsilon,
 )
-from .tensor import (
-    GridFunction2D,
-    llogl_weak_type_experiment,
-    load_grid2d,
-    save_grid2d,
-    tensor_mean,
-)
-from .transform import load_grid1d, save_grid1d
+from .tensor import llogl_weak_type_experiment, load_grid2d, save_grid2d, tensor_mean
+from .transform import GridFunction, load_grid1d, save_grid1d
 
 MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
-MAX_REPORT_VALUES = 1 << 20   # errors in one mt2-experiment report
 MAX_NSEQ = 1 << 12   # largest n_k of example1: n_max pieces of n_max-bit rationals
 
 OK, CONFIG_ERROR, GUARD_RAIL, IDENTITY_FAILURE = 0, 1, 2, 3
@@ -137,7 +130,7 @@ def cmd_tensor(args) -> int:
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
     first = tensor_mean(T0, args.n0, T1, args.n1, F)
-    other = tensor_mean(T1, args.n1, T0, args.n0, F.__class__(F.spec, F.samples.T))
+    other = tensor_mean(T1, args.n1, T0, args.n0, GridFunction(F.spec, F.samples.T))
     err = float(abs(first.samples - other.samples.T).max())
     save_grid2d(first, args.out or sys.stdout)
     if not err <= 1e-10:
@@ -162,21 +155,8 @@ def cmd_llogl(args) -> int:
     return OK
 
 
-def _ints(option: str, text: str, sep: str, count: int | None = None) -> list[int]:
-    """The integers of `text` split at `sep`, exactly `count` of them when
-    given; a ValueError naming the option and the value otherwise."""
-    try:
-        values = [int(x) for x in text.split(sep)]
-    except ValueError:
-        values = None
-    if values is None or count not in (None, len(values)):
-        raise ValueError(f"{option} {text!r}: expected {count or 'one or more'} "
-                         f"integers separated by {sep!r}")
-    return values
-
-
 def _parse_point(text: str) -> tuple[int, int]:
-    i, j = _ints("--point", text, ",", 2)
+    i, j = parse_numbers("--point", text, ",", 2)
     return i, j
 
 
@@ -184,7 +164,7 @@ def cmd_wlp(args) -> int:
     points = [_parse_point(p) for p in args.point]
     depths = None
     if args.depths:
-        lo, hi = _ints("--depths", args.depths, "..", 2)
+        lo, hi = parse_numbers("--depths", args.depths, "..", 2)
         depths = range(lo, hi + 1)
     F = load_grid2d(args.input)
     _check_points(len(points), F.spec)
@@ -201,7 +181,7 @@ def cmd_mt2(args) -> int:
         half = spec.size // 2
         samples = np.zeros((spec.size, spec.size))
         samples[:half, :half] = 1.0
-        F = GridFunction2D(spec, samples)
+        F = GridFunction(spec, samples)
     T0 = matrix_from_spec(args.matrix0)
     T1 = matrix_from_spec(args.matrix1)
     subseq0 = subsequence_from_spec(args.seq0)
@@ -219,7 +199,7 @@ def cmd_mt2(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    seq = tuple(_ints("--nseq", args.nseq, ","))
+    seq = tuple(parse_numbers("--nseq", args.nseq))
     top = max(seq)
     if top > MAX_NSEQ:
         raise GuardRailError(

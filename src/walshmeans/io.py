@@ -1,4 +1,4 @@
-"""The grid CSV format and the JSON report text.
+"""The grid CSV format, numbers read from outside text, and the JSON report.
 
 A grid file starts with the header ``# resolution=K``, then holds one line per
 grid row.  A 1D grid is a one-column 2D grid: one value per line.  A 2D
@@ -26,6 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 MAX_K = {1: 14, 2: 8}   # largest resolution of a 1D and of a 2D grid
+MAX_REPORT_VALUES = 1 << 20   # subsequence terms, errors in one mt2-experiment report
 # characters a line may spend per value: twice the longest float repr,
 # '-2.2250738585072014e-308', so other writers' formats fit too
 VALUE_CHARS = 48
@@ -35,6 +36,24 @@ _HEADER_CHARS = 64
 class GuardRailError(ValueError):
     """A request would exceed a size or work limit; raised before any of
     it is allocated or computed."""
+
+
+def parse_numbers(source: str, text, sep: str = ",", count: int | None = None,
+                  kind=int) -> list:
+    """kind(x) (int or float) for each field of `text`, a string split at
+    `sep` or a list of fields, exactly `count` of them when given; else a
+    ValueError that names `source` and the text."""
+    fields = text.split(sep) if isinstance(text, str) else text
+    try:
+        values = [kind(x) for x in fields]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        noun = "integer" if kind is int else "number"
+        expected = (f"one {noun}" if count == 1 else
+                    f"{count or 'one or more'} {noun}s separated by {sep!r}")
+        raise ValueError(f"{source} {sep.join(fields)!r}: expected {expected}")
+    return values
 
 
 def check_grid_resolution(K: int, dims: int) -> None:
@@ -65,7 +84,7 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     1 a ValueError.  The body is refused, with a ValueError naming the
     line, at its first line past 2^K rows, without 2^K values (in 2D) or
     longer than VALUE_CHARS per value, before any later line is read, and
-    at a nan/inf value."""
+    at a value that is not a finite number."""
     buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
     try:
         header = buf.readline(_HEADER_CHARS + 1)
@@ -75,8 +94,9 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
         header = header.strip()
         if not header.startswith("# resolution="):
             raise ValueError(f"missing grid header, got {header!r}")
-        K, *fields = header[len("# resolution="):].split()
-        K, dims = int(K), (2 if "dims=2" in fields else 1)
+        K, *fields = header[len("# resolution="):].split() or [""]
+        [K] = parse_numbers("line 1: resolution", K, count=1)
+        dims = 2 if "dims=2" in fields else 1
         check_grid_resolution(K, dims)
         if K < 1:
             raise ValueError(f"grid resolution must be >= 1, got {K}")
@@ -96,8 +116,15 @@ def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     finally:
         if buf is not path_or_buf:
             buf.close()
-    values = np.array([row for _, row in body] if dims == 2
-                      else [float(line) for _, line in body])
+    if dims == 2:
+        values = np.array([row for _, row in body] or np.empty((0, 1 << K)))
+    else:
+        try:
+            values = np.array([float(line) for _, line in body])
+        except ValueError:   # name the line only once parsing has failed
+            for no, line in body:
+                parse_numbers(f"line {no}", line.strip(), count=1, kind=float)
+            raise
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         first = tuple(bad[0])
@@ -131,7 +158,12 @@ def _grid_row(no: int, line: str, K: int) -> list[float]:
     count = line.count(",") + 1
     if count != 1 << K:
         raise _row_size_error(no, count, K)
-    return [float(x) for x in line.split(",")]
+    try:
+        return [float(x) for x in line.split(",")]
+    except ValueError:
+        for x in line.split(","):
+            parse_numbers(f"line {no}", x.strip(), count=1, kind=float)
+        raise
 
 
 # JSON text of a leaf, by exact type; bools (an int subclass), non-finite

@@ -15,8 +15,7 @@ import numpy as np
 
 from .maximal import IndexSubsequence, _mean_weight_matrix
 from .summability import TransformationMatrix
-from .tensor import GridFunction2D
-from .transform import forward_array, walsh_sample
+from .transform import GridFunction, forward_array, walsh_sample
 
 
 def _shifted_index(x: int, digit: int, K: int) -> int:
@@ -36,7 +35,7 @@ def _block_bounds(x: int, depth: int, K: int) -> tuple[int, int]:
 class _DeltaTable:
     """Prefix sums of |F - F(x0,x1)| for O(1) rectangle integrals."""
 
-    def __init__(self, F: GridFunction2D, x0: int, x1: int):
+    def __init__(self, F: GridFunction, x0: int, x1: int):
         self.K = F.spec.resolution
         F.spec.check_index(x0)
         F.spec.check_index(x1)
@@ -62,7 +61,7 @@ class _DeltaTable:
         return total
 
 
-def w2d(F: GridFunction2D, x0: int, x1: int, n0: int, n1: int) -> float:
+def w2d(F: GridFunction, x0: int, x1: int, n0: int, n1: int) -> float:
     """Two-dimensional W_{n0,n1} f(x0,x1) as an exact double cell sum."""
     K = F.spec.resolution
     if not (0 <= n0 <= K and 0 <= n1 <= K):
@@ -70,13 +69,13 @@ def w2d(F: GridFunction2D, x0: int, x1: int, n0: int, n1: int) -> float:
     return _DeltaTable(F, x0, x1).w(n0, n1)
 
 
-def h0(F: GridFunction2D, x0: int, x1: int, n0: int) -> float:
+def h0(F: GridFunction, x0: int, x1: int, n0: int) -> float:
     """H^(0)_{n0} = W_{n0,0}: shifted first-variable averages integrated
     over the full second variable (a depth-0 block is the whole axis)."""
     return w2d(F, x0, x1, n0, 0)
 
 
-def h1(F: GridFunction2D, x0: int, x1: int, n1: int) -> float:
+def h1(F: GridFunction, x0: int, x1: int, n1: int) -> float:
     """H^(1)_{n1} = W_{0,n1}: shifted second-variable averages integrated
     over the full first variable."""
     return w2d(F, x0, x1, 0, n1)
@@ -122,7 +121,7 @@ class WlpDiagnostic:
         }
 
 
-def classify_wlp(F: GridFunction2D, point: tuple[int, int],
+def classify_wlp(F: GridFunction, point: tuple[int, int],
                  depth_range=None) -> WlpDiagnostic:
     """Classify a grid point against the three Walsh-Lebesgue conditions
     over a finite depth range.
@@ -205,7 +204,7 @@ class Mt2Report:
 
 def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatrix,
                                subseq0: IndexSubsequence, subseq1: IndexSubsequence,
-                               F: GridFunction2D, points) -> Mt2Report:
+                               F: GridFunction, points) -> Mt2Report:
     """Pointwise error table of the tensor means over the index grid.
 
     For every requested point the report carries the Walsh-Lebesgue

@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dyadic import GridSpec
-from .io import GuardRailError
-from .summability import _MAX_TABLE, TransformationMatrix, mean_coefficient_weights
-from .transform import GridFunction1D, forward_array, inverse_array
+from .io import MAX_REPORT_VALUES, GuardRailError, parse_numbers
+from .summability import TransformationMatrix, mean_coefficient_weights
+from .transform import GridFunction, forward_array, inverse_array
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,16 @@ def subsequence_from_spec(text: str) -> IndexSubsequence:
 
     powers yields 2^a..2^b; alternating yields sum_{j<=i} 4^j = (4^{i+1} - 1)/3
     for i in a..b.  A spec is checked from its text before any array is
-    built: at most _MAX_TABLE terms, and indices below 2^63.
+    built: at most MAX_REPORT_VALUES terms, and indices below 2^63.
     """
     kind, _, arg = text.partition(":")
     if kind == "list":
-        subseq = IndexSubsequence(tuple(int(x) for x in arg.split(",")))
+        subseq = IndexSubsequence(tuple(parse_numbers(f"subsequence {kind}:", arg)))
         _check_spec_size(text, len(subseq), subseq.indices[-1].bit_length())
         return subseq
     if kind not in ("all", "powers", "alternating"):
         raise ValueError(f"unrecognised subsequence spec {text!r}")
-    lo, hi = _parse_range(arg)
+    lo, hi = parse_numbers(f"subsequence {kind}:", arg, "..", 2)
     # bit length of the largest index: hi, 2^hi or (4^{hi+1} - 1)/3
     bits = {"all": hi.bit_length(), "powers": hi + 1, "alternating": 2 * hi + 1}[kind]
     _check_spec_size(text, hi - lo + 1, bits)
@@ -84,18 +84,11 @@ def subsequence_from_spec(text: str) -> IndexSubsequence:
 
 
 def _check_spec_size(text: str, terms: int, bits: int) -> None:
-    for size, limit, what in ((terms, _MAX_TABLE, "terms"),
+    for size, limit, what in ((terms, MAX_REPORT_VALUES, "terms"),
                               (bits, 63, "bits in its largest index")):
         if size > limit:
             raise GuardRailError(
                 f"subsequence {text!r} has {size} {what}, above the limit of {limit}")
-
-
-def _parse_range(arg: str) -> tuple[int, int]:
-    lo, sep, hi = arg.partition("..")
-    if not sep:
-        raise ValueError(f"expected a..b, got {arg!r}")
-    return int(lo), int(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +231,12 @@ def _mean_weight_matrix(T: TransformationMatrix,
 
 
 def maximal_mean(T: TransformationMatrix, subseq: IndexSubsequence,
-                 f: GridFunction1D) -> GridFunction1D:
+                 f: GridFunction) -> GridFunction:
     """sup_a |T_{n_a}(f)| pointwise."""
     subseq.check_resolution(f.spec)
     K = f.spec.resolution
     bank = _mean_weight_matrix(T, subseq)
-    return GridFunction1D(
+    return GridFunction(
         f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
 
 
@@ -262,12 +255,12 @@ def abs_kernel_spectra(T: TransformationMatrix,
 
 
 def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
-                     f: GridFunction1D) -> GridFunction1D:
+                     f: GridFunction) -> GridFunction:
     """sup_a |f * |V_{n_a}|| pointwise (kernel absolute value first)."""
     subseq.check_resolution(f.spec)
     K = f.spec.resolution
     bank = abs_kernel_spectra(T, subseq)
-    return GridFunction1D(
+    return GridFunction(
         f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
 
 
@@ -282,7 +275,7 @@ def dyadic_maximal(f):
         block = 1 << (K - n)
         avg = x.reshape((1 << n, block) + x.shape[1:]).mean(axis=1)
         np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
-    return type(f)(f.spec, best)
+    return GridFunction(f.spec, best)
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +318,38 @@ def _llogl_values(values: np.ndarray, cell_measure: float) -> float:
 # ---------------------------------------------------------------------------
 # Weak-type experiment harness.
 
-def random_test_function(spec: GridSpec, rng: np.random.Generator) -> GridFunction1D:
+_TEST_FUNCTION_SHAPES = {1: (12, 3, 4), 2: (10, 2, 3)}   # dims: spikes, blocks, deepest
+
+
+def random_test_function(spec: GridSpec, rng: np.random.Generator) -> GridFunction:
     """Nonnegative test function: 12 sparse unit-mass spikes plus 3 smooth
     dyadic blocks.
 
     All random draws are resolution-independent (positions are uniform
     floats), so a fixed seed produces matched functions across grids.
     """
+    return _random_test_function(spec, rng, 1)
+
+
+def _random_test_function(spec: GridSpec, rng: np.random.Generator,
+                          dims: int) -> GridFunction:
+    """Spikes of mass 0.2..1.2 at uniform points plus blocks of height
+    0..2 on dyadic boxes of depth 1..deepest per axis.  A 1D function draws
+    (n, 1) arrays, the same stream as n draws."""
     N = spec.size
-    n_spikes, n_blocks = 12, 3
-    f = np.zeros(N)
-    positions = rng.random(n_spikes)
+    n_spikes, n_blocks, deepest = _TEST_FUNCTION_SHAPES[dims]
+    f = np.zeros((N,) * dims)
+    positions = rng.random((n_spikes, dims))
     masses = 0.2 + rng.random(n_spikes)
     for p, m in zip(positions, masses):
-        f[int(p * N)] += m * N
-    depths = rng.integers(1, 5, size=n_blocks)
-    offsets = rng.random(n_blocks)
+        f[tuple(int(x * N) for x in p)] += m * N ** dims   # exact: N is 2^K
+    depths = rng.integers(1, deepest + 1, size=(n_blocks, dims))
+    offsets = rng.random((n_blocks, dims))
     heights = 2.0 * rng.random(n_blocks)
-    for d, off, h in zip(depths, offsets, heights):
-        width = N >> int(d)
-        a = int(off * (1 << int(d))) * width
-        f[a: a + width] += h
-    return GridFunction1D(spec, f)
+    for ds, offs, h in zip(depths.tolist(), offsets, heights):
+        starts = [int(o * (1 << d)) * (N >> d) for d, o in zip(ds, offs)]
+        f[tuple(slice(a, a + (N >> d)) for a, d in zip(starts, ds))] += h
+    return GridFunction(spec, f)
 
 
 _OPERATORS = ("abs_mean", "mean", "dyadic_maximal")

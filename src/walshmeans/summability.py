@@ -15,8 +15,8 @@ import csv
 import numpy as np
 
 from .dyadic import GridSpec, prefix
-from .io import GuardRailError
-from .transform import GridFunction1D, forward_array, inverse_array
+from .io import GuardRailError, parse_numbers
+from .transform import GridFunction, forward_array, inverse_array
 
 ROW_SUM_TOL = 1e-12
 
@@ -218,8 +218,9 @@ def builtin_matrix(family: str, alpha: float | None = None,
 
 def _rows_from_csv(path: str):
     with open(path, newline="") as fh:
-        rows = [np.array([float(x) for x in rec], dtype=float)
-                for rec in csv.reader(fh) if rec]
+        reader = csv.reader(fh)
+        rows = [np.array(parse_numbers(f"{path} line {reader.line_num}", rec, kind=float))
+                for rec in reader if rec]
     if not rows:
         raise MatrixValidationError(f"{path}: no rows")
 
@@ -236,11 +237,13 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
     if text in ("fejer", "nlog", "identity"):
         return builtin_matrix(text)
     if text.startswith("cesaro:"):
-        return builtin_matrix("cesaro", alpha=float(text.split(":", 1)[1]))
+        [alpha] = parse_numbers("matrix cesaro:", text.split(":", 1)[1], count=1, kind=float)
+        return builtin_matrix("cesaro", alpha=alpha)
     if text.startswith("cesaro-seq:"):
         path = text.split(":", 1)[1]
         with open(path) as fh:
-            seq = [float(line.strip()) for line in fh if line.strip()]
+            seq = [parse_numbers(f"{path} line {no}", line.strip(), count=1, kind=float)[0]
+                   for no, line in enumerate(fh, start=1) if line.strip()]
         if not seq:
             raise MatrixValidationError(f"{path}: no exponents")
         return builtin_matrix("cesaro", alpha_seq=seq)
@@ -334,15 +337,15 @@ def check_order(what: str, n: int, spec: GridSpec) -> None:
         raise ValueError(f"{what} order {n} exceeds 2^K = {spec.size}")
 
 
-def kernel_V(T: TransformationMatrix, n: int, spec: GridSpec) -> GridFunction1D:
+def kernel_V(T: TransformationMatrix, n: int, spec: GridSpec) -> GridFunction:
     """V_n = sum_{k=1}^{n} t_{n-k,n} D_k on the grid."""
     check_order("kernel", n, spec)
     w = mean_coefficient_weights(T, n, spec.size)
-    return GridFunction1D(spec, inverse_array(w, spec.resolution))
+    return GridFunction(spec, inverse_array(w, spec.resolution))
 
 
-def apply_mean(T: TransformationMatrix, n: int, f: GridFunction1D,
-               path: str = "coefficient") -> GridFunction1D:
+def apply_mean(T: TransformationMatrix, n: int, f: GridFunction,
+               path: str = "coefficient") -> GridFunction:
     """The matrix mean T_n(f), evaluated in coefficient space or through
     convolution with the kernel; the two paths agree up to round-off."""
     spec = f.spec
@@ -350,7 +353,7 @@ def apply_mean(T: TransformationMatrix, n: int, f: GridFunction1D,
     K = spec.resolution
     if path == "coefficient":
         c = forward_array(f.samples, K) * mean_coefficient_weights(T, n, spec.size)
-        return GridFunction1D(spec, inverse_array(c, K))
+        return GridFunction(spec, inverse_array(c, K))
     if path == "kernel":
         from .transform import dyadic_convolve
         return dyadic_convolve(f, kernel_V(T, n, spec))
@@ -358,7 +361,7 @@ def apply_mean(T: TransformationMatrix, n: int, f: GridFunction1D,
 
 
 def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
-                         ) -> tuple[GridFunction1D, GridFunction1D]:
+                         ) -> tuple[GridFunction, GridFunction]:
     """Split V_n into the Dirichlet-driven part V1 and the Fejer-driven
     remainder V2 with V1 + V2 = V_n, from row n's cumulative weights t.
 
@@ -387,5 +390,5 @@ def kernel_decomposition(T: TransformationMatrix, n: int, spec: GridSpec
         c2[block + (np.arange(block) ^ (block - 1 - base))] = (
             t[base: base + block] - t[base + block - 1])
     shift = np.arange(size) ^ n
-    return (GridFunction1D(spec, inverse_array(c1[shift], K)),
-            GridFunction1D(spec, inverse_array(c2[shift], K)))
+    return (GridFunction(spec, inverse_array(c1[shift], K)),
+            GridFunction(spec, inverse_array(c2[shift], K)))

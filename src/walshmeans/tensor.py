@@ -7,77 +7,48 @@ diagonal in the Walsh basis and act on separate variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dyadic import GridSpec
-from .io import read_grid, write_grid
+from .io import write_grid
 from .maximal import (
     IndexSubsequence,
     WeakTypeReport,
     _mean_weight_matrix,
     _ratio_summary,
     _sup_of_means,
+    _random_test_function,
     abs_kernel_spectra,
     dyadic_maximal,
     llogl_norm,
 )
 from .summability import TransformationMatrix, check_order, mean_coefficient_weights
-from .transform import forward_array, inverse_array
+from .transform import GridFunction, _load_grid, forward_array, inverse_array
 
 
-@dataclass
-class GridFunction2D:
-    """Cellwise-constant function on the 2^K x 2^K grid; axis 0 is the
-    first variable."""
-
-    spec: GridSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        n = self.spec.size
-        if self.samples.shape != (n, n):
-            raise ValueError(
-                f"expected {n}x{n} samples for K={self.spec.resolution}, "
-                f"got {self.samples.shape}")
-
-    def l1_norm(self) -> float:
-        return float(np.abs(self.samples).mean())
-
-    @property
-    def cell_measure(self) -> float:
-        return self.spec.cell_measure ** 2
-
-
-def _axis_apply(samples: np.ndarray, weights: np.ndarray, K: int, axis: int) -> np.ndarray:
-    moved = np.moveaxis(samples, axis, -1)
-    out = inverse_array(forward_array(moved, K) * weights, K)
-    return np.moveaxis(out, -1, axis)
-
-
-def apply_axis(T: TransformationMatrix, n: int, F: GridFunction2D,
-               axis: int) -> GridFunction2D:
+def apply_axis(T: TransformationMatrix, n: int, F: GridFunction,
+               axis: int) -> GridFunction:
     """Apply the one-dimensional mean along every slice of the chosen axis,
     leaving the other variable fixed."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     spec = F.spec
     check_order("mean", n, spec)
+    K = spec.resolution
     w = mean_coefficient_weights(T, n, spec.size)
-    return GridFunction2D(spec, _axis_apply(F.samples, w, spec.resolution, axis))
+    out = inverse_array(forward_array(np.moveaxis(F.samples, axis, -1), K) * w, K)
+    return GridFunction(spec, np.moveaxis(out, -1, axis))
 
 
 def tensor_mean(T0: TransformationMatrix, n0: int, T1: TransformationMatrix,
-                n1: int, F: GridFunction2D) -> GridFunction2D:
+                n1: int, F: GridFunction) -> GridFunction:
     """(T0_{n0} x T1_{n1}) F by iterated axis application."""
     return apply_axis(T1, n1, apply_axis(T0, n0, F, axis=0), axis=1)
 
 
 def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
                    T1: TransformationMatrix, subseq1: IndexSubsequence,
-                   F: GridFunction2D) -> GridFunction2D:
+                   F: GridFunction) -> GridFunction:
     """sup over the product of subsequences of |(T0_{n_a} x T1_{n_b}) F|.
 
     Each product mean is constant on 2^{m_a} x 2^{m_b} cells, so it is
@@ -89,12 +60,12 @@ def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
     coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
     banks = [(_mean_weight_matrix(T0, subseq0), subseq0),
              (_mean_weight_matrix(T1, subseq1), subseq1)]
-    return GridFunction2D(spec, _sup_of_means(coeffs, banks, K))
+    return GridFunction(spec, _sup_of_means(coeffs, banks, K))
 
 
 def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
                       T1: TransformationMatrix, subseq1: IndexSubsequence,
-                      F: GridFunction2D) -> GridFunction2D:
+                      F: GridFunction) -> GridFunction:
     """sup_a |V_{n_a}|-average (axis 0) of sup_b |T1_{n_b} F| (axis 1); the
     iterated bound dominating the tensor maximal function."""
     spec = F.spec
@@ -105,10 +76,10 @@ def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
                           [(_mean_weight_matrix(T1, subseq1), subseq1)], K)
     out = _sup_of_means(forward_array(inner.T, K),           # along axis 0
                         [(abs_kernel_spectra(T0, subseq0), subseq0)], K)
-    return GridFunction2D(spec, out.T)
+    return GridFunction(spec, out.T)
 
 
-def hybrid_maximal(F: GridFunction2D) -> GridFunction2D:
+def hybrid_maximal(F: GridFunction) -> GridFunction:
     """sup_n of first-variable dyadic averages with the second variable
     fixed: f-natural, the dyadic maximal function along axis 0."""
     return dyadic_maximal(F)
@@ -117,25 +88,10 @@ def hybrid_maximal(F: GridFunction2D) -> GridFunction2D:
 # ---------------------------------------------------------------------------
 # Experiment harness.
 
-def random_test_function_2d(spec: GridSpec, rng: np.random.Generator) -> GridFunction2D:
+def random_test_function_2d(spec: GridSpec, rng: np.random.Generator) -> GridFunction:
     """Nonnegative 2D test function: 10 point spikes plus 2 product blocks,
-    resolution-matched through float draws."""
-    N = spec.size
-    n_spikes, n_blocks = 10, 2
-    F = np.zeros((N, N))
-    pos = rng.random((n_spikes, 2))
-    masses = 0.2 + rng.random(n_spikes)
-    for (px, py), m in zip(pos, masses):
-        F[int(px * N), int(py * N)] += m * N * N
-    depths = rng.integers(1, 4, size=(n_blocks, 2))
-    offsets = rng.random((n_blocks, 2))
-    heights = 2.0 * rng.random(n_blocks)
-    for (dx, dy), (ox, oy), h in zip(depths, offsets, heights):
-        wx, wy = N >> int(dx), N >> int(dy)
-        ax = int(ox * (1 << int(dx))) * wx
-        ay = int(oy * (1 << int(dy))) * wy
-        F[ax: ax + wx, ay: ay + wy] += h
-    return GridFunction2D(spec, F)
+    resolution-matched through float draws (see `random_test_function`)."""
+    return _random_test_function(spec, rng, 2)
 
 
 def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequence,
@@ -158,12 +114,11 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
         K=K, trials=trials, seed=seed, **summary)
 
 
-def save_grid2d(F: GridFunction2D, path_or_buf) -> None:
-    """Write F as a 2D grid CSV (see `walshmeans.io`)."""
+def save_grid2d(F: GridFunction, path_or_buf) -> None:
+    """Write a 2D F as a grid CSV (see `walshmeans.io`)."""
     write_grid(path_or_buf, F.spec.resolution, F.samples)
 
 
-def load_grid2d(path_or_buf) -> GridFunction2D:
-    """Read a 2D grid CSV."""
-    K, samples = read_grid(path_or_buf)
-    return GridFunction2D(GridSpec(K), samples)
+def load_grid2d(path_or_buf) -> GridFunction:
+    """Read a 2D grid CSV; a 1D one is refused."""
+    return _load_grid(path_or_buf, 2)

@@ -29,25 +29,26 @@ from .io import read_grid, write_grid
 
 
 @dataclass
-class GridFunction1D:
-    """Piecewise-constant function on the dyadic grid: value per cell."""
+class GridFunction:
+    """Piecewise-constant function on the dyadic grid, a value per cell:
+    2^K samples in 1D, 2^K x 2^K in 2D (axis 0 the first variable)."""
 
     spec: GridSpec
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.spec.size,):
-            raise ValueError(
-                f"expected {self.spec.size} samples for K={self.spec.resolution}, "
-                f"got shape {self.samples.shape}")
+        n = self.spec.size
+        if self.samples.shape not in ((n,), (n, n)):
+            raise ValueError(f"expected {n} or {n}x{n} samples for K={self.spec.resolution}, "
+                             f"got shape {self.samples.shape}")
 
     def l1_norm(self) -> float:
         return float(np.abs(self.samples).mean())
 
     @property
     def cell_measure(self) -> float:
-        return self.spec.cell_measure
+        return self.spec.cell_measure ** self.samples.ndim
 
 
 @lru_cache(maxsize=32)
@@ -105,14 +106,14 @@ def inverse_array(coefficients: np.ndarray, K: int) -> np.ndarray:
     return _paley(coefficients, K)
 
 
-def walsh_sample(n: int, spec: GridSpec) -> GridFunction1D:
+def walsh_sample(n: int, spec: GridSpec) -> GridFunction:
     """The Walsh-Paley function w_n sampled on the grid (+/-1 per cell)."""
     if not 0 <= n < spec.size:
         raise ValueError(f"w_{n} is not representable at resolution {spec.resolution}")
-    return GridFunction1D(spec, _walsh_signs(n, spec.resolution))
+    return GridFunction(spec, _walsh_signs(n, spec.resolution))
 
 
-def dyadic_convolve(f: GridFunction1D, g: GridFunction1D) -> GridFunction1D:
+def dyadic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(l) = 2^-K sum_j f(j) g(l xor j), via the convolution theorem.
 
     Characters of the dyadic group diagonalise the convolution, so the
@@ -123,15 +124,22 @@ def dyadic_convolve(f: GridFunction1D, g: GridFunction1D) -> GridFunction1D:
             f"mismatched resolutions {f.spec.resolution} vs {g.spec.resolution}")
     K = f.spec.resolution
     c = forward_array(f.samples, K) * forward_array(g.samples, K)
-    return GridFunction1D(f.spec, inverse_array(c, K))
+    return GridFunction(f.spec, inverse_array(c, K))
 
 
-def save_grid1d(f: GridFunction1D, path_or_buf) -> None:
-    """Write f as a 1D grid CSV (see `walshmeans.io`)."""
+def save_grid1d(f: GridFunction, path_or_buf) -> None:
+    """Write a 1D f as a grid CSV (see `walshmeans.io`)."""
     write_grid(path_or_buf, f.spec.resolution, f.samples)
 
 
-def load_grid1d(path_or_buf) -> GridFunction1D:
-    """Read a 1D grid CSV."""
+def load_grid1d(path_or_buf) -> GridFunction:
+    """Read a 1D grid CSV; a 2D one is refused."""
+    return _load_grid(path_or_buf, 1)
+
+
+def _load_grid(path_or_buf, dims: int) -> GridFunction:
+    """Read a `dims`-dimensional grid CSV, refusing one of the other dimension."""
     K, samples = read_grid(path_or_buf)
-    return GridFunction1D(GridSpec(K), samples)
+    if samples.ndim != dims:
+        raise ValueError(f"expected a {dims}D grid, got a {samples.ndim}D grid")
+    return GridFunction(GridSpec(K), samples)

@@ -18,7 +18,7 @@ import numpy as np
 from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
 from walshmeans.maximal import _block_sizes, _level_groups
-from walshmeans.transform import GridFunction1D, forward_array, inverse_array
+from walshmeans.transform import GridFunction, forward_array, inverse_array
 
 
 @dataclass
@@ -34,25 +34,25 @@ class WalshSpectrum:
             raise ValueError("coefficient count does not match the grid")
 
 
-def fwht(f: GridFunction1D) -> WalshSpectrum:
+def fwht(f: GridFunction) -> WalshSpectrum:
     return WalshSpectrum(f.spec, forward_array(f.samples, f.spec.resolution))
 
 
-def inverse_fwht(spectrum: WalshSpectrum) -> GridFunction1D:
-    return GridFunction1D(spectrum.spec,
+def inverse_fwht(spectrum: WalshSpectrum) -> GridFunction:
+    return GridFunction(spectrum.spec,
                           inverse_array(spectrum.coefficients, spectrum.spec.resolution))
 
 
-def partial_sum(f: GridFunction1D, m: int) -> GridFunction1D:
+def partial_sum(f: GridFunction, m: int) -> GridFunction:
     """S_m(f): reconstruction from coefficients below m; S_0 = 0."""
     if not 0 <= m <= f.spec.size:
         raise ValueError(f"partial sum order {m} out of range [0, {f.spec.size}]")
     c = forward_array(f.samples, f.spec.resolution).copy()
     c[m:] = 0.0
-    return GridFunction1D(f.spec, inverse_array(c, f.spec.resolution))
+    return GridFunction(f.spec, inverse_array(c, f.spec.resolution))
 
 
-def dirichlet_kernel(n: int, spec: GridSpec) -> GridFunction1D:
+def dirichlet_kernel(n: int, spec: GridSpec) -> GridFunction:
     """D_n = w_0 + ... + w_{n-1}; D_0 = 0.
 
     Built through the inverse transform; all intermediate values are
@@ -62,20 +62,20 @@ def dirichlet_kernel(n: int, spec: GridSpec) -> GridFunction1D:
         raise ValueError(f"Dirichlet order {n} exceeds 2^K = {spec.size}")
     c = np.zeros(spec.size)
     c[:n] = 1.0
-    return GridFunction1D(spec, inverse_array(c, spec.resolution))
+    return GridFunction(spec, inverse_array(c, spec.resolution))
 
 
-def fejer_kernel(n: int, spec: GridSpec) -> GridFunction1D:
+def fejer_kernel(n: int, spec: GridSpec) -> GridFunction:
     """The Fejer kernel (1/n) (D_1 + ... + D_n); the n = 0 kernel is 0."""
     if not 0 <= n <= spec.size:
         raise ValueError(f"Fejer order {n} exceeds 2^K = {spec.size}")
     c = np.zeros(spec.size)
     if n >= 1:
         c[:n] = (n - np.arange(n)) / n
-    return GridFunction1D(spec, inverse_array(c, spec.resolution))
+    return GridFunction(spec, inverse_array(c, spec.resolution))
 
 
-def grid_integral(f: GridFunction1D) -> float:
+def grid_integral(f: GridFunction) -> float:
     """Integral of a grid function over [0, 1)."""
     return float(f.samples.mean())
 
@@ -119,14 +119,14 @@ def value_at(f: SparseStepFunction, x: DyadicRational) -> DyadicRational:
     return DyadicRational(0)
 
 
-def to_grid(f: SparseStepFunction, spec: GridSpec) -> GridFunction1D:
+def to_grid(f: SparseStepFunction, spec: GridSpec) -> GridFunction:
     """Float samples at resolution K; requires every piece to be
     cell-aligned (depth <= K)."""
     samples = np.zeros(spec.size)
     for interval, value in f.pieces:
         cells = interval_cells(interval, spec)
         samples[cells.start: cells.stop] = float(value)
-    return GridFunction1D(spec, samples)
+    return GridFunction(spec, samples)
 
 
 def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:

@@ -43,10 +43,14 @@ from walshmeans.exact import (
 from walshmeans.lebesgue import h0, h1, mt2_convergence_experiment, w2d
 from walshmeans.maximal import (
     IndexSubsequence,
+    llogl_norm,
+    maximal_mean,
     subsequence_from_spec,
+    weak_quasinorm,
     weak_type_experiment,
 )
 from walshmeans.summability import (
+    TransformationMatrix,
     apply_mean,
     builtin_matrix,
     c2_quantity,
@@ -56,12 +60,13 @@ from walshmeans.summability import (
     upsilon,
 )
 from walshmeans.tensor import (
-    GridFunction2D,
+    iterated_majorant,
     llogl_weak_type_experiment,
     random_test_function_2d,
+    tensor_maximal,
     tensor_mean,
 )
-from walshmeans.transform import GridFunction1D, walsh_sample
+from walshmeans.transform import GridFunction, walsh_sample
 
 
 class Criterion:
@@ -89,7 +94,7 @@ def test_criterion_01_transform_roundtrip_and_parseval():
     t0 = time.perf_counter()
     worst_rt = worst_pv = 0.0
     for _ in range(100):
-        f = GridFunction1D(spec, rng.normal(size=spec.size))
+        f = GridFunction(spec, rng.normal(size=spec.size))
         sp = fwht(f)
         back = inverse_fwht(sp)
         worst_rt = max(worst_rt, float(np.abs(back.samples - f.samples).max()))
@@ -162,7 +167,7 @@ def test_criterion_05_mean_path_equality():
     L = builtin_matrix("nlog")
     worst = 0.0
     for i in range(100):
-        f = GridFunction1D(spec, rng.normal(size=spec.size))
+        f = GridFunction(spec, rng.normal(size=spec.size))
         n = int(rng.integers(1, spec.size + 1))
         M = T if i % 2 == 0 else L
         a = apply_mean(M, n, f, path="coefficient").samples
@@ -232,12 +237,12 @@ def test_criterion_07_tensor_iteration():
         T0, T1 = matrix_from_spec(m0), matrix_from_spec(m1)
         worst = 0.0
         for _ in range(20):
-            F = GridFunction2D(spec, rng.normal(size=(spec.size, spec.size)))
+            F = GridFunction(spec, rng.normal(size=(spec.size, spec.size)))
             n0 = int(rng.integers(1, spec.size + 1))
             n1 = int(rng.integers(1, spec.size + 1))
             a = tensor_mean(T0, n0, T1, n1, F).samples
             b = tensor_mean(T1, n1, T0, n0,
-                            GridFunction2D(spec, F.samples.T)).samples.T
+                            GridFunction(spec, F.samples.T)).samples.T
             worst = max(worst, float(np.abs(a - b).max()))
         c.check(f"{m0} x {m1} <= 1e-10", worst <= 1e-10, f"max {worst:.2e}")
     c.finish()
@@ -274,7 +279,7 @@ def test_criterion_08_weak_type_growth_pattern():
     # the random ensemble is reached by none (ratios are spike-dominated);
     # its ratios stay in the detail.
     I = builtin_matrix("identity")
-    ones = lambda spec, rng: GridFunction1D(spec, np.ones(spec.size))
+    ones = lambda spec, rng: GridFunction(spec, np.ones(spec.size))
     ident, lebesgue, oracle = {}, {}, {}
     for K in (7, 9):
         spec = GridSpec(K)
@@ -336,7 +341,7 @@ def test_criterion_10_walsh_lebesgue_inequalities():
         F = random_test_function_2d(spec, rng)
         points = [(int(a), int(b)) for a, b in rng.integers(0, spec.size, (20, 2))]
         for x0, x1 in points:
-            Fz = GridFunction2D(spec, F.samples.copy())
+            Fz = GridFunction(spec, F.samples.copy())
             Fz.samples[x0, x1] = 0.0
             s0, s1 = (int(v) for v in rng.integers(0, K + 1, 2))
             d0 = dirichlet_kernel(1 << s0, spec).samples
@@ -393,7 +398,7 @@ def test_criterion_10_walsh_lebesgue_inequalities():
     # and next to it in the second (l1 = 31), giving (96/65)(48/33).
     S = np.zeros((spec.size, spec.size))
     S[x0, x1 ^ 1] = float(spec.size ** 2)
-    conv, rhs = zz_sides(GridFunction2D(spec, S), x0, x1)
+    conv, rhs = zz_sides(GridFunction(spec, S), x0, x1)
     sharp = conv[62, 30] / rhs[62, 30]
     c.check("zz sharpness: unit mass at (x0, x1^1), (63, 31) = 1536/715",
             abs(sharp - 1536 / 715) <= 1e-12, f"{sharp:.6f}")
@@ -406,7 +411,7 @@ def test_criterion_11_mt2_convergence_shadow():
     half = spec.size // 2
     S = np.zeros((spec.size, spec.size))
     S[:half, :half] = 1.0
-    Q = GridFunction2D(spec, S)
+    Q = GridFunction(spec, S)
     F = builtin_matrix("fejer")
     sub = subsequence_from_spec("powers:2..8")
     pt = (spec.size // 4, spec.size // 4)
@@ -434,4 +439,113 @@ def test_criterion_12_c2_condition():
     c.check("alternating-bit growth is monotone for alpha=0.1",
             all(a < b for a, b in zip(vals, vals[1:])),
             f"{vals[0]:.3f} .. {vals[-1]:.3f}")
+    c.finish()
+
+
+def _spikes(K: int) -> tuple[GridFunction, GridFunction]:
+    """2^K on cell 0 of the 1D grid and 4^K on cell (0, 0) of the 2D grid:
+    unit mass, every Walsh coefficient 1."""
+    spec = GridSpec(K)
+    f, F = np.zeros(spec.size), np.zeros((spec.size, spec.size))
+    f[0], F[0, 0] = 2.0 ** K, 4.0 ** K
+    return GridFunction(spec, f), GridFunction(spec, F)
+
+
+def _identity_powers_weak_norm(K: int) -> Fraction:
+    """||M x M||_{1,infty} in Fractions, for M = sup_{m<=K} |D_{2^m}|: M is
+    2^m on [2^-(m+1), 2^-m) for m < K and 2^K on [0, 2^-K), so M x M is
+    2^(i+j) on a box of measure mu_i mu_j, and the quasinorm is the largest
+    2^s mu(M x M >= 2^s)."""
+    mu = [Fraction(1, 2 ** (m + 1)) for m in range(K)] + [Fraction(1, 2 ** K)]
+    return max(2 ** s * sum(mu[i] * mu[j] for i in range(K + 1) for j in range(K + 1)
+                            if i + j >= s)
+               for s in range(2 * K + 1))
+
+
+def test_criterion_13_tensor_maximal_of_a_spike():
+    c = Criterion(13, "tensor maximal of a unit spike against exact 1D products")
+    t0 = time.perf_counter()
+    # The spike F = 4^K on cell (0, 0) has every 2D Walsh coefficient 1, so
+    # (T0_{n_a} x T1_{n_b}) F = V_{n_a} x V_{n_b}, and the sup over the pairs
+    # of |V_{n_a}| |V_{n_b}| is M0 x M1 with M_j = sup_a |V_{n_a}|, the 1D
+    # maximal mean of the spike f = 2^K on cell 0. M_j is also checked
+    # against kernel_V, which shares no code with the streamed supremum.
+    def custom_row(n):
+        w = (n + 1.0 - np.arange(n + 1)) ** 2
+        return w / w.sum()
+
+    families = [builtin_matrix(name) for name in ("identity", "fejer", "nlog")] + [
+        builtin_matrix("cesaro", alpha=0.5), builtin_matrix("cesaro", alpha=0.25),
+        builtin_matrix("cesaro", alpha_seq=[1.0, 0.5, 0.25, 0.75]),
+        TransformationMatrix.from_rows("custom", custom_row)]
+    worst_product = worst_kernel = 0.0
+    for K in range(4, 9):
+        spec = GridSpec(K)
+        f, F = _spikes(K)
+        powers = subsequence_from_spec(f"powers:0..{K}")
+        pairs = [(powers, powers)]
+        if K <= 5:   # all: in 2D is costly at large K
+            pairs.append((subsequence_from_spec(f"all:1..{spec.size}"), powers))
+        for S0, S1 in pairs:
+            for T0, T1 in zip(families, families[1:] + families[:1]):
+                M0, M1 = (maximal_mean(T, S, f).samples for T, S in ((T0, S0), (T1, S1)))
+                sup = tensor_maximal(T0, S0, T1, S1, F).samples
+                worst_product = max(worst_product,
+                                    np.abs(sup - np.outer(M0, M1)).max() / sup.max())
+                kernels = np.abs([kernel_V(T0, n, spec).samples for n in S0]).max(axis=0)
+                worst_kernel = max(worst_kernel, np.abs(M0 - kernels).max() / M0.max())
+    c.check("tensor_maximal = M0 x M1 to 1e-12 max, 7 families, K = 4..8",
+            worst_product <= 1e-12, f"max rel dev {worst_product:.1e}")
+    c.check("M0 = sup_a |V_{n_a}| from kernel_V to 1e-12 max", worst_kernel <= 1e-12,
+            f"max rel dev {worst_kernel:.1e}")
+
+    worst_iter = 0.0
+    for K in (4, 5):
+        F = _spikes(K)[1]
+        S = subsequence_from_spec(f"all:1..{1 << K}")
+        for T in families[1:4]:
+            sup = tensor_maximal(T, S, T, S, F).samples
+            it = iterated_majorant(T, S, T, S, F).samples
+            worst_iter = max(worst_iter, np.abs(it - sup).max() / sup.max())
+    c.check("iterated majorant = tensor maximal for the spike, K = 4, 5",
+            worst_iter <= 1e-12, f"max rel dev {worst_iter:.1e}")
+
+    # identity along powers:0..K: M = sup_m |D_{2^m}| and ||M x M||_{1,infty}
+    # = (K+2)/2, in Fractions and as measured
+    exact = [_identity_powers_weak_norm(K) for K in range(1, 11)]
+    c.check("||M x M||_{1,infty} = (K+2)/2 in Fractions, K = 1..10",
+            exact == [Fraction(K + 2, 2) for K in range(1, 11)],
+            " ".join(map(str, exact)))
+    identity = families[0]
+    worst_closed = worst_norm = 0.0
+    ratios = []
+    for K in range(1, 9):
+        f, F = _spikes(K)
+        S = subsequence_from_spec(f"powers:0..{K}")
+        m = K - 1 - np.floor(np.log2(np.arange(1, 1 << K)))   # l/2^K in [2^-(m+1), 2^-m)
+        M = np.r_[2.0 ** K, 2.0 ** m]
+        sup = tensor_maximal(identity, S, identity, S, F)
+        worst_closed = max(worst_closed, np.abs(sup.samples - np.outer(M, M)).max())
+        wq = weak_quasinorm(sup)
+        worst_norm = max(worst_norm, abs(wq - (K + 2) / 2))
+        ratios.append((K, wq / F.l1_norm(), wq / (1.0 + llogl_norm(F)), llogl_norm(F)))
+    c.check("identity sup = closed-form M x M exactly, K = 1..8", worst_closed == 0.0,
+            f"max dev {worst_closed:.1e}")
+    c.check("weak_quasinorm = (K+2)/2 to 1e-12, K = 1..8 (2D cap)", worst_norm <= 1e-12,
+            " ".join(f"{r[1]:.1f}" for r in ratios))
+    # the L1 ratio grows by 1/2 a bit, without bound; the L log L ratio
+    # (K+2)/(2 + 4K ln 2), with int F ln+ F = 2K ln 2, decreases from
+    # 3/(2 + 4 ln 2) toward 1/(4 ln 2) and stays above it
+    ln2 = math.log(2.0)
+    l1 = [r[1] for r in ratios]
+    c.check("L1 ratio grows by 1/2 per bit",
+            all(abs(b - a - 0.5) <= 1e-12 for a, b in zip(l1, l1[1:])),
+            " ".join(f"K={K}: {r:.3f}" for K, r, _, _ in ratios))
+    ll = [r[2] for r in ratios]
+    c.check("L log L ratio decreasing within (1/(4 ln 2), 3/(2 + 4 ln 2)]",
+            all(1 / (4 * ln2) < b < a <= 3 / (2 + 4 * ln2) + 1e-12 for a, b in zip(ll, ll[1:]))
+            and all(abs(v - 2 * K * ln2) <= 1e-12 * K for K, _, _, v in ratios),
+            " ".join(f"K={K}: {r:.3f}" for K, _, r, _ in ratios))
+    elapsed = time.perf_counter() - t0
+    c.check("runtime < 2 s", elapsed < 2.0, f"{elapsed:.2f}s")
     c.finish()

@@ -3,6 +3,8 @@ rails, and exit codes."""
 
 import json
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,8 +16,8 @@ from oracles import fejer_kernel
 from walshmeans.cli import main
 from walshmeans.dyadic import GridSpec
 from walshmeans.summability import builtin_matrix
-from walshmeans.transform import GridFunction1D, load_grid1d, save_grid1d
-from walshmeans.tensor import GridFunction2D, load_grid2d, save_grid2d
+from walshmeans.transform import GridFunction, load_grid1d, save_grid1d
+from walshmeans.tensor import load_grid2d, save_grid2d
 
 
 def run(args):
@@ -47,7 +49,7 @@ def test_kernel_decompose_command(tmp_path):
 def test_mean_command_roundtrip(tmp_path):
     spec = GridSpec(5)
     rng = np.random.default_rng(0)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     src = tmp_path / "f.csv"
     save_grid1d(f, str(src))
     out = tmp_path / "g.csv"
@@ -85,7 +87,7 @@ def test_maximal_command_deterministic(tmp_path):
 def test_tensor_command(tmp_path):
     spec = GridSpec(4)
     rng = np.random.default_rng(1)
-    F = GridFunction2D(spec, rng.normal(size=(spec.size, spec.size)))
+    F = GridFunction(spec, rng.normal(size=(spec.size, spec.size)))
     src = tmp_path / "F.csv"
     save_grid2d(F, str(src))
     out = tmp_path / "G.csv"
@@ -115,7 +117,7 @@ def test_wlp_command(tmp_path, capsys):
     S = np.zeros((spec.size, spec.size))
     S[:half, :half] = 1.0
     src = tmp_path / "F.csv"
-    save_grid2d(GridFunction2D(spec, S), str(src))
+    save_grid2d(GridFunction(spec, S), str(src))
     code = run(["wlp", "--input", str(src), "--point", "16,16",
                 "--depths", "2..6"])
     assert code == 0
@@ -217,13 +219,64 @@ def test_usage_errors_exit_1(argv, message, capsys):
 def test_config_errors_name_the_value(argv, message, tmp_path, capsys):
     # a bad order or integer is a config error (exit 1) whose message names
     # the option or order and the value given
-    save_grid1d(GridFunction1D(GridSpec(3), np.ones(8)), str(tmp_path / "f.csv"))
-    save_grid2d(GridFunction2D(GridSpec(2), np.ones((4, 4))), str(tmp_path / "F.csv"))
+    save_grid1d(GridFunction(GridSpec(3), np.ones(8)), str(tmp_path / "f.csv"))
+    save_grid2d(GridFunction(GridSpec(2), np.ones((4, 4))), str(tmp_path / "F.csv"))
     argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv") for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["upsilon", "--matrix", "fejer", "--seq", "all:1..x"], None,
+     "subsequence all: '1..x': expected 2 integers separated by '..'"),
+    (["upsilon", "--matrix", "fejer", "--seq", "list:1,,3"], None,
+     "subsequence list: '1,,3': expected one or more integers separated by ','"),
+    (["upsilon", "--matrix", "fejer", "--seq", "powers:1"], None,
+     "subsequence powers: '1': expected 2 integers separated by '..'"),
+    (["upsilon", "--matrix", "cesaro:x", "--seq", "list:1"], None,
+     "matrix cesaro: 'x': expected one number"),
+    (["upsilon", "--matrix", "cesaro-seq:{path}", "--seq", "list:1"], "0.5\n\nx\n",
+     "{path} line 3 'x': expected one number"),
+    (["upsilon", "--matrix", "custom:{path}", "--seq", "list:1"], "1\n0.5,y\n",
+     "{path} line 2 '0.5,y': expected one or more numbers separated by ','"),
+    (["mean", "--matrix", "fejer", "--n", "1", "--input", "{path}"], "# resolution=x\n1\n",
+     "line 1: resolution 'x': expected one integer"),
+    (["mean", "--matrix", "fejer", "--n", "1", "--input", "{path}"],
+     "# resolution=1\n1.0\n\nabc\n", "line 4 'abc': expected one number"),
+    (["wlp", "--input", "{path}", "--point", "0,0"],
+     "# resolution=1 dims=2\n1.0,2.0\n3.0, abc\n", "line 3 'abc': expected one number"),
+], ids=["seq-all", "seq-list", "seq-powers", "matrix-cesaro", "cesaro-seq-line",
+        "custom-row", "grid-header", "grid-1d-value", "grid-2d-value"])
+def test_bad_numbers_name_their_source(argv, text, message, tmp_path, capsys):
+    # a number that does not parse is a config error (exit 1) naming the
+    # spec, or the file and line, it was read from, and the text
+    path = tmp_path / "in.txt"
+    if text is not None:
+        path.write_text(text)
+    assert run([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message.format(path=path)}\n" == captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mean", "--matrix", "fejer", "--n", "1", "--input", "{F}"],
+     "expected a 1D grid, got a 2D grid"),
+    (["wlp", "--input", "{f}", "--point", "0,0"], "expected a 2D grid, got a 1D grid"),
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",
+      "--input", "{f}"], "expected a 2D grid, got a 1D grid"),
+], ids=["mean-2d", "wlp-1d", "tensor-1d"])
+def test_grid_of_the_other_dimension_refused(argv, message, tmp_path, capsys):
+    # each loader refuses a grid of the other dimension, naming both
+    save_grid1d(GridFunction(GridSpec(2), np.ones(4)), str(tmp_path / "f.csv"))
+    save_grid2d(GridFunction(GridSpec(2), np.ones((4, 4))), str(tmp_path / "F.csv"))
+    argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv") for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -290,7 +343,7 @@ def test_cumulative_table_guard_rail(capsys):
     assert captured.out == ""
 
 
-_TERMS = "has 100000000 terms, above the limit of 16777216"
+_TERMS = "has 100000000 terms, above the limit of 1048576"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -337,6 +390,9 @@ _TERMS = "has 100000000 terms, above the limit of 16777216"
     # a list term is checked from its text too, before it can wrap in int64
     (["upsilon", "--matrix", "fejer", "--seq", "list:9223372036854775808"],
      "'list:9223372036854775808' has 64 bits in its largest index, above the limit of 63"),
+    # a subsequence holds at most 2^20 terms, the report-row limit
+    (["upsilon", "--matrix", "fejer", "--seq", "all:1..1048577"],
+     "'all:1..1048577' has 1048577 terms, above the limit of 1048576"),
 ])
 def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     # each request is refused from its text, index or point count, or from
@@ -347,9 +403,9 @@ def test_size_guards_before_allocation(argv, message, tmp_path, capsys):
     grid, grid15 = tmp_path / "F.csv", tmp_path / "f15.csv"
     huge, big, wide = tmp_path / "huge.csv", tmp_path / "big.csv", tmp_path / "wide.csv"
     if "{grid}" in argv:
-        save_grid2d(GridFunction2D(GridSpec(8), np.zeros((256, 256))), str(grid))
+        save_grid2d(GridFunction(GridSpec(8), np.zeros((256, 256))), str(grid))
     if "{grid15}" in argv:
-        save_grid1d(GridFunction1D(GridSpec(15), np.zeros(1 << 15)), str(grid15))
+        save_grid1d(GridFunction(GridSpec(15), np.zeros(1 << 15)), str(grid15))
     body = (",".join(["0.0"] * 1024) + "\n") * 1024
     if "{big}" in argv:
         big.write_text("# resolution=10 dims=2\n" + body)
@@ -404,8 +460,8 @@ def test_readme_cli_commands_run(argv, tmp_path, monkeypatch, capsys):
     # its default sequence reports the published bound and exits 3
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(2)
-    save_grid1d(GridFunction1D(GridSpec(7), rng.normal(size=128)), "f.csv")
-    save_grid2d(GridFunction2D(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
+    save_grid1d(GridFunction(GridSpec(7), rng.normal(size=128)), "f.csv")
+    save_grid2d(GridFunction(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
     assert run(argv) == (3 if argv[0] == "example1" else 0)
     capsys.readouterr()
 
@@ -420,8 +476,8 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(2)
-    save_grid1d(GridFunction1D(GridSpec(7), rng.normal(size=128)), "f.csv")
-    save_grid2d(GridFunction2D(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
+    save_grid1d(GridFunction(GridSpec(7), rng.normal(size=128)), "f.csv")
+    save_grid2d(GridFunction(GridSpec(6), rng.normal(size=(64, 64))), "F.csv")
     inputs = {"f.csv", "F.csv"}
 
     def outputs():
@@ -446,6 +502,15 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch, capsys):
             "tensor.maximal", "tensor.mean", "tensor.experiment", "lebesgue.classify",
             "lebesgue.mt2", "exact.divergence", "exact.avg_sweep",
             "exact.integral_over", "dyadic"} <= set(tracer.spans)
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/selftest.py checks every op at one seed against its recorded
+    # references, and that the tracer sees every layer
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_ragged_grid2d_rejected(tmp_path, capsys):

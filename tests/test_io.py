@@ -12,15 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from walshmeans.dyadic import GridSpec
 from walshmeans.io import read_grid, report_json
-from walshmeans.tensor import GridFunction2D, load_grid2d, save_grid2d
-from walshmeans.transform import GridFunction1D, load_grid1d, save_grid1d
+from walshmeans.tensor import load_grid2d, save_grid2d
+from walshmeans.transform import GridFunction, load_grid1d, save_grid1d
 
 # per dims: the grid type, its saver and loader, and the resolution and
 # exact bytes of a grid holding 1.0, 0.1, -0.0 and 1e-320 (a subnormal)
 FORMATS = {
-    1: (GridFunction1D, save_grid1d, load_grid1d, 2,
+    1: (GridFunction, save_grid1d, load_grid1d, 2,
         "# resolution=2\n1.0\n0.1\n-0.0\n1e-320\n"),
-    2: (GridFunction2D, save_grid2d, load_grid2d, 1,
+    2: (GridFunction, save_grid2d, load_grid2d, 1,
         "# resolution=1 dims=2\n1.0,0.1\n-0.0,1e-320\n"),
 }
 

@@ -9,8 +9,8 @@ from walshmeans.dyadic import GridSpec
 from walshmeans.lebesgue import classify_wlp, h0, h1, mt2_convergence_experiment, w2d
 from walshmeans.maximal import IndexSubsequence, subsequence_from_spec
 from walshmeans.summability import builtin_matrix, matrix_from_spec, mean_coefficient_weights
-from walshmeans.tensor import GridFunction2D, apply_axis, random_test_function_2d
-from walshmeans.transform import GridFunction1D, forward_array, inverse_array
+from walshmeans.tensor import apply_axis, random_test_function_2d
+from walshmeans.transform import GridFunction, forward_array, inverse_array
 
 K = 6
 SPEC = GridSpec(K)
@@ -19,7 +19,7 @@ SPEC = GridSpec(K)
 # ---------------------------------------------------------------------------
 # Slow references: the one-dimensional functionals, cell by cell.
 
-def w1(f: GridFunction1D, x: int, n: int) -> float:
+def w1(f: GridFunction, x: int, n: int) -> float:
     """W_n f(x) = sum_{k<=n} 2^k int_{I_n(x + 2^-(k+1))} |f - f(x)|."""
     Kf = f.spec.resolution
     if not 0 <= n <= Kf:
@@ -34,7 +34,7 @@ def w1(f: GridFunction1D, x: int, n: int) -> float:
     return total * f.spec.cell_measure
 
 
-def classical_lebesgue_avg(f: GridFunction1D, x: int, depth: int) -> float:
+def classical_lebesgue_avg(f: GridFunction, x: int, depth: int) -> float:
     """(1/eps) int_[0,eps] |f(x+t) - f(x)| dt with eps = 2^-depth and
     ordinary (non-dyadic) translation."""
     Kf = f.spec.resolution
@@ -47,7 +47,7 @@ def classical_lebesgue_avg(f: GridFunction1D, x: int, depth: int) -> float:
     return float(np.abs(f.samples[x: x + width] - f.samples[x]).mean())
 
 
-def h_reference(F: GridFunction2D, x0: int, x1: int, n: int, axis: int) -> float:
+def h_reference(F: GridFunction, x0: int, x1: int, n: int, axis: int) -> float:
     """H^(0)_n (axis 0) or H^(1)_n (axis 1) as its own loop: shifted
     averages along one axis over blocks spanning the whole other axis,
     read from the prefix sums of |F - F(x0, x1)|."""
@@ -67,7 +67,7 @@ def h_reference(F: GridFunction2D, x0: int, x1: int, n: int, axis: int) -> float
     return total
 
 
-def mt2_means_reference(T0, T1, subseq0, subseq1, F: GridFunction2D, points):
+def mt2_means_reference(T0, T1, subseq0, subseq1, F: GridFunction, points):
     """means[a, b, j] = (T0_{n_a} x T1_{n_b} F)(points[j]), one full 2D
     grid per pair."""
     spec = F.spec
@@ -82,14 +82,14 @@ def mt2_means_reference(T0, T1, subseq0, subseq1, F: GridFunction2D, points):
     return means
 
 
-def quarter_square(spec: GridSpec) -> GridFunction2D:
+def quarter_square(spec: GridSpec) -> GridFunction:
     half = spec.size // 2
     F = np.zeros((spec.size, spec.size))
     F[:half, :half] = 1.0
-    return GridFunction2D(spec, F)
+    return GridFunction(spec, F)
 
 
-def spike_ladder(spec: GridSpec) -> GridFunction2D:
+def spike_ladder(spec: GridSpec) -> GridFunction:
     """Mass 4^(K-j) on the cell at (2^-j-1, 2^-j-1): the shifted averages
     at the origin pick up a unit contribution at every depth, so W never
     decays there while the one-sided H sums stay summable."""
@@ -98,20 +98,20 @@ def spike_ladder(spec: GridSpec) -> GridFunction2D:
     for j in range(Kr):
         c = 1 << (Kr - 1 - j)
         F[c, c] = float(4 ** (Kr - j))
-    return GridFunction2D(spec, F)
+    return GridFunction(spec, F)
 
 
 def test_w1_examples():
-    f = GridFunction1D(SPEC, np.full(SPEC.size, 7.0))
+    f = GridFunction(SPEC, np.full(SPEC.size, 7.0))
     for x in (0, 13, 40):
         for n in (0, 2, K):
             assert w1(f, x, n) == 0.0
-    half = GridFunction1D(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
+    half = GridFunction(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
     x = SPEC.size // 4          # the point 1/4
     for n in range(2, K + 1):
         assert w1(half, x, n) == pytest.approx(2.0 ** (-n), abs=1e-15)
     rng = np.random.default_rng(0)
-    f = GridFunction1D(SPEC, rng.normal(size=SPEC.size))
+    f = GridFunction(SPEC, rng.normal(size=SPEC.size))
     for x in rng.integers(0, SPEC.size, 10):
         assert w1(f, int(x), 3) >= 0.0
     with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ def test_w1_examples():
 
 
 def test_w2d_constant_and_separable_decay():
-    F = GridFunction2D(SPEC, np.full((SPEC.size, SPEC.size), 1.0))
+    F = GridFunction(SPEC, np.full((SPEC.size, SPEC.size), 1.0))
     assert w2d(F, 5, 9, 3, 3) == 0.0
     Q = quarter_square(SPEC)
     x = SPEC.size // 4
@@ -136,8 +136,8 @@ def test_w2d_reduces_to_w1_for_y_constant_functions():
     # for F(x,y) = f(x) the second-variable sum telescopes:
     # W_{n0,n1} F = (2 - 2^-n1) W_{n0} f
     rng = np.random.default_rng(8)
-    f = GridFunction1D(SPEC, rng.normal(size=SPEC.size))
-    F = GridFunction2D(SPEC, np.repeat(f.samples[:, None], SPEC.size, axis=1))
+    f = GridFunction(SPEC, rng.normal(size=SPEC.size))
+    F = GridFunction(SPEC, np.repeat(f.samples[:, None], SPEC.size, axis=1))
     for x0, x1 in ((0, 0), (17, 40), (33, 5)):
         for n0 in (1, 3, K):
             for n1 in (0, 2, K):
@@ -164,7 +164,7 @@ def test_wl1_lower_bound_inequality():
 def test_wl2_wl3_dominations():
     rng = np.random.default_rng(2)
     for trial in range(5):
-        F = GridFunction2D(SPEC, rng.normal(size=(SPEC.size, SPEC.size)))
+        F = GridFunction(SPEC, rng.normal(size=(SPEC.size, SPEC.size)))
         x0, x1 = (int(v) for v in rng.integers(0, SPEC.size, 2))
         for s0, s1 in ((0, 0), (1, 2), (3, 3), (5, 2), (K, K)):
             w = w2d(F, x0, x1, s0, s1)
@@ -227,7 +227,7 @@ def test_zz_constant_free_counterexample():
     x0, x1 = 8, 16
     S = np.zeros((N, N))
     S[x0, x1 ^ 1] = float(N * N)
-    F = GridFunction2D(SPEC, S)
+    F = GridFunction(SPEC, S)
     idx = np.arange(N)
     k3 = np.abs(fejer_kernel(3, SPEC).samples)
     lhs = (k3[x1 ^ idx][None, :] * np.abs(F.samples)).mean()
@@ -240,7 +240,7 @@ def test_zz_constant_free_counterexample():
 
 def test_classify_wlp_verdicts():
     spec = GridSpec(8)
-    const = GridFunction2D(spec, np.full((spec.size, spec.size), 4.2))
+    const = GridFunction(spec, np.full((spec.size, spec.size), 4.2))
     d = classify_wlp(const, (17, 200))
     assert d.verdict == "passes" and d.passes
     assert max(d.w_values) == 0.0 and d.h0_sup == 0.0 and d.h1_sup == 0.0
@@ -264,9 +264,9 @@ def test_classify_wlp_verdicts():
 
 
 def test_classical_lebesgue_avg():
-    f = GridFunction1D(SPEC, np.full(SPEC.size, 3.0))
+    f = GridFunction(SPEC, np.full(SPEC.size, 3.0))
     assert classical_lebesgue_avg(f, 5, 2) == 0.0
-    half = GridFunction1D(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
+    half = GridFunction(SPEC, np.arange(SPEC.size) < SPEC.size // 2)
     for depth in range(1, K + 1):
         assert classical_lebesgue_avg(half, 0, depth) == 0.0
     x = SPEC.size // 2 - 1      # just left of the jump
@@ -298,7 +298,7 @@ def test_mt2_point_form_matches_per_pair_grids(names):
     spec = GridSpec(5)
     N = spec.size
     T0, T1 = map(matrix_from_spec, names)
-    F = GridFunction2D(spec, np.random.default_rng(7).normal(size=(N, N)))
+    F = GridFunction(spec, np.random.default_rng(7).normal(size=(N, N)))
     # 1, 2^m, 2^m + 1 and 2^K; points on the edges of the halves
     sub0 = IndexSubsequence((1, 2, 3, 4, 5, 8, 9, 16, 17, 32))
     sub1 = IndexSubsequence((1, 4, 5, 16, 17, 32))
@@ -343,7 +343,7 @@ def test_mt2_experiment_points_from_generator():
 
 def test_mt2_experiment_constant_input():
     spec = GridSpec(6)
-    F = GridFunction2D(spec, np.full((spec.size, spec.size), 1.0))
+    F = GridFunction(spec, np.full((spec.size, spec.size), 1.0))
     L = builtin_matrix("nlog")
     sub = subsequence_from_spec("list:1,4,16")
     rep = mt2_convergence_experiment(L, L, sub, sub, F, [(3, 3)])

@@ -33,7 +33,7 @@ from walshmeans.summability import (
     mean_coefficient_weights,
 )
 from walshmeans.transform import (
-    GridFunction1D,
+    GridFunction,
     forward_array,
     inverse_array,
     walsh_sample,
@@ -68,15 +68,15 @@ def test_maximal_mean_basic():
     spec = GridSpec(4)
     F = builtin_matrix("fejer")
     sub = IndexSubsequence((2, 4, 8))
-    zero = GridFunction1D(spec, np.zeros(spec.size))
+    zero = GridFunction(spec, np.zeros(spec.size))
     assert np.abs(maximal_mean(F, sub, zero).samples).max() == 0.0
 
     rng = np.random.default_rng(0)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     single = maximal_mean(F, IndexSubsequence((5,)), f).samples
     assert np.abs(single - np.abs(apply_mean(F, 5, f).samples)).max() < 1e-13
 
-    f = GridFunction1D(spec, np.arange(spec.size) < 8)
+    f = GridFunction(spec, np.arange(spec.size) < 8)
     got = maximal_mean(F, sub, f).samples
     expect = np.maximum.reduce([np.abs(apply_mean(F, n, f).samples)
                                 for n in (2, 4, 8)])
@@ -86,7 +86,7 @@ def test_maximal_mean_basic():
 def test_maximal_abs_mean_dominates():
     spec = GridSpec(5)
     rng = np.random.default_rng(1)
-    f = GridFunction1D(spec, np.abs(rng.normal(size=spec.size)))
+    f = GridFunction(spec, np.abs(rng.normal(size=spec.size)))
     for name in ("fejer", "nlog", "identity"):
         T = builtin_matrix(name)
         sub = IndexSubsequence((1, 3, 5, 12))
@@ -100,7 +100,7 @@ def test_maximal_abs_mean_fejer_powers_equality():
     # plain one along the powers subsequence
     spec = GridSpec(5)
     rng = np.random.default_rng(2)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     F = builtin_matrix("fejer")
     sub = subsequence_from_spec("powers:0..5")
     a = maximal_abs_mean(F, sub, f).samples
@@ -112,7 +112,7 @@ def test_maximal_abs_mean_constant_input():
     spec = GridSpec(5)
     T = builtin_matrix("nlog")
     sub = IndexSubsequence((1, 4, 9, 17))
-    one = GridFunction1D(spec, np.full(spec.size, 1.0))
+    one = GridFunction(spec, np.full(spec.size, 1.0))
     got = maximal_abs_mean(T, sub, one).samples
     expect = max(kernel_V(T, n, spec).l1_norm() for n in sub)
     assert np.abs(got - expect).max() < 1e-12
@@ -120,20 +120,20 @@ def test_maximal_abs_mean_constant_input():
 
 def test_dyadic_maximal():
     spec = GridSpec(3)
-    c = GridFunction1D(spec, np.full(spec.size, -2.0))
+    c = GridFunction(spec, np.full(spec.size, -2.0))
     assert np.abs(dyadic_maximal(c).samples - 2.0).max() == 0.0
     w5 = walsh_sample(5, spec)
     assert np.abs(dyadic_maximal(w5).samples - 1.0).max() == 0.0
 
     rng = np.random.default_rng(3)
     spec = GridSpec(6)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     e = dyadic_maximal(f).samples
     assert np.all(e >= abs(fwht(f).coefficients[0]) - 1e-14)
     assert np.all(e >= np.abs(f.samples) - 1e-14)   # n = K term
     # the shared sup along axis 0 equals the one-variable loop to the last bit
     for K in (1, 2, 6, 11):
-        f = GridFunction1D(GridSpec(K), rng.normal(size=1 << K))
+        f = GridFunction(GridSpec(K), rng.normal(size=1 << K))
         best = np.full(f.spec.size, abs(float(f.samples.mean())))
         for n in range(1, K + 1):
             avg = f.samples.reshape(1 << n, -1).mean(axis=1)
@@ -143,9 +143,9 @@ def test_dyadic_maximal():
 
 def test_weak_quasinorm():
     spec = GridSpec(4)
-    assert weak_quasinorm(GridFunction1D(spec, np.arange(spec.size) < 8)) == pytest.approx(0.5)
-    assert weak_quasinorm(GridFunction1D(spec, np.full(spec.size, 0.0))) == 0.0
-    g = GridFunction1D(spec, -3.0 * np.r_[np.ones(4), np.zeros(12)])
+    assert weak_quasinorm(GridFunction(spec, np.arange(spec.size) < 8)) == pytest.approx(0.5)
+    assert weak_quasinorm(GridFunction(spec, np.full(spec.size, 0.0))) == 0.0
+    g = GridFunction(spec, -3.0 * np.r_[np.ones(4), np.zeros(12)])
     assert weak_quasinorm(g) == pytest.approx(3.0 * 4 / 16)
 
 
@@ -153,13 +153,13 @@ def test_weak_quasinorm_chebyshev_and_homogeneity():
     spec = GridSpec(6)
     rng = np.random.default_rng(4)
     for _ in range(30):
-        g = GridFunction1D(spec, rng.normal(size=spec.size) ** 3)
+        g = GridFunction(spec, rng.normal(size=spec.size) ** 3)
         wq = weak_quasinorm(g)
         assert wq <= g.l1_norm() + 1e-14
         c = float(rng.random() * 5 + 0.1)
-        assert weak_quasinorm(GridFunction1D(spec, c * g.samples)) == pytest.approx(c * wq)
+        assert weak_quasinorm(GridFunction(spec, c * g.samples)) == pytest.approx(c * wq)
     # oracle: explicit sup over a fine t-grid never exceeds the exact value
-    g = GridFunction1D(spec, rng.normal(size=spec.size))
+    g = GridFunction(spec, rng.normal(size=spec.size))
     wq = weak_quasinorm(g)
     a = np.abs(g.samples)
     for t in np.linspace(1e-9, a.max() * 1.001, 997):
@@ -168,10 +168,10 @@ def test_weak_quasinorm_chebyshev_and_homogeneity():
 
 def test_llogl_norm():
     spec = GridSpec(4)
-    assert llogl_norm(GridFunction1D(spec, np.full(spec.size, 0.9))) == 0.0
+    assert llogl_norm(GridFunction(spec, np.full(spec.size, 0.9))) == 0.0
     e = math.e
-    assert llogl_norm(GridFunction1D(spec, np.full(spec.size, e))) == pytest.approx(e)
-    f = GridFunction1D(spec, np.r_[np.full(4, e * e), np.zeros(12)])
+    assert llogl_norm(GridFunction(spec, np.full(spec.size, e))) == pytest.approx(e)
+    f = GridFunction(spec, np.r_[np.full(4, e * e), np.zeros(12)])
     assert llogl_norm(f) == pytest.approx(e * e / 2)
 
 
@@ -181,7 +181,7 @@ def test_weak_type_experiment_constant_oracle():
     sub = IndexSubsequence((1, 5, 9, 33))
 
     def const_gen(s, rng):
-        return GridFunction1D(s, np.full(s.size, 1.0))
+        return GridFunction(s, np.full(s.size, 1.0))
 
     rep = weak_type_experiment(T, sub, trials=3, K=6, seed=1, generator=const_gen)
     expect = max(kernel_V(T, n, spec).l1_norm() for n in sub)
@@ -280,7 +280,7 @@ def test_band_limited_sup_matches_full_resolution(tmp_path):
     rng = np.random.default_rng(21)
     for T, K in _cases(tmp_path):
         sub = IndexSubsequence(EDGE_INDICES[K])
-        f = GridFunction1D(GridSpec(K), rng.normal(size=1 << K))
+        f = GridFunction(GridSpec(K), rng.normal(size=1 << K))
         assert_rel_close(maximal_mean(T, sub, f).samples,
                          full_sup(T, sub, f.samples, K, absolute=False))
         assert_rel_close(maximal_abs_mean(T, sub, f).samples,
@@ -304,7 +304,7 @@ def test_weak_type_experiment_matches_per_trial_loop(tmp_path):
                     sup = dyadic_maximal(f).samples
                 else:
                     sup = full_sup(T, sub, f.samples, K, operator == "abs_mean")
-                ratios.append(weak_quasinorm(GridFunction1D(spec, sup)) / f.l1_norm())
+                ratios.append(weak_quasinorm(GridFunction(spec, sup)) / f.l1_norm())
             assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-12)
             for p in (25, 50, 75, 90):
                 assert rep.quantiles[f"q{p}"] == pytest.approx(
@@ -390,7 +390,7 @@ def test_weak_quasinorm_matches_brute_force(values):
     # sup_t t mu(|g| > t) over every threshold: the supremum is approached
     # as t rises to a value v of |g|, where it tends to v mu(|g| >= v)
     K = len(values).bit_length() - 1
-    g = GridFunction1D(GridSpec(K), np.array(values))
+    g = GridFunction(GridSpec(K), np.array(values))
     a = [abs(v) for v in values]
     brute = max([v * sum(x >= v for x in a) / len(a) for v in a if v > 0],
                 default=0.0)

@@ -21,7 +21,7 @@ from walshmeans.summability import (
     matrix_from_spec,
     upsilon,
 )
-from walshmeans.transform import GridFunction1D, inverse_array, walsh_sample
+from walshmeans.transform import GridFunction, inverse_array, walsh_sample
 
 FAMILIES = ("fejer", "nlog", "cesaro:0.5", "identity")
 
@@ -340,7 +340,7 @@ def test_kernel_decomposition_fejer_n3():
 def test_apply_mean_against_definition():
     spec = GridSpec(5)
     rng = np.random.default_rng(3)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     for name in FAMILIES:
         T = matrix_from_spec(name)
         for n in (1, 2, 7, 12):
@@ -353,12 +353,12 @@ def test_apply_mean_against_definition():
 def test_apply_mean_special_cases():
     spec = GridSpec(5)
     rng = np.random.default_rng(4)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
 
     # constant rule: c -> c (1 - t_{n,n})
     for name in FAMILIES:
         T = matrix_from_spec(name)
-        c = GridFunction1D(spec, np.full(spec.size, 2.5))
+        c = GridFunction(spec, np.full(spec.size, 2.5))
         for n in (1, 5, 9):
             expect = 2.5 * (1.0 - T.row(n)[n])
             assert np.abs(apply_mean(T, n, c).samples - expect).max() < 1e-12
@@ -380,7 +380,7 @@ def test_apply_mean_paths_agree():
     for name in FAMILIES:
         T = matrix_from_spec(name)
         for _ in range(10):
-            f = GridFunction1D(spec, rng.normal(size=spec.size))
+            f = GridFunction(spec, rng.normal(size=spec.size))
             n = int(rng.integers(1, spec.size + 1))
             a = apply_mean(T, n, f, path="coefficient").samples
             b = apply_mean(T, n, f, path="kernel").samples
@@ -392,7 +392,7 @@ def test_cesaro1_is_fejer_up_to_s0():
     # T^{C,1}_n = (n/(n+1)) T^F_n
     spec = GridSpec(5)
     rng = np.random.default_rng(6)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     C1 = builtin_matrix("cesaro", alpha=1.0)
     F = builtin_matrix("fejer")
     for n in (1, 3, 8, 20):

@@ -23,7 +23,6 @@ from walshmeans.summability import (
     mean_coefficient_weights,
 )
 from walshmeans.tensor import (
-    GridFunction2D,
     apply_axis,
     hybrid_maximal,
     iterated_majorant,
@@ -33,7 +32,7 @@ from walshmeans.tensor import (
     tensor_mean,
 )
 from walshmeans.transform import (
-    GridFunction1D,
+    GridFunction,
     forward_array,
     inverse_array,
     walsh_sample,
@@ -42,7 +41,7 @@ from walshmeans.transform import (
 PAIRS = (("fejer", "fejer"), ("fejer", "nlog"), ("cesaro:0.5", "fejer"))
 
 
-def tensor_mean_kernel_path(T0, n0, T1, n1, F: GridFunction2D) -> GridFunction2D:
+def tensor_mean_kernel_path(T0, n0, T1, n1, F: GridFunction) -> GridFunction:
     """Direct convolution with the product kernel V_{n0} (x) V_{n1}: the
     quadratic reference for the iterated path."""
     spec = F.spec
@@ -53,10 +52,10 @@ def tensor_mean_kernel_path(T0, n0, T1, n1, F: GridFunction2D) -> GridFunction2D
     A0 = v0[idx[:, None] ^ idx[None, :]]   # A0[x, u] = V0(x xor u)
     A1 = v1[idx[:, None] ^ idx[None, :]]
     out = A0 @ F.samples @ A1.T * spec.cell_measure ** 2
-    return GridFunction2D(spec, out)
+    return GridFunction(spec, out)
 
 
-def hybrid_maximal_reference(F: GridFunction2D) -> np.ndarray:
+def hybrid_maximal_reference(F: GridFunction) -> np.ndarray:
     """sup over n of the first-variable dyadic averages of depth n, as its
     own loop."""
     Kf, N = F.spec.resolution, F.spec.size
@@ -69,13 +68,13 @@ def hybrid_maximal_reference(F: GridFunction2D) -> np.ndarray:
 
 
 def _random_F(spec, rng):
-    return GridFunction2D(spec, rng.normal(size=(spec.size, spec.size)))
+    return GridFunction(spec, rng.normal(size=(spec.size, spec.size)))
 
 
 def test_apply_axis_constant_and_identity():
     spec = GridSpec(4)
     T = builtin_matrix("nlog")
-    F = GridFunction2D(spec, np.full((spec.size, spec.size), 3.0))
+    F = GridFunction(spec, np.full((spec.size, spec.size), 3.0))
     for axis in (0, 1):
         got = apply_axis(T, 5, F, axis).samples
         assert np.abs(got - 3.0 * (1 - T.row(5)[5])).max() < 1e-12
@@ -90,13 +89,13 @@ def test_apply_axis_separable():
     rng = np.random.default_rng(1)
     fx = rng.normal(size=spec.size)
     gy = rng.normal(size=spec.size)
-    F = GridFunction2D(spec, np.outer(fx, gy))
+    F = GridFunction(spec, np.outer(fx, gy))
     T = builtin_matrix("fejer")
     got = apply_axis(T, 6, F, axis=0).samples
-    fx_mean = apply_mean(T, 6, GridFunction1D(spec, fx)).samples
+    fx_mean = apply_mean(T, 6, GridFunction(spec, fx)).samples
     assert np.abs(got - np.outer(fx_mean, gy)).max() < 1e-11
     got = apply_axis(T, 6, F, axis=1).samples
-    gy_mean = apply_mean(T, 6, GridFunction1D(spec, gy)).samples
+    gy_mean = apply_mean(T, 6, GridFunction(spec, gy)).samples
     assert np.abs(got - np.outer(fx, gy_mean)).max() < 1e-11
 
 
@@ -134,7 +133,7 @@ def test_tensor_mean_eigenbehavior():
     T1 = builtin_matrix("nlog")
     from walshmeans.summability import mean_coefficient_weights
     a, b = 3, 5
-    F = GridFunction2D(spec, np.outer(walsh_sample(a, spec).samples,
+    F = GridFunction(spec, np.outer(walsh_sample(a, spec).samples,
                                       walsh_sample(b, spec).samples))
     n0, n1 = 7, 11
     lam = mean_coefficient_weights(T0, n0, spec.size)[a]
@@ -147,7 +146,7 @@ def test_tensor_mean_constant():
     spec = GridSpec(4)
     T0 = builtin_matrix("nlog")
     T1 = builtin_matrix("cesaro", alpha=0.5)
-    F = GridFunction2D(spec, np.full((spec.size, spec.size), 2.0))
+    F = GridFunction(spec, np.full((spec.size, spec.size), 2.0))
     n0, n1 = 3, 6
     expect = 2.0 * (1 - T0.row(n0)[n0]) * (1 - T1.row(n1)[n1])
     assert np.abs(tensor_mean(T0, n0, T1, n1, F).samples - expect).max() < 1e-12
@@ -165,7 +164,7 @@ def test_tensor_maximal_basic():
     expect = np.abs(tensor_mean(T0, 4, T1, 9, F).samples)
     assert np.abs(got - expect).max() < 1e-12
 
-    zero = GridFunction2D(spec, np.full((spec.size, spec.size), 0.0))
+    zero = GridFunction(spec, np.full((spec.size, spec.size), 0.0))
     s = IndexSubsequence((1, 2, 8))
     assert np.abs(tensor_maximal(T0, s, T1, s, zero).samples).max() == 0.0
 
@@ -272,7 +271,7 @@ def test_tensor_mean_linear_and_maximal_homogeneous():
     G = _random_F(spec, rng)
     a, b = 1.7, -0.4
     lhs = tensor_mean(T0, 6, T1, 9,
-                      GridFunction2D(spec, a * F.samples + b * G.samples)).samples
+                      GridFunction(spec, a * F.samples + b * G.samples)).samples
     rhs = (a * tensor_mean(T0, 6, T1, 9, F).samples
            + b * tensor_mean(T0, 6, T1, 9, G).samples)
     assert np.abs(lhs - rhs).max() < 1e-11
@@ -281,11 +280,11 @@ def test_tensor_mean_linear_and_maximal_homogeneous():
     sup_F = tensor_maximal(T0, s, T1, s, F).samples
     sup_G = tensor_maximal(T0, s, T1, s, G).samples
     sup_sum = tensor_maximal(
-        T0, s, T1, s, GridFunction2D(spec, F.samples + G.samples)).samples
+        T0, s, T1, s, GridFunction(spec, F.samples + G.samples)).samples
     assert np.all(sup_sum <= sup_F + sup_G + 1e-11)          # sublinear
     c = 2.3
     sup_cF = tensor_maximal(T0, s, T1, s,
-                            GridFunction2D(spec, c * F.samples)).samples
+                            GridFunction(spec, c * F.samples)).samples
     assert np.abs(sup_cF - c * sup_F).max() < 1e-11          # homogeneous
 
 
@@ -294,22 +293,22 @@ def test_weak_quasinorm_2d_and_llogl_2d():
     half = spec.size // 2
     Q = np.zeros((spec.size, spec.size))
     Q[:half, :half] = 1.0
-    assert weak_quasinorm(GridFunction2D(spec, Q)) == pytest.approx(0.25)
-    assert weak_quasinorm(GridFunction2D(spec, -3.0 * Q)) == pytest.approx(0.75)
-    assert llogl_norm(GridFunction2D(spec, np.full((spec.size, spec.size), 1.0))) == 0.0
+    assert weak_quasinorm(GridFunction(spec, Q)) == pytest.approx(0.25)
+    assert weak_quasinorm(GridFunction(spec, -3.0 * Q)) == pytest.approx(0.75)
+    assert llogl_norm(GridFunction(spec, np.full((spec.size, spec.size), 1.0))) == 0.0
     e = math.e
-    assert llogl_norm(GridFunction2D(spec, np.full((spec.size, spec.size), e))) == pytest.approx(e)
+    assert llogl_norm(GridFunction(spec, np.full((spec.size, spec.size), e))) == pytest.approx(e)
 
 
 def test_hybrid_maximal():
     spec = GridSpec(4)
-    minus = GridFunction2D(spec, np.full((spec.size, spec.size), -1.5))
+    minus = GridFunction(spec, np.full((spec.size, spec.size), -1.5))
     assert np.abs(hybrid_maximal(minus).samples
                   - 1.5).max() == 0.0
     rng = np.random.default_rng(6)
     g = rng.normal(size=spec.size)
     fx = np.r_[np.ones(spec.size // 2), np.zeros(spec.size // 2)]
-    F = GridFunction2D(spec, np.outer(fx, g))
+    F = GridFunction(spec, np.outer(fx, g))
     got = hybrid_maximal(F).samples
     # on the left half the full first-variable average is attained
     assert np.abs(got[: spec.size // 2, :] - np.abs(g)[None, :]).max() < 1e-12
@@ -342,7 +341,7 @@ def test_llogl_experiment_constant_oracle_and_determinism():
     s = subsequence_from_spec("powers:1..5")
 
     def const_gen(sp, rng):
-        return GridFunction2D(sp, np.full((sp.size, sp.size), 1.0))
+        return GridFunction(sp, np.full((sp.size, sp.size), 1.0))
 
     rep = llogl_weak_type_experiment(T, s, T, s, trials=2, K=5, seed=0,
                                      generator=const_gen)

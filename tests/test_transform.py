@@ -7,7 +7,7 @@ import pytest
 from oracles import dirichlet_kernel, fejer_kernel, fwht, inverse_fwht, partial_sum
 from walshmeans.dyadic import GridSpec
 from walshmeans.transform import (
-    GridFunction1D,
+    GridFunction,
     bit_reversal,
     dyadic_convolve,
     forward_array,
@@ -59,7 +59,7 @@ def test_fwht_matches_naive_and_roundtrip():
     W = walsh_matrix_oracle(K)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        f = GridFunction1D(spec, rng.normal(size=spec.size))
+        f = GridFunction(spec, rng.normal(size=spec.size))
         coeffs = fwht(f).coefficients
         naive = W @ f.samples / spec.size
         assert np.abs(coeffs - naive).max() < 1e-12
@@ -154,7 +154,7 @@ def test_fwht_unit_vectors_and_half_indicator():
     expect[5] = 1.0
     assert np.abs(c - expect).max() < 1e-14
 
-    half = GridFunction1D(spec, np.arange(spec.size) < 4)
+    half = GridFunction(spec, np.arange(spec.size) < 4)
     c = fwht(half).coefficients
     assert abs(c[0] - 0.5) < 1e-15 and abs(c[1] - 0.5) < 1e-15
     assert np.abs(c[2:]).max() < 1e-15
@@ -164,7 +164,7 @@ def test_parseval():
     spec = GridSpec(7)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        f = GridFunction1D(spec, rng.normal(size=spec.size))
+        f = GridFunction(spec, rng.normal(size=spec.size))
         lhs = np.mean(f.samples ** 2)
         rhs = np.sum(fwht(f).coefficients ** 2)
         assert abs(lhs - rhs) < 1e-12
@@ -173,13 +173,13 @@ def test_parseval():
 def test_partial_sum():
     spec = GridSpec(4)
     rng = np.random.default_rng(2)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     assert np.abs(partial_sum(f, spec.size).samples - f.samples).max() < 1e-12
     mean = fwht(f).coefficients[0]
     assert np.abs(partial_sum(f, 1).samples - mean).max() < 1e-12
     assert np.abs(partial_sum(f, 0).samples).max() == 0.0
 
-    half = GridFunction1D(spec, np.arange(spec.size) < 8)
+    half = GridFunction(spec, np.arange(spec.size) < 8)
     assert np.abs(partial_sum(half, 2).samples - half.samples).max() < 1e-13
     with pytest.raises(ValueError):
         partial_sum(f, spec.size + 1)
@@ -241,8 +241,8 @@ def test_convolution_against_naive_sum():
     K = 6
     spec = GridSpec(K)
     rng = np.random.default_rng(3)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
-    g = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
+    g = GridFunction(spec, rng.normal(size=spec.size))
     naive = np.array([
         np.mean([f.samples[j] * g.samples[l ^ j] for j in range(spec.size)])
         for l in range(spec.size)])
@@ -253,7 +253,7 @@ def test_convolution_against_naive_sum():
 def test_convolution_identities():
     spec = GridSpec(5)
     rng = np.random.default_rng(4)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
     for n in range(spec.resolution + 1):
         lhs = dyadic_convolve(f, dirichlet_kernel(1 << n, spec)).samples
         rhs = partial_sum(f, 1 << n).samples
@@ -267,7 +267,7 @@ def test_convolution_identities():
         rhs = fwht(f).coefficients[n] * w.samples
         assert np.abs(lhs - rhs).max() < 1e-12
     with pytest.raises(ValueError):
-        dyadic_convolve(f, GridFunction1D(GridSpec(4), np.ones(16)))
+        dyadic_convolve(f, GridFunction(GridSpec(4), np.ones(16)))
 
 
 def test_character_multiplicativity():
@@ -282,10 +282,10 @@ def test_character_multiplicativity():
 def test_translation_covariance():
     spec = GridSpec(5)
     rng = np.random.default_rng(6)
-    f = GridFunction1D(spec, rng.normal(size=spec.size))
-    g = GridFunction1D(spec, rng.normal(size=spec.size))
+    f = GridFunction(spec, rng.normal(size=spec.size))
+    g = GridFunction(spec, rng.normal(size=spec.size))
     for y in (1, 7, 19):
         shift = np.arange(spec.size) ^ y       # x -> x dyadic+ y/2^K
-        lhs = dyadic_convolve(GridFunction1D(spec, f.samples[shift]), g).samples
+        lhs = dyadic_convolve(GridFunction(spec, f.samples[shift]), g).samples
         rhs = dyadic_convolve(f, g).samples[shift]
         assert np.abs(lhs - rhs).max() < 1e-12
