@@ -3,7 +3,9 @@
 A grid file starts with the header ``# resolution=K``, then holds one line per
 grid row.  A 1D grid is a one-column 2D grid: one value per line.  A 2D
 grid adds ``dims=2`` to the header and writes each row as comma-separated
-values.  Values are written with ``repr``, which round-trips every float.
+values; ``dims=1`` may mark a 1D grid, and the header holds no other
+field.  Values are written with ``repr``, which round-trips every float.
+Files are read as UTF-8 (see `open_text`).
 
 A grid file is refused from its header when K exceeds the resolution cap
 of its dimension, ``MAX_K``, before its body is read, and at its first
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -77,45 +80,62 @@ def write_grid(path_or_buf, K: int, samples: np.ndarray) -> None:
             buf.close()
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """`path` opened as UTF-8 text; a byte that is not UTF-8 raises a
+    ValueError naming the path and the byte."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: byte {exc.object[exc.start]:#04x} "
+                             "is not UTF-8 text") from None
+
+
 def read_grid(path_or_buf) -> tuple[int, np.ndarray]:
     """K and the samples of a grid CSV: a vector, or a matrix with one row
     per line under a ``dims=2`` header.  Blank lines are skipped.  A K
     above MAX_K is a GuardRailError raised from the header, and a K below
-    1 a ValueError.  The body is refused, with a ValueError naming the
-    line, at its first line past 2^K rows, without 2^K values (in 2D) or
-    longer than VALUE_CHARS per value, before any later line is read, and
-    at a value that is not a finite number."""
-    buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-    try:
-        header = buf.readline(_HEADER_CHARS + 1)
-        if len(header) > _HEADER_CHARS:
-            raise ValueError(f"line 1: longer than the {_HEADER_CHARS} characters "
-                             "of a grid header")
-        header = header.strip()
-        if not header.startswith("# resolution="):
-            raise ValueError(f"missing grid header, got {header!r}")
-        K, *fields = header[len("# resolution="):].split() or [""]
-        [K] = parse_numbers("line 1: resolution", K, count=1)
-        dims = 2 if "dims=2" in fields else 1
-        check_grid_resolution(K, dims)
-        if K < 1:
-            raise ValueError(f"grid resolution must be >= 1, got {K}")
-        # each line is read at most `limit` characters at a time, and one
-        # longer than that is refused (_too_long raises) before it is parsed
-        limit = (1 << K if dims == 2 else 1) * VALUE_CHARS
-        read = iter(partial(buf.readline, limit + 1), "")
-        lines = ((no, line) for no, line in enumerate(read, start=2)
-                 if (len(line) <= limit or _too_long(buf, no, line, K, dims))
-                 and line.strip())
-        if dims == 2:
-            lines = ((no, _grid_row(no, line, K)) for no, line in lines)
-        body = list(islice(lines, 1 << K))
-        extra = next(lines, None)
-        if extra:
-            raise ValueError(f"line {extra[0]}: past the {1 << K} rows of resolution {K}")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
+    1 or a header field other than one ``dims=1`` or ``dims=2`` a
+    ValueError.  The body is refused, with a ValueError naming the line,
+    at its first line past 2^K rows, without 2^K values (in 2D) or longer
+    than VALUE_CHARS per value, before any later line is read, and at a
+    value that is not a finite number."""
+    if not hasattr(path_or_buf, "read"):
+        with open_text(path_or_buf) as buf:
+            return read_grid(buf)
+    buf = path_or_buf
+    header = buf.readline(_HEADER_CHARS + 1)
+    if len(header) > _HEADER_CHARS:
+        raise ValueError(f"line 1: longer than the {_HEADER_CHARS} characters "
+                         "of a grid header")
+    header = header.strip()
+    if not header.startswith("# resolution="):
+        raise ValueError(f"missing grid header, got {header!r}")
+    K, *fields = header[len("# resolution="):].split() or [""]
+    [K] = parse_numbers("line 1: resolution", K, count=1)
+    dims = 1
+    for i, field in enumerate(fields):
+        if i or field not in ("dims=1", "dims=2"):
+            raise ValueError(f"line 1: header field {field!r}: expected at most "
+                             "one field, 'dims=1' or 'dims=2'")
+        dims = int(field[len("dims="):])
+    check_grid_resolution(K, dims)
+    if K < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {K}")
+    # each line is read at most `limit` characters at a time, and one
+    # longer than that is refused (_too_long raises) before it is parsed
+    limit = (1 << K if dims == 2 else 1) * VALUE_CHARS
+    read = iter(partial(buf.readline, limit + 1), "")
+    lines = ((no, line) for no, line in enumerate(read, start=2)
+             if (len(line) <= limit or _too_long(buf, no, line, K, dims))
+             and line.strip())
+    if dims == 2:
+        lines = ((no, _grid_row(no, line, K)) for no, line in lines)
+    body = list(islice(lines, 1 << K))
+    extra = next(lines, None)
+    if extra:
+        raise ValueError(f"line {extra[0]}: past the {1 << K} rows of resolution {K}")
     if dims == 2:
         values = np.array([row for _, row in body] or np.empty((0, 1 << K)))
     else:

@@ -94,7 +94,7 @@ def _check_spec_size(text: str, terms: int, bits: int) -> None:
 # ---------------------------------------------------------------------------
 # Maximal operators.
 
-_CHUNK_CELLS = 1 << 21      # cells of one streamed block of means (16 MiB)
+_CHUNK_CELLS = 1 << 17      # cells of one streamed block of means (1 MiB)
 _MAX_BANK_CELLS = 1 << 26   # cells of one bank of mean weights (512 MiB)
 
 
@@ -185,7 +185,10 @@ def _fold_levels(coeffs, banks, groups, levels, into) -> None:
         _fold_levels(coeffs, banks, groups, levels + ((m, ix),), acc)
         prev = m
     if acc is not None:
-        np.maximum(into, np.repeat(acc, 1 << (top[0] - prev), axis=1 + j), out=into)
+        # a view of into (contiguous) as (..., 2^prev, 2^(top - prev), ...)
+        # along axis j: each cell of acc covers a run of finer cells
+        fine = into.reshape(into.shape[:1 + j] + (1 << prev, -1) + into.shape[2 + j:])
+        np.maximum(fine, np.expand_dims(acc, 2 + j), out=fine)
         del acc   # before the top level's blocks allocate
     _fold_levels(coeffs, banks, groups, levels + (top,), into)
 
@@ -400,14 +403,19 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
     subseq.check_resolution(spec)
     rng = np.random.default_rng(seed)
     inputs = [generator(spec, rng) for _ in range(trials)]
+    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
     if operator == "dyadic_maximal":
         sups = [dyadic_maximal(f).samples for f in inputs]
     else:
         bank = (abs_kernel_spectra(T, subseq) if operator == "abs_mean"
                 else _mean_weight_matrix(T, subseq))
-        fh = forward_array(np.stack([f.samples for f in inputs]), K)
+        fh = np.empty((trials, spec.size))
+        step = max(1, _CHUNK_CELLS >> K)   # trials per block of the forward transform
+        for i in range(0, trials, step):
+            fh[i: i + step] = forward_array(
+                np.stack([f.samples for f in inputs[i: i + step]]), K)
+        del inputs   # only their coefficients are needed from here on
         sups = _sup_of_means(fh, [(bank, subseq)], K)
-    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
     return WeakTypeReport(
         family=T.name, subsequence=subseq.describe(), K=K, trials=trials, seed=seed,
         operator=operator, **_ratio_summary(sups, spec.cell_measure, l1))

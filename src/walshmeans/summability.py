@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .dyadic import GridSpec, prefix
-from .io import GuardRailError, parse_numbers
+from .io import GuardRailError, open_text, parse_numbers
 from .transform import GridFunction, forward_array, inverse_array
 
 ROW_SUM_TOL = 1e-12
@@ -217,7 +217,7 @@ def builtin_matrix(family: str, alpha: float | None = None,
 
 
 def _rows_from_csv(path: str):
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [np.array(parse_numbers(f"{path} line {reader.line_num}", rec, kind=float))
                 for rec in reader if rec]
@@ -241,7 +241,7 @@ def matrix_from_spec(text: str) -> TransformationMatrix:
         return builtin_matrix("cesaro", alpha=alpha)
     if text.startswith("cesaro-seq:"):
         path = text.split(":", 1)[1]
-        with open(path) as fh:
+        with open_text(path) as fh:
             seq = [parse_numbers(f"{path} line {no}", line.strip(), count=1, kind=float)[0]
                    for no, line in enumerate(fh, start=1) if line.strip()]
         if not seq:

@@ -2,6 +2,7 @@
 rails, and exit codes."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,9 @@ import pytest
 
 from oracles import fejer_kernel
 from walshmeans.cli import main
+from walshmeans import tensor
 from walshmeans.dyadic import GridSpec
+from walshmeans.maximal import subsequence_from_spec
 from walshmeans.summability import builtin_matrix
 from walshmeans.transform import GridFunction, load_grid1d, save_grid1d
 from walshmeans.tensor import load_grid2d, save_grid2d
@@ -262,6 +265,66 @@ def test_bad_numbers_name_their_source(argv, text, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+_MEAN_OF = ["mean", "--matrix", "fejer", "--n", "1", "--input", "{path}"]
+_WLP_OF = ["wlp", "--input", "{path}", "--point", "0,0"]
+_ROWS_2D = "1,2,3,4\n" * 4
+
+
+@pytest.mark.parametrize("argv, header, body, field", [
+    (_MEAN_OF, "dims=3", "1\n2\n3\n4\n", "dims=3"),
+    (_WLP_OF, "dim=2", _ROWS_2D, "dim=2"),
+    (_WLP_OF, "dims=2 dims=2", _ROWS_2D, "dims=2"),
+    (_MEAN_OF, "dims=1 size=4", "1\n2\n3\n4\n", "size=4"),
+], ids=["dims-3", "dim-2", "dims-twice", "unknown-field"])
+def test_grid_header_fields_refused(argv, header, body, field, tmp_path, capsys):
+    # a grid header holds the resolution and at most one dims=1 or dims=2;
+    # any other field is a config error naming line 1 and the field
+    path = tmp_path / "in.csv"
+    path.write_text(f"# resolution=2 {header}\n{body}")
+    assert run([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: line 1: header field {field!r}: expected at most "
+                            "one field, 'dims=1' or 'dims=2'\n")
+    assert captured.out == ""
+
+
+def test_grid_header_dims_1_accepted(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("# resolution=2 dims=1\n1\n2\n3\n4\n")
+    assert run([a.format(path=path) for a in _MEAN_OF]) == 0
+    assert capsys.readouterr().out.count("\n") == 5
+
+
+@pytest.mark.parametrize("argv, text", [
+    (_MEAN_OF, "# resolution=1\n1.0\n\xff2.0\n"),
+    (_MEAN_OF, "# resolution=\xff\n1.0\n2.0\n"),
+    (_WLP_OF, "# resolution=1 dims=2\n1.0,2.0\n3.0,\xff\n"),
+    (["upsilon", "--matrix", "cesaro-seq:{path}", "--seq", "list:1"], "0.5\n\n\xff\n"),
+    (["upsilon", "--matrix", "custom:{path}", "--seq", "list:1"], "1\n0.5,\xff\n"),
+], ids=["grid-1d", "grid-header", "grid-2d", "cesaro-seq", "custom"])
+def test_undecodable_bytes_name_the_file(argv, text, tmp_path, capsys):
+    # a byte that is not UTF-8 is a config error naming the file and byte
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode("latin-1"))
+    assert run([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: byte 0xff is not UTF-8 text\n"
+    assert captured.out == ""
+
+
+def test_undecodable_bytes_from_a_pipe(capsys):
+    # the same message when the input cannot seek, as /dev/stdin from a pipe
+    r, w = os.pipe()
+    os.write(w, b"# resolution=1\n1.0\n\xff2.0\n")
+    os.close(w)
+    path = f"/dev/fd/{r}"
+    try:
+        assert run([a.format(path=path) for a in _MEAN_OF]) == 1
+    finally:
+        os.close(r)
+    assert capsys.readouterr().err == f"error: {path}: byte 0xff is not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["mean", "--matrix", "fejer", "--n", "1", "--input", "{F}"],
      "expected a 1D grid, got a 2D grid"),
@@ -486,7 +549,11 @@ def test_benchmark_tracer_installs(tmp_path, monkeypatch, capsys):
                 path.unlink()
         codes = [run(argv) for argv in _readme_commands()]
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
-        return codes, capsys.readouterr(), files
+        # no CLI command calls tensor_maximal, so call it for its span
+        sup = tensor.tensor_maximal(builtin_matrix("fejer"), subsequence_from_spec("powers:0..6"),
+                                    builtin_matrix("nlog"), subsequence_from_spec("all:1..8"),
+                                    load_grid2d("F.csv"))
+        return codes, capsys.readouterr(), files, sup.samples.tobytes()
 
     untraced = outputs()
     tracer = Tracer()

@@ -356,19 +356,61 @@ def test_coarse_to_fine_fold_matches_full_grid_fold(chunk, monkeypatch):
         assert np.array_equal(got, sup_of_means_reference(coeffs, pair, K))
 
 
+def _experiment_peak(spec, trials, K, operator="abs_mean"):
+    """tracemalloc peak, in bytes, of one fejer weak-type experiment, after
+    a small one has made the lazy imports and the caches."""
+    weak_type_experiment(builtin_matrix("fejer"), subsequence_from_spec("powers:1..2"),
+                         trials=1, K=2, operator=operator)
+    tracemalloc.start()
+    try:
+        weak_type_experiment(builtin_matrix("fejer"), subsequence_from_spec(spec),
+                             trials=trials, K=K, operator=operator)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_streamed_sup_memory_is_bounded():
-    # one level-10 group of 512 rows x 64 trials is 16 blocks unchunked
+    # one level-10 group of 512 rows x 64 trials is 16 blocks unchunked; the
+    # experiment holds the bank, the inputs, their coefficients and the sup
+    # (trials x 2^K each) and at most 5 blocks of means
     sub = subsequence_from_spec("all:513..1024")
     trials, K = 64, 10
     unchunked = trials * len(sub) * (1 << K)
     assert unchunked > 4 * maximal._CHUNK_CELLS
-    tracemalloc.start()
-    try:
-        weak_type_experiment(builtin_matrix("fejer"), sub, trials=trials, K=K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 8 * maximal._CHUNK_CELLS < 8 * unchunked / 2
+    peak = _experiment_peak("all:513..1024", trials, K)
+    bank = len(sub) * (1 << K)
+    held = 8 * (bank + 3 * trials * (1 << K)) + 5 * 8 * maximal._CHUNK_CELLS
+    assert peak < held < 8 * unchunked / 2
+
+
+@pytest.mark.parametrize("operator", ["abs_mean", "mean"])
+@pytest.mark.parametrize("K", [12, 14])
+def test_weak_type_experiment_holds_three_grids(K, operator):
+    # 50 trials are 1.6 MiB a grid at K = 12, 6.6 MiB at 14: the inputs,
+    # their coefficients and the sup at most, never a stack of the inputs
+    # and the forward transform's full-size temporaries
+    trials = 50
+    bank = 8 * K * (1 << K)   # powers:1..K, up to level K
+    held = 3 * 8 * trials * (1 << K) + bank + 5 * 8 * maximal._CHUNK_CELLS
+    assert _experiment_peak(f"powers:1..{K}", trials, K, operator) < held
+
+
+@pytest.mark.parametrize("operator", maximal._OPERATORS)
+@pytest.mark.parametrize("matrix, spec, K, trials", [
+    ("fejer", "powers:1..12", 12, 50),
+    ("nlog", "all:1..512", 11, 5),
+    ("cesaro:0.5", "alternating:0..5", 12, 20),
+])
+def test_block_size_leaves_reports_unchanged(matrix, spec, K, trials, operator,
+                                             monkeypatch):
+    # the blocks of the forward transform and of the means split the trial
+    # and row axes differently at 2^17 and 2^21 cells; every bit agrees
+    T, sub = matrix_from_spec(matrix), subsequence_from_spec(spec)
+    report = weak_type_experiment(T, sub, trials=trials, K=K, seed=3, operator=operator)
+    monkeypatch.setattr(maximal, "_CHUNK_CELLS", 1 << 21)
+    assert weak_type_experiment(T, sub, trials=trials, K=K, seed=3,
+                                operator=operator) == report
 
 
 def test_mean_work_counts_every_index_tuple():
