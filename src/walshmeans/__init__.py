@@ -21,7 +21,6 @@ from .exact import (
     validate_nseq,
 )
 from .lebesgue import (
-    WlpDiagnostic,
     classify_wlp,
     h0,
     h1,

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library operations and emit CSV for
-grid data and JSON for structured reports.  A fixed seed makes reports
-byte-identical across runs.  Exit codes: 0 ok, 1 config or usage error,
+grid data and JSON for structured reports: a report is the dict its
+library function returns (example1 writes its exact rationals as text).
+A fixed seed makes reports byte-identical across runs, and a report never
+holds a NaN or an infinity.  Exit codes: 0 ok, 1 config or usage error,
 2 guard rail, 3 a checked identity failed.
 """
 
@@ -13,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .dyadic import GridSpec
+from .dyadic import DyadicRational, GridSpec
 from .exact import avg_sweep_at_zero, build_example1, divergence_report
 from .io import MAX_REPORT_VALUES, GuardRailError, check_grid_resolution, parse_numbers, report_json
 from .lebesgue import classify_wlp, mt2_convergence_experiment
@@ -63,7 +65,10 @@ def _check_points(count: int, spec: GridSpec) -> None:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = report_json(payload) + "\n"
+    try:
+        text = report_json(payload) + "\n"
+    except ValueError:   # report_json refuses NaN and infinities
+        raise ValueError("the report would hold a non-finite number") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -118,10 +123,8 @@ def cmd_maximal(args) -> int:
     subseq.check_resolution(spec)   # before the work guard: an index off the grid exits 1
     if args.operator != "dyadic_maximal":   # whose work does not depend on --seq
         _check_work(args.trials, subseq)
-    report = weak_type_experiment(T, subseq, trials=args.trials,
-                                  K=args.resolution, seed=args.seed,
-                                  operator=args.operator)
-    _emit(report.to_dict(), args.out)
+    _emit(weak_type_experiment(T, subseq, trials=args.trials, K=args.resolution,
+                               seed=args.seed, operator=args.operator), args.out)
     return OK
 
 
@@ -148,10 +151,8 @@ def cmd_llogl(args) -> int:
     subseq0.check_resolution(spec)
     subseq1.check_resolution(spec)
     _check_work(args.trials, subseq0, subseq1)
-    report = llogl_weak_type_experiment(T0, subseq0, T1, subseq1,
-                                        trials=args.trials, K=args.resolution,
-                                        seed=args.seed)
-    _emit(report.to_dict(), args.out)
+    _emit(llogl_weak_type_experiment(T0, subseq0, T1, subseq1, trials=args.trials,
+                                     K=args.resolution, seed=args.seed), args.out)
     return OK
 
 
@@ -168,7 +169,10 @@ def cmd_wlp(args) -> int:
         depths = range(lo, hi + 1)
     F = load_grid2d(args.input)
     _check_points(len(points), F.spec)
-    diags = [classify_wlp(F, p, depth_range=depths).to_dict() for p in points]
+    if depths is not None and not 0 <= lo <= hi <= F.spec.resolution:
+        raise ValueError(f"--depths {args.depths!r}: expected a..b with "
+                         f"0 <= a <= b <= {F.spec.resolution}, the grid's resolution")
+    diags = [classify_wlp(F, p, depth_range=depths) for p in points]
     _emit({"diagnostics": diags}, args.out)
     return OK
 
@@ -193,9 +197,13 @@ def cmd_mt2(args) -> int:
             f"{len(args.point)} points x {len(subseq0)} x {len(subseq1)} index pairs "
             f"need {values} report values, above the limit of {MAX_REPORT_VALUES}")
     points = [_parse_point(p) for p in args.point]
-    report = mt2_convergence_experiment(T0, T1, subseq0, subseq1, F, points)
-    _emit(report.to_dict(), args.out)
+    _emit(mt2_convergence_experiment(T0, T1, subseq0, subseq1, F, points), args.out)
     return OK
+
+
+def _exact_as_text(row: dict) -> dict:
+    """A report row with each exact `DyadicRational` written as its text."""
+    return {k: str(v) if isinstance(v, DyadicRational) else v for k, v in row.items()}
 
 
 def cmd_example1(args) -> int:
@@ -206,16 +214,9 @@ def cmd_example1(args) -> int:
             f"--nseq {args.nseq!r} has largest index {top}, above the limit of {MAX_NSEQ}")
     f = build_example1(seq)
     rows = divergence_report(seq, f)
-    sweep = avg_sweep_at_zero(seq, f)
-    payload = {
-        "nseq": list(seq),
-        "divergence": [r.to_dict() for r in rows],
-        "avg_at_zero": [{"depth": s["depth"], "k": s["k"],
-                         "avg": str(s["avg"]), "avg_decimal": s["avg_decimal"],
-                         "avg_times_2k": s["avg_times_2k"]} for s in sweep],
-    }
-    _emit(payload, args.out)
-    return OK if all(r.meets_bound for r in rows) else IDENTITY_FAILURE
+    _emit({"nseq": list(seq), "divergence": list(map(_exact_as_text, rows)),
+           "avg_at_zero": list(map(_exact_as_text, avg_sweep_at_zero(seq, f)))}, args.out)
+    return OK if all(r["meets_bound"] for r in rows) else IDENTITY_FAILURE
 
 
 def cmd_c2(args) -> int:

@@ -67,15 +67,9 @@ class SparseStepFunction:
                               scale + vscale)
 
 
-@dataclass
-class NSeqVerdict:
-    ok: bool
-    violations: list
-
-
-def validate_nseq(seq) -> NSeqVerdict:
+def validate_nseq(seq) -> list[str]:
     """Check the growth conditions n_k > 3 n_{k-1} and n_k > 2^{2k}
-    (with n_0 = 0); returns a verdict listing each violation."""
+    (with n_0 = 0); returns each violation, none for a valid sequence."""
     seq = tuple(int(v) for v in seq)
     violations = []
     if not seq:
@@ -87,7 +81,7 @@ def validate_nseq(seq) -> NSeqVerdict:
         if nk <= 4 ** k:
             violations.append(f"n2 fails at k={k}: need n_{k} > {4 ** k}, got {nk}")
         prev = nk
-    return NSeqVerdict(ok=not violations, violations=violations)
+    return violations
 
 
 def build_example1(seq) -> SparseStepFunction:
@@ -98,9 +92,9 @@ def build_example1(seq) -> SparseStepFunction:
     no piece, so the function vanishes there.
     """
     seq = tuple(int(v) for v in seq)
-    verdict = validate_nseq(seq)
-    if not verdict.ok:
-        raise ValueError("invalid index sequence: " + "; ".join(verdict.violations))
+    violations = validate_nseq(seq)
+    if violations:
+        raise ValueError("invalid index sequence: " + "; ".join(violations))
     pieces = []
     prev = 0
     for k, nk in enumerate(seq, start=1):
@@ -147,32 +141,13 @@ def exact_avg_at_zero(f: SparseStepFunction, depth: int) -> DyadicRational:
     return f.integral_over(window).times_pow2(depth)
 
 
-@dataclass
-class DivergenceRow:
-    k: int
-    n_k: int
-    sigma: DyadicRational
-    lower_bound: DyadicRational
-    ratio: float
-    meets_bound: bool
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "n_k": self.n_k,
-            "sigma_exact": str(self.sigma),
-            "sigma_decimal": float(self.sigma),
-            "lower_bound": str(self.lower_bound),
-            "lower_bound_decimal": float(self.lower_bound),
-            "ratio": self.ratio,
-            "meets_bound": self.meets_bound,
-        }
-
-
-def divergence_report(seq, f: SparseStepFunction | None = None) -> list[DivergenceRow]:
+def divergence_report(seq, f: SparseStepFunction | None = None) -> list[dict]:
     """Exact sigma_{2^{n_k}}(f, 0) against the lower bound
-    (n_k - n_{k-1}) / 2^{k+1} for each k; f is `build_example1(seq)`,
-    built here when not given."""
+    (n_k - n_{k-1}) / 2^{k+1}, one row for each k; f is
+    `build_example1(seq)`, built here when not given.  Each row holds k,
+    n_k, sigma_exact and lower_bound as exact `DyadicRational`s, their
+    float values sigma_decimal and lower_bound_decimal, the ratio of the
+    two and whether sigma meets the bound."""
     seq = tuple(int(v) for v in seq)
     if f is None:
         f = build_example1(seq)
@@ -181,9 +156,9 @@ def divergence_report(seq, f: SparseStepFunction | None = None) -> list[Divergen
     for k, nk in enumerate(seq, start=1):
         sigma = exact_fejer_at_zero(f, nk)
         bound = DyadicRational(nk - prev, k + 1)
-        rows.append(DivergenceRow(
-            k=k, n_k=nk, sigma=sigma, lower_bound=bound,
-            ratio=float(sigma) / float(bound), meets_bound=sigma >= bound))
+        rows.append({"k": k, "n_k": nk, "sigma_exact": sigma, "sigma_decimal": float(sigma),
+                     "lower_bound": bound, "lower_bound_decimal": float(bound),
+                     "ratio": float(sigma) / float(bound), "meets_bound": sigma >= bound})
         prev = nk
     return rows
 

@@ -12,8 +12,9 @@ of its dimension, ``MAX_K``, before its body is read, and at its first
 line past the header's shape, before the rest is read.  No line is held
 longer than ``VALUE_CHARS`` characters per value of a row.
 
-A report is ``json.dumps(payload, indent=2, sort_keys=True)``, written
-column by column (see `report_json`).
+A report is ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``,
+written column by column (see `report_json`): it never holds a NaN or an
+infinity.
 """
 
 from __future__ import annotations
@@ -187,12 +188,13 @@ def _grid_row(no: int, line: str, K: int) -> list[float]:
 
 
 # JSON text of a leaf, by exact type; bools (an int subclass), non-finite
-# floats and everything else take the stdlib path
+# floats (which the stdlib refuses) and everything else take the stdlib path
 _LEAF = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
 
 def report_json(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``.
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``:
+    a NaN or an infinity raises ValueError, as there.
 
     The stdlib encodes with indent in pure Python, one value at a time.
     Here a list of scalars of one type is mapped through its leaf encoder,
@@ -213,7 +215,8 @@ def _encode(obj, level: int) -> str:
     as_row = _rows([obj], level)
     if as_row:
         return as_row[0]
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
 def _column(values, level: int) -> list[str]:

@@ -8,9 +8,6 @@ converge.  All functionals are evaluated as exact cell sums on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .maximal import IndexSubsequence, _mean_weight_matrix
@@ -86,49 +83,19 @@ _H_GROWTH_LIMIT = 2.0   # wl2/wl3: an H sup at most doubles past the shallow hal
 _ATOL = 1e-13           # a value at or below it counts as zero
 
 
-@dataclass
-class WlpDiagnostic:
-    """Finite-depth Walsh-Lebesgue verdict at one grid point.
-
-    The verdict speaks only about the tested depth range: wl1 passes when
-    the diagonal W values decay by the factor in ``thresholds``, wl2/wl3
-    pass when the H sups do not keep growing across the range.
-    """
-
-    thresholds: ClassVar[dict] = {"decay_factor": _DECAY_FACTOR,
-                                  "h_growth_limit": _H_GROWTH_LIMIT, "atol": _ATOL}
-
-    point: tuple[int, int]
-    depths: tuple[int, ...]
-    w_values: tuple[float, ...]
-    h0_sup: float
-    h1_sup: float
-    verdict: str
-
-    @property
-    def passes(self) -> bool:
-        return self.verdict == "passes"
-
-    def to_dict(self):
-        return {
-            "point": list(self.point),
-            "depths": list(self.depths),
-            "W_values": list(self.w_values),
-            "H0_sup": self.h0_sup,
-            "H1_sup": self.h1_sup,
-            "verdict": self.verdict,
-            "thresholds": dict(self.thresholds),
-        }
-
-
 def classify_wlp(F: GridFunction, point: tuple[int, int],
-                 depth_range=None) -> WlpDiagnostic:
+                 depth_range=None) -> dict:
     """Classify a grid point against the three Walsh-Lebesgue conditions
     over a finite depth range.
 
-    Limits are not decidable from samples, so the verdict is relative to
-    the tested depths and to the thresholds the diagnostic records.
-    """
+    Limits are not decidable from samples, so the verdict speaks only
+    about the tested depths and the thresholds the diagnostic records:
+    wl1 passes when the diagonal W values decay by ``decay_factor``, and
+    wl2/wl3 pass when the H sups do not keep growing across the range
+    (the deepest at most ``h_growth_limit`` times the shallow half's).
+    The diagnostic holds the point, the depths, the diagonal W_values,
+    H0_sup, H1_sup, the verdict ("passes" or "fails wl1".."fails wl3")
+    and the thresholds."""
     K = F.spec.resolution
     if depth_range is None:
         if K < 2:
@@ -140,7 +107,7 @@ def classify_wlp(F: GridFunction, point: tuple[int, int],
         raise ValueError(f"depth range {depths} invalid for resolution {K}")
     x0, x1 = point
     table = _DeltaTable(F, x0, x1)
-    w_vals = tuple(table.w(n, n) for n in depths)
+    w_vals = [table.w(n, n) for n in depths]
     h0_vals = [table.w(n, 0) for n in depths]
     h1_vals = [table.w(0, n) for n in depths]
 
@@ -159,60 +126,25 @@ def classify_wlp(F: GridFunction, point: tuple[int, int],
         verdict = "fails wl3"
     else:
         verdict = "passes"
-    return WlpDiagnostic(point=(x0, x1), depths=depths, w_values=w_vals,
-                         h0_sup=max(h0_vals), h1_sup=max(h1_vals),
-                         verdict=verdict)
-
-
-@dataclass
-class Mt2PointReport:
-    point: tuple[int, int]
-    value: float
-    diagnostic: WlpDiagnostic
-    errors: list              # errors[a][b] = |mean - F(point)|
-    diag_errors: list
-    errors_decreasing: bool
-
-    def to_dict(self):
-        return {
-            "point": list(self.point),
-            "value": self.value,
-            "classification": self.diagnostic.to_dict(),
-            "errors": self.errors,
-            "diag_errors": self.diag_errors,
-            "errors_decreasing": self.errors_decreasing,
-        }
-
-
-@dataclass
-class Mt2Report:
-    indices0: tuple[int, ...]
-    indices1: tuple[int, ...]
-    t0_axis0: list
-    t0_axis1: list
-    points: list
-
-    def to_dict(self):
-        return {
-            "indices0": list(self.indices0),
-            "indices1": list(self.indices1),
-            "t0_axis0": self.t0_axis0,
-            "t0_axis1": self.t0_axis1,
-            "points": [p.to_dict() for p in self.points],
-        }
+    return {"point": [x0, x1], "depths": list(depths), "W_values": w_vals,
+            "H0_sup": max(h0_vals), "H1_sup": max(h1_vals), "verdict": verdict,
+            "thresholds": {"decay_factor": _DECAY_FACTOR,
+                           "h_growth_limit": _H_GROWTH_LIMIT, "atol": _ATOL}}
 
 
 def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatrix,
                                subseq0: IndexSubsequence, subseq1: IndexSubsequence,
-                               F: GridFunction, points) -> Mt2Report:
+                               F: GridFunction, points) -> dict:
     """Pointwise error table of the tensor means over the index grid.
 
-    For every requested point the report carries the Walsh-Lebesgue
-    classification, the per-pair errors |T_{n_a} x T_{n_b} F - F(point)|,
-    and the leading row weights t_{0,n} of both matrices so the vanishing
-    of t_{0,n} along the subsequences can be read off directly.  Errors at
-    passing points are expected to shrink as min(n_a, n_b) grows; the
-    report records whether the diagonal errors decrease.
+    The report holds both index lists (indices0, indices1), the leading
+    row weights t_{0,n} of both matrices (t0_axis0, t0_axis1), so the
+    vanishing of t_{0,n} along the subsequences can be read off directly,
+    and one entry per requested point: its value F(point), its
+    Walsh-Lebesgue classification (`classify_wlp`), the per-pair errors
+    errors[a][b] = |T_{n_a} x T_{n_b} F - F(point)|, the diagonal
+    diag_errors and whether they decrease (errors_decreasing).  Errors at
+    passing points are expected to shrink as min(n_a, n_b) grows.
     """
     spec = F.spec
     subseq0.check_resolution(spec)
@@ -236,13 +168,12 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
         errs = np.abs(row0 @ coeffs @ row1.T - value).tolist()
         diag_errs = [errs[i][i] for i in range(min(len(subseq0), len(subseq1)))]
         decreasing = len(diag_errs) < 2 or diag_errs[-1] <= diag_errs[0] + 1e-15
-        reports.append(Mt2PointReport(
-            point=(x0, x1), value=value, diagnostic=diag, errors=errs,
-            diag_errors=diag_errs, errors_decreasing=decreasing))
+        reports.append({"point": [x0, x1], "value": value, "classification": diag,
+                        "errors": errs, "diag_errors": diag_errs,
+                        "errors_decreasing": decreasing})
 
     idx0, idx1 = subseq0.indices, subseq1.indices
-    return Mt2Report(
-        indices0=idx0, indices1=idx1,
-        t0_axis0=T0.tau(0, np.array(idx0)).tolist(),
-        t0_axis1=T1.tau(0, np.array(idx1)).tolist(),
-        points=reports)
+    return {"indices0": list(idx0), "indices1": list(idx1),
+            "t0_axis0": T0.tau(0, np.array(idx0)).tolist(),
+            "t0_axis1": T1.tau(0, np.array(idx1)).tolist(),
+            "points": reports}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,27 +358,6 @@ def _random_test_function(spec: GridSpec, rng: np.random.Generator,
 _OPERATORS = ("abs_mean", "mean", "dyadic_maximal")
 
 
-@dataclass
-class WeakTypeReport:
-    """A 1D report names one family and subsequence and its ``operator``; a
-    2D report lists the two of each and has no operator key."""
-
-    family: str | list
-    subsequence: str | list
-    K: int
-    trials: int
-    seed: int
-    max_ratio: float
-    quantiles: dict = field(default_factory=dict)
-    operator: str | None = None
-
-    def to_dict(self):
-        d = asdict(self)
-        if self.operator is None:
-            del d["operator"]
-        return d
-
-
 def _ratio_summary(sups, cell_measure: float, denominators) -> dict:
     """max_ratio and quantiles of ||sup||_{1,infty} / denominator over the
     trials, one quasinorm call per trial."""
@@ -392,11 +371,16 @@ def _ratio_summary(sups, cell_measure: float, denominators) -> dict:
 def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
                          trials: int, K: int, seed: int = 0,
                          operator: str = "abs_mean",
-                         generator=random_test_function) -> WeakTypeReport:
+                         generator=random_test_function) -> dict:
     """Distribution of ||sup_a Op f||_{1,infty} / ||f||_1 over random
-    nonnegative inputs; the maximal ratio is the headline number."""
+    nonnegative inputs; the maximal ratio is the headline number.  The report
+    names the family, the subsequence and the ``operator``, with K, trials,
+    seed, max_ratio and the ratio quantiles; the 2D report of
+    `llogl_weak_type_experiment` has the same keys but no operator."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if operator not in _OPERATORS:
         raise ValueError(f"operator must be one of {_OPERATORS}")
     spec = GridSpec(K)
@@ -416,6 +400,6 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
                 np.stack([f.samples for f in inputs[i: i + step]]), K)
         del inputs   # only their coefficients are needed from here on
         sups = _sup_of_means(fh, [(bank, subseq)], K)
-    return WeakTypeReport(
-        family=T.name, subsequence=subseq.describe(), K=K, trials=trials, seed=seed,
-        operator=operator, **_ratio_summary(sups, spec.cell_measure, l1))
+    return {"family": T.name, "subsequence": subseq.describe(), "K": K, "trials": trials,
+            "seed": seed, "operator": operator,
+            **_ratio_summary(sups, spec.cell_measure, l1)}

@@ -13,7 +13,6 @@ from .dyadic import GridSpec
 from .io import write_grid
 from .maximal import (
     IndexSubsequence,
-    WeakTypeReport,
     _mean_weight_matrix,
     _ratio_summary,
     _sup_of_means,
@@ -105,22 +104,26 @@ def random_test_function_2d(spec: GridSpec, rng: np.random.Generator) -> GridFun
 def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequence,
                                T1: TransformationMatrix, subseq1: IndexSubsequence,
                                trials: int, K: int, seed: int = 0,
-                               generator=random_test_function_2d) -> WeakTypeReport:
+                               generator=random_test_function_2d) -> dict:
     """Ratio ||tensor maximal F||_{1,infty} / (1 + int |F| ln+ |F|) over a
     seeded random ensemble.  The two banks are built once; the trials run
     one at a time against them, since a stacked forward transform would
-    round differently from one of a single trial."""
+    round differently from one of a single trial.  The report is that of
+    `weak_type_experiment` with a family and a subsequence per axis, and no
+    operator."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     spec = GridSpec(K)
     rng = np.random.default_rng(seed)
     inputs = [generator(spec, rng) for _ in range(trials)]
     sups = _tensor_sups(T0, subseq0, T1, subseq1, inputs)
     summary = _ratio_summary(sups, inputs[0].cell_measure,
                              [1.0 + llogl_norm(F) for F in inputs])
-    return WeakTypeReport(
-        family=[T0.name, T1.name], subsequence=[subseq0.describe(), subseq1.describe()],
-        K=K, trials=trials, seed=seed, **summary)
+    return {"family": [T0.name, T1.name],
+            "subsequence": [subseq0.describe(), subseq1.describe()],
+            "K": K, "trials": trials, "seed": seed, **summary}
 
 
 def save_grid2d(F: GridFunction, path_or_buf) -> None:

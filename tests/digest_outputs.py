@@ -1,0 +1,129 @@
+"""SHA-256 digests of the CLI's outputs, for byte-identity checks between trees.
+
+    python tests/digest_outputs.py SRC OUT.json
+
+imports `walshmeans` from SRC (a tree's `src/` directory) and runs, in
+process through `walshmeans.cli.main`:
+
+- every op of every `perfbench/workloads.py` workload at input seeds 0-3;
+- every command of the README's CLI block, on the `f.csv` and `F.csv` that
+  `tests/test_cli.py` writes for them;
+- the README's large `maximal` command (about 2 s).
+
+The commands and inputs come from the tree this script is in, so two trees
+run the same cases.  Each case runs in a fresh empty directory and records
+the digest of its stdout, its stderr, its exit code and of each file it
+wrote.  OUT.json maps the case names to these digests; run the script once
+per tree and compare the two files.  It is not a pytest module.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LARGE = ["maximal", "--matrix", "fejer", "--seq", "all:1..4096", "--resolution", "14",
+         "--trials", "8"]
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each command in the README's CLI block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("walshmeans ")]
+
+
+def _write_grid(path: str, K: int, values: np.ndarray) -> None:
+    """The grid CSV of `values`, as `save_grid1d`/`save_grid2d` write it."""
+    with open(path, "w") as fh:
+        fh.write(f"# resolution={K}{' dims=2' if values.ndim == 2 else ''}\n")
+        for row in values.tolist():
+            fh.write((",".join(map(repr, row)) if values.ndim == 2 else repr(row)) + "\n")
+
+
+def _readme_inputs(workdir: str) -> None:
+    rng = np.random.default_rng(2)
+    _write_grid(os.path.join(workdir, "f.csv"), 7, rng.normal(size=128))
+    _write_grid(os.path.join(workdir, "F.csv"), 6, rng.normal(size=(64, 64)))
+
+
+def _run(main, argv: list[str], make_inputs) -> dict:
+    """Digests of one CLI run in a fresh directory that holds only the
+    files `make_inputs` writes into it."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            make_inputs(".")
+            inputs = set(os.listdir("."))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = f"SystemExit({exc.code!r})"
+                except Exception as exc:   # recorded, not fatal: it is an output too
+                    rc = f"raised {type(exc).__name__}: {exc}"
+            digests = {"stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue()),
+                       "exit": _sha(str(rc))}
+            for name in sorted(set(os.listdir(".")) - inputs):
+                with open(name, "rb") as fh:
+                    digests[f"file:{name}"] = _sha(fh.read())
+        finally:
+            os.chdir(cwd)
+    return digests
+
+
+def cases() -> list[tuple[str, list[str], object]]:
+    """(name, argv, input writer) of every case."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    found = []
+    for workload in ("weak1d", "tensor2d", "sweep"):
+        for seed in range(4):
+            def make(workdir, workload=workload, seed=seed):
+                workloads.build_inputs(workload, seed, workdir)
+            for op in workloads.ops(workload, seed, "."):
+                found.append((f"perfbench {workload} {seed} {op.name}", list(op.argv), make))
+    for argv in _readme_commands():
+        found.append(("readme " + " ".join(argv), argv, _readme_inputs))
+    found.append(("readme-large " + " ".join(LARGE), LARGE, lambda workdir: None))
+    return found
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        sys.stderr.write("usage: python tests/digest_outputs.py SRC OUT.json\n")
+        return 2
+    src, out = map(os.path.abspath, argv)
+    sys.path.insert(0, src)
+    from walshmeans import cli
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        sys.stderr.write(f"imported {cli.__file__}, not a module under {src}\n")
+        return 2
+    digests = {name: _run(cli.main, args, make) for name, args, make in cases()}
+    with open(out, "w") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(digests)} cases written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,17 +1,16 @@
 """Reference helpers that only the tests call.
 
-The classical Walsh objects built through the package's transform (the
-spectrum of a grid function, partial sums S_m, the Dirichlet and Fejer
-kernels), the total integral of a grid function, point, length and grid
-views of dyadic intervals and exact step functions, and the full-grid fold
-of the streamed maximal supremum.  No program path needs them, so they
+The classical Walsh objects built through the package's transform
+(partial sums S_m, the Dirichlet and Fejer kernels), the total integral of
+a grid function, endpoint, length and grid views of dyadic intervals and
+exact step functions, and the full-grid fold of the streamed maximal
+supremum.  No program path needs them, so they
 live here and not in `walshmeans`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,28 +18,6 @@ from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
 from walshmeans.maximal import _block_sizes, _level_groups
 from walshmeans.transform import GridFunction, forward_array, inverse_array
-
-
-@dataclass
-class WalshSpectrum:
-    """Walsh-Fourier coefficients in Paley order; entry i is f_hat(i)."""
-
-    spec: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.spec.size,):
-            raise ValueError("coefficient count does not match the grid")
-
-
-def fwht(f: GridFunction) -> WalshSpectrum:
-    return WalshSpectrum(f.spec, forward_array(f.samples, f.spec.resolution))
-
-
-def inverse_fwht(spectrum: WalshSpectrum) -> GridFunction:
-    return GridFunction(spectrum.spec,
-                          inverse_array(spectrum.coefficients, spectrum.spec.resolution))
 
 
 def partial_sum(f: GridFunction, m: int) -> GridFunction:
@@ -92,10 +69,6 @@ def interval_length(interval: DyadicInterval) -> DyadicRational:
     return DyadicRational(1, interval.depth)
 
 
-def interval_contains(interval: DyadicInterval, x) -> bool:
-    return interval_start(interval) <= x < interval_end(interval)
-
-
 def interval_cells(interval: DyadicInterval, spec: GridSpec) -> range:
     """Grid-index range covered at resolution K (requires depth <= K)."""
     K = spec.resolution
@@ -110,13 +83,6 @@ def step_integral(f: SparseStepFunction) -> DyadicRational:
     antiderivative table that `SparseStepFunction.integral_over` reads."""
     return sum((value * interval_length(interval) for interval, value in f.pieces),
                DyadicRational(0))
-
-
-def value_at(f: SparseStepFunction, x: DyadicRational) -> DyadicRational:
-    for interval, value in f.pieces:
-        if interval_contains(interval, x):
-            return value
-    return DyadicRational(0)
 
 
 def to_grid(f: SparseStepFunction, spec: GridSpec) -> GridFunction:

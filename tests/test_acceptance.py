@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dirichlet_kernel, fejer_kernel, fwht, inverse_fwht
+from oracles import dirichlet_kernel, fejer_kernel
 from walshmeans.dyadic import GridSpec
 from walshmeans.exact import (
     avg_sweep_at_zero,
@@ -66,7 +66,7 @@ from walshmeans.tensor import (
     tensor_maximal,
     tensor_mean,
 )
-from walshmeans.transform import GridFunction, walsh_sample
+from walshmeans.transform import GridFunction, forward_array, inverse_array, walsh_sample
 
 
 class Criterion:
@@ -95,11 +95,11 @@ def test_criterion_01_transform_roundtrip_and_parseval():
     worst_rt = worst_pv = 0.0
     for _ in range(100):
         f = GridFunction(spec, rng.normal(size=spec.size))
-        sp = fwht(f)
-        back = inverse_fwht(sp)
-        worst_rt = max(worst_rt, float(np.abs(back.samples - f.samples).max()))
+        sp = forward_array(f.samples, spec.resolution)
+        back = inverse_array(sp, spec.resolution)
+        worst_rt = max(worst_rt, float(np.abs(back - f.samples).max()))
         worst_pv = max(worst_pv, abs(float(np.mean(f.samples ** 2))
-                                     - float(np.sum(sp.coefficients ** 2))))
+                                     - float(np.sum(sp ** 2))))
     elapsed = time.perf_counter() - t0
     c.check("round-trip <= 1e-12", worst_rt <= 1e-12, f"max {worst_rt:.2e}")
     c.check("Parseval <= 1e-12", worst_pv <= 1e-12, f"max {worst_pv:.2e}")
@@ -255,7 +255,7 @@ def test_criterion_08_weak_type_growth_pattern():
     for K in (7, 9):
         sub = subsequence_from_spec(f"powers:1..{K}")
         fejer_ratio[K] = weak_type_experiment(F, sub, trials=40, K=K,
-                                              seed=108).max_ratio
+                                              seed=108)["max_ratio"]
     growth_f = fejer_ratio[9] / fejer_ratio[7] - 1.0
     c.check("fejer tilde powers K=7->9 growth <= 20%", growth_f <= 0.20,
             f"{100 * growth_f:+.1f}%")
@@ -264,7 +264,7 @@ def test_criterion_08_weak_type_growth_pattern():
     for K in (5, 7):
         sub = subsequence_from_spec(f"powers:1..{K}")
         ll[K] = llogl_weak_type_experiment(F, sub, F, sub, trials=12, K=K,
-                                           seed=208).max_ratio
+                                           seed=208)["max_ratio"]
     growth_2d = ll[7] / ll[5] - 1.0
     c.check("2D llogl fejer x fejer K=5->7 growth <= 20%", growth_2d <= 0.20,
             f"{100 * growth_2d:+.1f}%")
@@ -285,9 +285,9 @@ def test_criterion_08_weak_type_growth_pattern():
         spec = GridSpec(K)
         sub = subsequence_from_spec(f"all:1..{1 << K}")
         ident[K] = weak_type_experiment(I, sub, trials=40, K=K,
-                                        seed=108).max_ratio
+                                        seed=108)["max_ratio"]
         lebesgue[K] = weak_type_experiment(I, sub, trials=1, K=K,
-                                           generator=ones).max_ratio
+                                           generator=ones)["max_ratio"]
         D = np.cumsum([walsh_sample(n, spec).samples.astype(np.int64)
                        for n in range(spec.size)], axis=0)
         oracle[K] = Fraction(int(np.abs(D).sum(axis=1).max()), spec.size)
@@ -305,7 +305,7 @@ def test_criterion_09_example1_divergence():
     c = Criterion(9, "exact divergence example with seq (5,17,65)")
     seq = (5, 17, 65)
     t0 = time.perf_counter()
-    c.check("sequence valid", validate_nseq(seq).ok)
+    c.check("sequence valid", validate_nseq(seq) == [])
     # At m = n_k the order-2^m Fejer kernel is 2^{j-1} on the plateau
     # [2^-(j+1), 2^-(j+1) + 2^-m), j < m. Piece a in (n_{k-1}, n_k] of
     # group k, [2^-a, 2^-a + 2^-n_k) with value 2^{n_k-a}/2^k, is exactly
@@ -314,12 +314,12 @@ def test_criterion_09_example1_divergence():
     # half the stated (and reported) lower_bound (n_k - n_{k-1})/2^{k+1}.
     prev = 0
     for r in divergence_report(seq):
-        derived = Fraction(r.n_k - prev, 2 ** (r.k + 2))
-        c.check(f"sigma(k={r.k}) >= (n_k - n_(k-1))/2^(k+2)",
-                r.sigma.as_fraction() >= derived,
-                f"sigma={float(r.sigma):.6f}, derived={float(derived):g}, "
-                f"stated={float(r.lower_bound):g}")
-        prev = r.n_k
+        derived = Fraction(r["n_k"] - prev, 2 ** (r["k"] + 2))
+        c.check(f"sigma(k={r['k']}) >= (n_k - n_(k-1))/2^(k+2)",
+                r["sigma_exact"].as_fraction() >= derived,
+                f"sigma={float(r['sigma_exact']):.6f}, derived={float(derived):g}, "
+                f"stated={float(r['lower_bound']):g}")
+        prev = r["n_k"]
     sweep = avg_sweep_at_zero(seq)
     c.check("avg at 0 <= 2 * 2^-k across the sweep",
             all(s["avg_times_2k"] <= 2.0 for s in sweep),
@@ -416,16 +416,16 @@ def test_criterion_11_mt2_convergence_shadow():
     sub = subsequence_from_spec("powers:2..8")
     pt = (spec.size // 4, spec.size // 4)
     rep = mt2_convergence_experiment(F, F, sub, sub, Q, [pt])
-    p = rep.points[0]
-    c.check("point (1/4,1/4) classified passing", p.diagnostic.passes,
-            p.diagnostic.verdict)
-    err4 = p.diag_errors[list(sub).index(16)]
-    err8 = p.diag_errors[list(sub).index(256)]
+    p = rep["points"][0]
+    c.check("point (1/4,1/4) classified passing",
+            p["classification"]["verdict"] == "passes", p["classification"]["verdict"])
+    err4 = p["diag_errors"][list(sub).index(16)]
+    err8 = p["diag_errors"][list(sub).index(256)]
     c.check("err(m=8) <= 0.05", err8 <= 0.05, f"{err8:.5f}")
     c.check("err(m=8) <= err(m=4)/2", err8 <= err4 / 2,
             f"{err8:.5f} vs {err4 / 2:.5f}")
     c.check("t_{0,2^m} = 2^-m -> 0",
-            rep.t0_axis0 == [2.0 ** (-m) for m in range(2, 9)])
+            rep["t0_axis0"] == [2.0 ** (-m) for m in range(2, 9)])
     c.finish()
 
 

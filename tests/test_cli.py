@@ -16,11 +16,13 @@ import pytest
 from oracles import fejer_kernel
 from walshmeans.cli import main
 from walshmeans import tensor
-from walshmeans.dyadic import GridSpec
-from walshmeans.maximal import subsequence_from_spec
+from walshmeans.dyadic import DyadicRational, GridSpec
+from walshmeans.exact import avg_sweep_at_zero, divergence_report
+from walshmeans.lebesgue import classify_wlp, mt2_convergence_experiment
+from walshmeans.maximal import subsequence_from_spec, weak_type_experiment
 from walshmeans.summability import builtin_matrix
 from walshmeans.transform import GridFunction, load_grid1d, save_grid1d
-from walshmeans.tensor import load_grid2d, save_grid2d
+from walshmeans.tensor import llogl_weak_type_experiment, load_grid2d, save_grid2d
 
 
 def run(args):
@@ -174,6 +176,45 @@ def test_example1_builds_the_function_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _as_text(rows):
+    return [{k: str(v) if isinstance(v, DyadicRational) else v for k, v in row.items()}
+            for row in rows]
+
+
+_FEJER, _NLOG = builtin_matrix("fejer"), builtin_matrix("nlog")
+_P4 = subsequence_from_spec("powers:1..4")
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["maximal", "--matrix", "fejer", "--seq", "powers:1..4", "--resolution", "5",
+      "--trials", "3", "--seed", "2", "--operator", "mean"],
+     lambda F: weak_type_experiment(_FEJER, _P4, trials=3, K=5, seed=2, operator="mean")),
+    (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "powers:1..4",
+      "--seq1", "all:1..5", "--resolution", "4", "--trials", "2", "--seed", "1"],
+     lambda F: llogl_weak_type_experiment(_FEJER, _P4, _NLOG, subsequence_from_spec("all:1..5"),
+                                          trials=2, K=4, seed=1)),
+    (["wlp", "--input", "{F}", "--point", "1,2", "--point", "15,0", "--depths", "1..4"],
+     lambda F: {"diagnostics": [classify_wlp(F, p, depth_range=range(1, 5))
+                                for p in ((1, 2), (15, 0))]}),
+    (["mt2-experiment", "--matrix0", "nlog", "--matrix1", "fejer", "--seq0", "all:1..5",
+      "--seq1", "powers:1..4", "--point", "3,9", "--input", "{F}"],
+     lambda F: mt2_convergence_experiment(_NLOG, _FEJER, subsequence_from_spec("all:1..5"),
+                                          _P4, F, [(3, 9)])),
+    (["example1", "--nseq", "5,17,65"],
+     lambda F: {"nseq": [5, 17, 65], "divergence": _as_text(divergence_report((5, 17, 65))),
+                "avg_at_zero": _as_text(avg_sweep_at_zero((5, 17, 65)))}),
+], ids=["maximal", "llogl-experiment", "wlp", "mt2-experiment", "example1"])
+def test_library_report_is_the_cli_report(argv, report, tmp_path):
+    # each CLI report is the library call's dict as it is, but for
+    # example1's exact values, which it writes as text
+    src, out = tmp_path / "F.csv", tmp_path / "report.json"
+    F = GridFunction(GridSpec(4), np.random.default_rng(6).normal(size=(16, 16)))
+    save_grid2d(F, str(src))
+    code = run([a.format(F=src) for a in argv] + ["--out", str(out)])
+    assert code == (3 if argv[0] == "example1" else 0)
+    assert json.loads(out.read_text()) == report(F)
+
+
 def test_c2_command(capsys):
     code = run(["c2-check", "--alpha", "0.5", "--seq", "powers:1..4"])
     assert code == 0
@@ -217,8 +258,16 @@ def test_usage_errors_exit_1(argv, message, capsys):
      "--point '1': expected 2 integers separated by ','"),
     (["example1", "--nseq", "5,,17"],
      "--nseq '5,,17': expected one or more integers separated by ','"),
+    (["maximal", "--matrix", "fejer", "--seq", "powers:1..4", "--resolution", "4",
+      "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "fejer", "--seq0", "powers:1..2",
+      "--seq1", "powers:1..2", "--resolution", "2", "--seed", "-5"],
+     "seed must be >= 0, got -5"),
+    (["wlp", "--input", "{F}", "--point", "0,0", "--depths", "2..1"],
+     "--depths '2..1': expected a..b with 0 <= a <= b <= 2, the grid's resolution"),
 ], ids=["kernel-negative-n", "mean-negative-n", "tensor-negative-n1", "wlp-point-one-int",
-        "example1-empty-term"])
+        "example1-empty-term", "maximal-negative-seed", "llogl-negative-seed",
+        "wlp-depths-reversed"])
 def test_config_errors_name_the_value(argv, message, tmp_path, capsys):
     # a bad order or integer is a config error (exit 1) whose message names
     # the option or order and the value given
@@ -368,6 +417,25 @@ def test_non_finite_input_rejected(tmp_path, capsys):
         assert run(cmd + ["--input", str(src2)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "nan" in err
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (["wlp", "--point", "1,1"],
+     np.where(np.add.outer(np.arange(64), np.arange(64)) % 2, 1e308, -1e308)),
+    (["mt2-experiment", "--matrix0", "fejer", "--matrix1", "fejer", "--seq0", "powers:2..4",
+      "--seq1", "powers:2..4", "--point", "1,1"], np.full((64, 64), 1e308)),
+], ids=["wlp-checkerboard-1e308", "mt2-constant-1e308"])
+def test_non_finite_report_refused(argv, samples, tmp_path, capsys):
+    # finite samples whose sums overflow: the report would hold NaN, so the
+    # command exits 1 before it writes anything
+    src, out = tmp_path / "G.csv", tmp_path / "out.json"
+    save_grid2d(GridFunction(GridSpec(6), samples), str(src))
+    for extra in ([], ["--out", str(out)]):
+        assert run(argv + ["--input", str(src)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the report would hold a non-finite number\n"
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_non_finite_matrix_rows_rejected(tmp_path, capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import interval_length, interval_start, step_integral, to_grid, value_at
+from oracles import interval_length, interval_start, step_integral, to_grid
 from walshmeans.cli import main
 from walshmeans.dyadic import DyadicRational, GridSpec
 from walshmeans.exact import (
@@ -107,12 +107,12 @@ def windows(draw, pieces, max_depth):
 
 
 def test_validate_nseq():
-    assert validate_nseq(SEQ).ok
+    assert validate_nseq(SEQ) == []
     v = validate_nseq((4, 17, 65))
-    assert not v.ok and any("n2" in s and "k=1" in s for s in v.violations)
+    assert v and any("n2" in s and "k=1" in s for s in v)
     v = validate_nseq((5, 14, 65))
-    assert not v.ok and any("n1" in s and "k=2" in s for s in v.violations)
-    assert not validate_nseq(()).ok
+    assert v and any("n1" in s and "k=2" in s for s in v)
+    assert validate_nseq(())
 
 
 def test_build_example1_structure():
@@ -126,7 +126,7 @@ def test_build_example1_structure():
 
     f = build_example1(SEQ)
     assert len(f.pieces) == 65
-    assert value_at(f, DyadicRational(0)) == 0
+    assert all(interval.offset > 0 for interval, _ in f.pieces)   # none starts at 0
     total = f.integral_over(DyadicInterval(0, 0)).as_fraction()
     oracle = sum((e - s) * v for s, e, v in oracle_pieces(SEQ))
     assert total == oracle
@@ -257,29 +257,29 @@ def test_divergence_report_structure():
     t0 = time.time()
     rows = divergence_report(SEQ)
     assert time.time() - t0 < 10.0
-    assert [r.k for r in rows] == [1, 2, 3]
+    assert [r["k"] for r in rows] == [1, 2, 3]
     prev = 0
     for r in rows:
-        assert r.lower_bound.as_fraction() == Fraction(r.n_k - prev, 2 ** (r.k + 1))
-        prev = r.n_k
+        assert r["lower_bound"].as_fraction() == Fraction(r["n_k"] - prev, 2 ** (r["k"] + 1))
+        prev = r["n_k"]
     # the bound column grows along a valid sequence, and so do the exact
     # means themselves (the divergence phenomenon at the point zero)
-    bounds = [r.lower_bound.as_fraction() for r in rows]
+    bounds = [r["lower_bound"].as_fraction() for r in rows]
     assert bounds[0] < bounds[1] < bounds[2]
-    sigmas = [r.sigma.as_fraction() for r in rows]
+    sigmas = [r["sigma_exact"].as_fraction() for r in rows]
     assert sigmas[0] < sigmas[1] < sigmas[2]
     # exact sigma values against the independent oracle
     pieces = oracle_pieces(SEQ)
     for r in rows:
-        assert r.sigma.as_fraction() == oracle_sigma(pieces, r.n_k)
+        assert r["sigma_exact"].as_fraction() == oracle_sigma(pieces, r["n_k"])
     # sigma exceeds the derivable bound (n_k - n_{k-1})/2^(k+2); the printed
     # bound is 2x that and is not met -- derivation in test_criterion_09 of
     # test_acceptance.py
     prev = 0
     for r in rows:
-        assert r.sigma.as_fraction() > Fraction(r.n_k - prev, 2 ** (r.k + 2))
-        prev = r.n_k
-    assert [r.meets_bound for r in rows] == [False, False, False]
+        assert r["sigma_exact"].as_fraction() > Fraction(r["n_k"] - prev, 2 ** (r["k"] + 2))
+        prev = r["n_k"]
+    assert [r["meets_bound"] for r in rows] == [False, False, False]
 
 
 def test_avg_sweep_report():

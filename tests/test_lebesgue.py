@@ -242,21 +242,21 @@ def test_classify_wlp_verdicts():
     spec = GridSpec(8)
     const = GridFunction(spec, np.full((spec.size, spec.size), 4.2))
     d = classify_wlp(const, (17, 200))
-    assert d.verdict == "passes" and d.passes
-    assert max(d.w_values) == 0.0 and d.h0_sup == 0.0 and d.h1_sup == 0.0
+    assert d["verdict"] == "passes"
+    assert max(d["W_values"]) == 0.0 and d["H0_sup"] == 0.0 and d["H1_sup"] == 0.0
 
     Q = quarter_square(spec)
     x = spec.size // 4
     d = classify_wlp(Q, (x, x))
-    assert d.verdict == "passes"
-    assert d.w_values[-1] * 4 <= d.w_values[0]
+    assert d["verdict"] == "passes"
+    assert d["W_values"][-1] * 4 <= d["W_values"][0]
 
     ladder = spike_ladder(spec)
     d = classify_wlp(ladder, (0, 0))
-    assert d.verdict == "fails wl1"
-    assert d.w_values[-1] > 0.5
+    assert d["verdict"] == "fails wl1"
+    assert d["W_values"][-1] > 0.5
 
-    payload = d.to_dict()
+    payload = d
     assert set(payload) == {"point", "depths", "W_values", "H0_sup", "H1_sup",
                             "verdict", "thresholds"}
     assert payload["thresholds"] == {"decay_factor": 4.0, "h_growth_limit": 2.0,
@@ -288,8 +288,8 @@ def test_h_functionals_equal_their_loops():
             assert h0(F, x0, x1, n) == h_reference(F, x0, x1, n, 0)
             assert h1(F, x0, x1, n) == h_reference(F, x0, x1, n, 1)
         d = classify_wlp(F, (x0, x1), depth_range=range(1, 6))
-        assert d.h0_sup == max(h_reference(F, x0, x1, n, 0) for n in range(1, 6))
-        assert d.h1_sup == max(h_reference(F, x0, x1, n, 1) for n in range(1, 6))
+        assert d["H0_sup"] == max(h_reference(F, x0, x1, n, 0) for n in range(1, 6))
+        assert d["H1_sup"] == max(h_reference(F, x0, x1, n, 1) for n in range(1, 6))
 
 
 @pytest.mark.parametrize("names", [("fejer", "nlog"), ("nlog", "cesaro:0.5"),
@@ -306,9 +306,9 @@ def test_mt2_point_form_matches_per_pair_grids(names):
     points = [(a, b) for a in edges for b in edges]
     rep = mt2_convergence_experiment(T0, T1, sub0, sub1, F, points)
     ref = mt2_means_reference(T0, T1, sub0, sub1, F, points)
-    for j, p in enumerate(rep.points):
+    for j, p in enumerate(rep["points"]):
         expect = np.abs(ref[:, :, j] - F.samples[points[j]])
-        assert np.abs(np.array(p.errors) - expect).max() <= 1e-13
+        assert np.abs(np.array(p["errors"]) - expect).max() <= 1e-13
 
 
 def test_mt2_experiment_quarter_square():
@@ -318,14 +318,14 @@ def test_mt2_experiment_quarter_square():
     sub = subsequence_from_spec("powers:2..8")
     pt = (spec.size // 4, spec.size // 4)
     rep = mt2_convergence_experiment(F, F, sub, sub, Q, [pt])
-    p = rep.points[0]
-    assert p.diagnostic.passes
-    assert p.errors_decreasing
+    p = rep["points"][0]
+    assert p["classification"]["verdict"] == "passes"
+    assert p["errors_decreasing"]
     # closed form for the separable indicator: 1 - (1 - 2^-m-1)^2 at 2^m
     for i, m in enumerate(range(2, 9)):
         expect = 1.0 - (1.0 - 2.0 ** (-m - 1)) ** 2
-        assert p.diag_errors[i] == pytest.approx(expect, abs=1e-12)
-    assert rep.t0_axis0 == pytest.approx([2.0 ** (-m) for m in range(2, 9)])
+        assert p["diag_errors"][i] == pytest.approx(expect, abs=1e-12)
+    assert rep["t0_axis0"] == pytest.approx([2.0 ** (-m) for m in range(2, 9)])
 
 
 def test_mt2_experiment_points_from_generator():
@@ -335,10 +335,10 @@ def test_mt2_experiment_points_from_generator():
     sub0, sub1 = subsequence_from_spec("powers:1..5"), subsequence_from_spec("list:3,9")
     pts = [(0, 0), (7, 30), (31, 2)]
     rep = mt2_convergence_experiment(T0, T1, sub0, sub1, F, (p for p in pts))
-    assert [p.point for p in rep.points] == pts
+    assert [tuple(p["point"]) for p in rep["points"]] == pts
     for p in pts:
         alone = mt2_convergence_experiment(T0, T1, sub0, sub1, F, [p])
-        assert rep.points[pts.index(p)].to_dict() == alone.points[0].to_dict()
+        assert rep["points"][pts.index(p)] == alone["points"][0]
 
 
 def test_mt2_experiment_constant_input():
@@ -347,8 +347,8 @@ def test_mt2_experiment_constant_input():
     L = builtin_matrix("nlog")
     sub = subsequence_from_spec("list:1,4,16")
     rep = mt2_convergence_experiment(L, L, sub, sub, F, [(3, 3)])
-    p = rep.points[0]
+    p = rep["points"][0]
     for i, n0 in enumerate(sub):
         for j, n1 in enumerate(sub):
             defect = 1 - (1 - L.row(n0)[n0]) * (1 - L.row(n1)[n1])
-            assert p.errors[i][j] == pytest.approx(defect, abs=1e-12)
+            assert p["errors"][i][j] == pytest.approx(defect, abs=1e-12)

@@ -320,13 +320,13 @@ def test_hybrid_maximal():
 
 
 def test_report_key_sets():
-    # one report type: 1D names one family and its operator, 2D lists two
+    # one report shape: 1D names one family and its operator, 2D lists two
     # families and has no operator key
     T = builtin_matrix("fejer")
     s = subsequence_from_spec("powers:1..4")
-    one = weak_type_experiment(T, s, trials=2, K=4, seed=1, operator="mean").to_dict()
+    one = weak_type_experiment(T, s, trials=2, K=4, seed=1, operator="mean")
     two = llogl_weak_type_experiment(T, s, builtin_matrix("nlog"), s, trials=2, K=4,
-                                     seed=1).to_dict()
+                                     seed=1)
     common = {"family", "subsequence", "K", "trials", "seed", "max_ratio", "quantiles"}
     assert set(one) == common | {"operator"} and set(two) == common
     assert one["family"] == "fejer" and one["operator"] == "mean"
@@ -346,11 +346,11 @@ def test_llogl_experiment_constant_oracle_and_determinism():
     rep = llogl_weak_type_experiment(T, s, T, s, trials=2, K=5, seed=0,
                                      generator=const_gen)
     cap = max(kernel_V(T, n, spec).l1_norm() for n in s) ** 2
-    assert rep.max_ratio <= cap + 1e-12
+    assert rep["max_ratio"] <= cap + 1e-12
 
     a = llogl_weak_type_experiment(T, s, T, s, trials=6, K=5, seed=3)
     b = llogl_weak_type_experiment(T, s, T, s, trials=6, K=5, seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_llogl_experiment_builds_two_banks(monkeypatch):
@@ -371,7 +371,7 @@ def test_llogl_experiment_builds_two_banks(monkeypatch):
                         lambda T, s: built.append(T.name) or bank(T, s))
     rep = llogl_weak_type_experiment(T0, s0, T1, s1, trials=trials, K=K, seed=8)
     assert built == ["nlog", "cesaro:0.5"]
-    assert {"max_ratio": rep.max_ratio, "quantiles": rep.quantiles} == expect
+    assert {"max_ratio": rep["max_ratio"], "quantiles": rep["quantiles"]} == expect
 
 
 def test_llogl_experiment_stability_fejer():
@@ -380,7 +380,7 @@ def test_llogl_experiment_stability_fejer():
     for K in (5, 7):
         s = subsequence_from_spec(f"powers:1..{K}")
         ratios[K] = llogl_weak_type_experiment(T, s, T, s, trials=12, K=K,
-                                               seed=21).max_ratio
+                                               seed=21)["max_ratio"]
     assert ratios[7] <= 1.2 * ratios[5]
 
 

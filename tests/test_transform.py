@@ -4,7 +4,7 @@ convolution, checked against naive definition-based oracles."""
 import numpy as np
 import pytest
 
-from oracles import dirichlet_kernel, fejer_kernel, fwht, inverse_fwht, partial_sum
+from oracles import dirichlet_kernel, fejer_kernel, partial_sum
 from walshmeans.dyadic import GridSpec
 from walshmeans.transform import (
     GridFunction,
@@ -60,11 +60,11 @@ def test_fwht_matches_naive_and_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(5):
         f = GridFunction(spec, rng.normal(size=spec.size))
-        coeffs = fwht(f).coefficients
+        coeffs = forward_array(f.samples, K)
         naive = W @ f.samples / spec.size
         assert np.abs(coeffs - naive).max() < 1e-12
-        back = inverse_fwht(fwht(f))
-        assert np.abs(back.samples - f.samples).max() < 1e-12
+        back = inverse_array(forward_array(f.samples, K), K)
+        assert np.abs(back - f.samples).max() < 1e-12
 
 
 def fwht_natural(values: np.ndarray) -> np.ndarray:
@@ -149,13 +149,13 @@ def test_integer_vectors_transform_exactly(K):
 
 def test_fwht_unit_vectors_and_half_indicator():
     spec = GridSpec(3)
-    c = fwht(walsh_sample(5, spec)).coefficients
+    c = forward_array(walsh_sample(5, spec).samples, 3)
     expect = np.zeros(8)
     expect[5] = 1.0
     assert np.abs(c - expect).max() < 1e-14
 
     half = GridFunction(spec, np.arange(spec.size) < 4)
-    c = fwht(half).coefficients
+    c = forward_array(half.samples, 3)
     assert abs(c[0] - 0.5) < 1e-15 and abs(c[1] - 0.5) < 1e-15
     assert np.abs(c[2:]).max() < 1e-15
 
@@ -166,7 +166,7 @@ def test_parseval():
     for _ in range(10):
         f = GridFunction(spec, rng.normal(size=spec.size))
         lhs = np.mean(f.samples ** 2)
-        rhs = np.sum(fwht(f).coefficients ** 2)
+        rhs = np.sum(forward_array(f.samples, 7) ** 2)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -175,7 +175,7 @@ def test_partial_sum():
     rng = np.random.default_rng(2)
     f = GridFunction(spec, rng.normal(size=spec.size))
     assert np.abs(partial_sum(f, spec.size).samples - f.samples).max() < 1e-12
-    mean = fwht(f).coefficients[0]
+    mean = forward_array(f.samples, 4)[0]
     assert np.abs(partial_sum(f, 1).samples - mean).max() < 1e-12
     assert np.abs(partial_sum(f, 0).samples).max() == 0.0
 
@@ -264,7 +264,7 @@ def test_convolution_identities():
     for n in (0, 3, 17):
         w = walsh_sample(n, spec)
         lhs = dyadic_convolve(f, w).samples
-        rhs = fwht(f).coefficients[n] * w.samples
+        rhs = forward_array(f.samples, spec.resolution)[n] * w.samples
         assert np.abs(lhs - rhs).max() < 1e-12
     with pytest.raises(ValueError):
         dyadic_convolve(f, GridFunction(GridSpec(4), np.ones(16)))
