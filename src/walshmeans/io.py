@@ -14,7 +14,7 @@ longer than ``VALUE_CHARS`` characters per value of a row.
 
 A report is ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``,
 written column by column (see `report_json`): it never holds a NaN or an
-infinity.
+infinity, and one that would is refused naming the first such value.
 """
 
 from __future__ import annotations
@@ -68,7 +68,13 @@ def check_grid_resolution(K: int, dims: int) -> None:
 
 
 def write_grid(path_or_buf, K: int, samples: np.ndarray) -> None:
-    """Write a vector (1D) or matrix (2D) of samples at resolution K."""
+    """Write a vector (1D) or matrix (2D) of samples at resolution K; a
+    non-finite sample is refused before anything is written."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        cell = np.unravel_index(np.argmin(finite), samples.shape)
+        raise ValueError(f"the grid would hold a non-finite sample "
+                         f"({float(samples[cell])}) at cell {', '.join(map(str, cell))}")
     two_d = samples.ndim == 2
     lines = ((",".join(map(repr, row.tolist())) for row in samples) if two_d
              else map(repr, samples.tolist()))
@@ -194,7 +200,8 @@ _LEAF = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
 def report_json(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``:
-    a NaN or an infinity raises ValueError, as there.
+    a NaN or an infinity raises ValueError, as there, here naming the first
+    one and its JSON path, such as ``diagnostics[0].W_values[2]``.
 
     The stdlib encodes with indent in pure Python, one value at a time.
     Here a list of scalars of one type is mapped through its leaf encoder,
@@ -203,7 +210,26 @@ def report_json(payload) -> str:
     stdlib.  JSON text holds no raw newline, so a subtree dumped on its
     own is placed at depth `level` by indenting its lines.
     """
-    return _encode(payload, 0)
+    try:
+        return _encode(payload, 0)
+    except ValueError:   # the stdlib's refusal of NaN and infinities
+        path, value = _first_non_finite(payload, "")
+        raise ValueError(
+            f"the report would hold a non-finite number ({value}) at {path}") from None
+
+
+def _first_non_finite(obj, path: str):
+    """(JSON path, value) of the first NaN or infinity of obj in its written
+    order; None if every float in it is finite."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(v, p) for p, v in items)), None)
 
 
 def _encode(obj, level: int) -> str:

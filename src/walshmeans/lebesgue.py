@@ -103,8 +103,9 @@ def classify_wlp(F: GridFunction, point: tuple[int, int],
                              f"2..min(K, 7) empty")
         depth_range = range(2, min(K, 7) + 1)
     depths = tuple(depth_range)
-    if not depths or depths[-1] > K:
-        raise ValueError(f"depth range {depths} invalid for resolution {K}")
+    if not depths or not 0 <= depths[0] <= depths[-1] <= K or sorted(depths) != list(depths):
+        raise ValueError(f"depth range {depth_range!r}: expected increasing depths "
+                         f"a..b with 0 <= a <= b <= {K}, the grid's resolution")
     x0, x1 = point
     table = _DeltaTable(F, x0, x1)
     w_vals = [table.w(n, n) for n in depths]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import GridSpec
 from .io import MAX_REPORT_VALUES, GuardRailError, parse_numbers
-from .summability import TransformationMatrix, mean_coefficient_weights
+from .summability import TransformationMatrix
 from .transform import GridFunction, forward_array, inverse_array
 
 
@@ -196,40 +196,68 @@ def _fold_levels(coeffs, banks, groups, levels, into) -> None:
 def _fold_blocks(coeffs, banks, group, into) -> None:
     """Fold the means of one level tuple ``group`` into ``into``, which is
     on its 2^{m_0} x ... cells, inverting them in blocks of at most
-    _CHUNK_CELLS cells over (batch x rows)."""
+    _CHUNK_CELLS cells over (batch x rows).
+
+    Two block buffers serve every block: the product of the coefficients
+    and the rows is formed in one, and each axis is inverted from one into
+    the other; the row maximum goes into the one the last axis left free."""
     d = len(group)
     ms = [m for m, _ in group]
     band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
     counts = [len(coeffs)] + [len(ix) for _, ix in group]
     sizes = _block_sizes(counts, 1 << sum(ms))
+    buffers = [np.empty(math.prod(sizes) << sum(ms)) for _ in range(2)]
+
+    def block(i, shape):
+        """A C-contiguous array of ``shape`` on the start of buffer i % 2."""
+        return buffers[i % 2][:math.prod(shape)].reshape(shape)
+
     for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
         t = slice(starts[0], starts[0] + sizes[0])
         # axes: batch, one row axis per bank, one coefficient axis per bank
         x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
-        for j, (rows, (m, ix)) in enumerate(zip(banks, group)):
-            w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
+        weights = [bank[ix[start: start + size], :1 << m] for bank, (m, ix), start, size
+                   in zip(banks, group, starts[1:], sizes[1:])]
+        product = block(0, x.shape[:1] + tuple(len(w) for w in weights) + band.shape[1:])
+        for j, w in enumerate(weights):
             shape = [1] * (1 + 2 * d)
             shape[1 + j], shape[1 + d + j] = w.shape
-            x = x * w.reshape(shape)
+            np.multiply(product if j else x, w.reshape(shape), out=product)
+        x = product
         for j, m in enumerate(ms):
             axis = 1 + d + j
-            x = inverse_array(x.swapaxes(axis, -1), m).swapaxes(axis, -1)
+            rows_of_axis = x.swapaxes(axis, -1)
+            x = inverse_array(rows_of_axis, m,
+                              out=block(j + 1, rows_of_axis.shape)).swapaxes(axis, -1)
+        row_axes = tuple(range(1, d + 1))
+        sup = np.max(np.abs(x, out=x), axis=row_axes,
+                     out=block(d + 1, x.shape[:1] + x.shape[1 + d:]))
         view = into[t]
-        np.maximum(view, np.abs(x).max(axis=tuple(range(1, d + 1))), out=view)
+        np.maximum(view, sup, out=view)
 
 
 def _mean_weight_matrix(T: TransformationMatrix,
                         subseq: IndexSubsequence) -> np.ndarray:
     """Spectral multipliers of T_{n_a}, one row each, up to 2^{m*} for the
-    level m* of the largest index (every row vanishes beyond)."""
+    level m* of the largest index (every row vanishes beyond).
+
+    Row a holds tau_{n_a-1-i, n_a} at i < n_a and 0 from n_a on, as
+    `mean_coefficient_weights` gives it.  Each level is filled with one
+    `T.tau` call per run of rows holding at most _CHUNK_CELLS cells."""
     width = 1 << _level(subseq.indices[-1])
     if len(subseq) * width > _MAX_BANK_CELLS:
         raise GuardRailError(
             f"{len(subseq)} indices up to level {_level(subseq.indices[-1])} need "
             f"{len(subseq) * width} bank cells, above the limit of {_MAX_BANK_CELLS}")
-    bank = np.empty((len(subseq), width))
-    for row, n in zip(bank, subseq):
-        row[:] = mean_coefficient_weights(T, n, width)
+    bank = np.zeros((len(subseq), width))
+    indices = np.array(subseq.indices)[:, None]
+    for m, ix in _level_groups(subseq):
+        step = max(1, _CHUNK_CELLS >> m)
+        for i in range(0, len(ix), step):
+            rows = ix[i: i + step]
+            n = indices[rows]
+            s = n - 1 - np.arange(1 << m)
+            bank[rows, :1 << m] = np.where(s >= 0, T.tau(np.maximum(s, 0), n), 0.0)
     return bank
 
 
@@ -358,11 +386,9 @@ def _random_test_function(spec: GridSpec, rng: np.random.Generator,
 _OPERATORS = ("abs_mean", "mean", "dyadic_maximal")
 
 
-def _ratio_summary(sups, cell_measure: float, denominators) -> dict:
-    """max_ratio and quantiles of ||sup||_{1,infty} / denominator over the
-    trials, one quasinorm call per trial."""
-    ratios = np.array([_weak_quasinorm_values(sup, cell_measure) / d
-                       for sup, d in zip(sups, denominators)])
+def _ratio_summary(ratios) -> dict:
+    """max_ratio and quantiles of the trials' ratios."""
+    ratios = np.array(ratios)
     return {"max_ratio": float(ratios.max()),
             "quantiles": {f"q{p}": float(np.quantile(ratios, p / 100))
                           for p in (25, 50, 75, 90)}}
@@ -376,7 +402,11 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
     nonnegative inputs; the maximal ratio is the headline number.  The report
     names the family, the subsequence and the ``operator``, with K, trials,
     seed, max_ratio and the ratio quantiles; the 2D report of
-    `llogl_weak_type_experiment` has the same keys but no operator."""
+    `llogl_weak_type_experiment` has the same keys but no operator.
+
+    The trials run in blocks of at most _CHUNK_CELLS input cells, each
+    drawn, transformed and reduced to its ratios before the next is drawn,
+    so the working set does not grow with ``trials``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -385,21 +415,28 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
         raise ValueError(f"operator must be one of {_OPERATORS}")
     spec = GridSpec(K)
     subseq.check_resolution(spec)
+    banks = None
+    if operator != "dyadic_maximal":
+        banks = [(abs_kernel_spectra(T, subseq) if operator == "abs_mean"
+                  else _mean_weight_matrix(T, subseq), subseq)]
     rng = np.random.default_rng(seed)
-    inputs = [generator(spec, rng) for _ in range(trials)]
-    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
-    if operator == "dyadic_maximal":
-        sups = [dyadic_maximal(f).samples for f in inputs]
-    else:
-        bank = (abs_kernel_spectra(T, subseq) if operator == "abs_mean"
-                else _mean_weight_matrix(T, subseq))
-        fh = np.empty((trials, spec.size))
-        step = max(1, _CHUNK_CELLS >> K)   # trials per block of the forward transform
-        for i in range(0, trials, step):
-            fh[i: i + step] = forward_array(
-                np.stack([f.samples for f in inputs[i: i + step]]), K)
-        del inputs   # only their coefficients are needed from here on
-        sups = _sup_of_means(fh, [(bank, subseq)], K)
+    step = max(1, _CHUNK_CELLS >> K)   # trials per block
+    ratios = [r for start in range(0, trials, step)
+              for r in _trial_ratios(min(step, trials - start), spec, rng, generator, banks)]
     return {"family": T.name, "subsequence": subseq.describe(), "K": K, "trials": trials,
-            "seed": seed, "operator": operator,
-            **_ratio_summary(sups, spec.cell_measure, l1)}
+            "seed": seed, "operator": operator, **_ratio_summary(ratios)}
+
+
+def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks) -> list[float]:
+    """||sup||_{1,infty} / ||f||_1 for each of ``count`` trials f drawn from
+    ``rng``: sup is the `dyadic_maximal` of f when ``banks`` is None, else
+    the supremum of means folded over the trials' forward transform."""
+    inputs = [generator(spec, rng) for _ in range(count)]
+    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
+    if banks is None:
+        sups = (dyadic_maximal(f).samples for f in inputs)
+    else:
+        coeffs = forward_array(np.stack([f.samples for f in inputs]), spec.resolution)
+        del inputs   # only their coefficients are needed from here on
+        sups = _sup_of_means(coeffs, banks, spec.resolution)
+    return [_weak_quasinorm_values(sup, spec.cell_measure) / d for sup, d in zip(sups, l1)]

@@ -17,6 +17,7 @@ from .maximal import (
     _ratio_summary,
     _sup_of_means,
     _random_test_function,
+    _weak_quasinorm_values,
     abs_kernel_spectra,
     dyadic_maximal,
     llogl_norm,
@@ -119,8 +120,9 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
     rng = np.random.default_rng(seed)
     inputs = [generator(spec, rng) for _ in range(trials)]
     sups = _tensor_sups(T0, subseq0, T1, subseq1, inputs)
-    summary = _ratio_summary(sups, inputs[0].cell_measure,
-                             [1.0 + llogl_norm(F) for F in inputs])
+    cell = inputs[0].cell_measure
+    summary = _ratio_summary([_weak_quasinorm_values(sup, cell) / (1.0 + llogl_norm(F))
+                              for sup, F in zip(sups, inputs)])
     return {"family": [T0.name, T1.name],
             "subsequence": [subseq0.describe(), subseq1.describe()],
             "K": K, "trials": trials, "seed": seed, **summary}

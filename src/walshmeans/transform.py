@@ -79,19 +79,27 @@ def paley_matrix(k: int) -> np.ndarray:
     return W
 
 
-def _paley(values, K: int) -> np.ndarray:
-    """values @ W_K along the last axis, leading axes a batch; a new array."""
+def _paley(values, K: int, out=None) -> np.ndarray:
+    """values @ W_K along the last axis, leading axes a batch, written into
+    ``out`` (C-contiguous, of the same shape, not overlapping ``values``)
+    or a new array.  The first GEMM of the factorisation writes into
+    ``out`` too, so the transposing copy is the only temporary."""
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {x.shape}")
     if K <= _RADIX:
-        return (x.reshape(-1, 1 << K) @ paley_matrix(K)).reshape(x.shape)
+        np.matmul(x.reshape(-1, 1 << K), paley_matrix(K), out=out.reshape(-1, 1 << K))
+        return out
     b = min(_RADIX, (K + 1) // 2)
     a = K - b
-    y = x.reshape(-1, 1 << b) @ paley_matrix(b)
+    y = np.matmul(x.reshape(-1, 1 << b), paley_matrix(b), out=out.reshape(-1, 1 << b))
     z = np.ascontiguousarray(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1))
-    del y   # frees the GEMM output before the next one allocates
-    return _paley(z.reshape(-1, 1 << a), a).reshape(x.shape)
+    _paley(z.reshape(-1, 1 << a), a, out.reshape(-1, 1 << a))
+    return out
 
 
 def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
@@ -101,9 +109,11 @@ def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def inverse_array(coefficients: np.ndarray, K: int) -> np.ndarray:
-    """Samples from Paley-ordered coefficient rows: c W_K."""
-    return _paley(coefficients, K)
+def inverse_array(coefficients: np.ndarray, K: int, *, out=None) -> np.ndarray:
+    """Samples from Paley-ordered coefficient rows: c W_K, written into
+    ``out`` when given (a C-contiguous array of the same shape that does not
+    overlap ``coefficients``) and returned."""
+    return _paley(coefficients, K, out)
 
 
 def walsh_sample(n: int, spec: GridSpec) -> GridFunction:

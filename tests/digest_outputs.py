@@ -8,7 +8,9 @@ process through `walshmeans.cli.main`:
 - every op of every `perfbench/workloads.py` workload at input seeds 0-3;
 - every command of the README's CLI block, on the `f.csv` and `F.csv` that
   `tests/test_cli.py` writes for them;
-- the README's large `maximal` command (about 2 s).
+- the README's large `maximal` command (about 2 s);
+- `maximal` over a `cesaro-seq:` and a `custom:` matrix, the families
+  built row by row, whose files are written into the case directory.
 
 The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
@@ -61,6 +63,28 @@ def _readme_inputs(workdir: str) -> None:
     _write_grid(os.path.join(workdir, "F.csv"), 6, rng.normal(size=(64, 64)))
 
 
+# the cesaro-seq subsequence puts 188 indices at level 10, so its bank
+# fills that level with two tau calls
+ROW_BUILT = [
+    ["maximal", "--matrix", "cesaro-seq:alphas.txt", "--seq", "all:1..700",
+     "--resolution", "10", "--trials", "4", "--seed", "1"],
+    ["maximal", "--matrix", "custom:rows.csv", "--seq", "all:1..160", "--resolution", "8",
+     "--trials", "4", "--seed", "2"],
+]
+
+
+def _matrix_files(workdir: str) -> None:
+    """alphas.txt: 50 Cesaro exponents from 0.9 down to 0.2; rows.csv: 161
+    random nonincreasing rows, each scaled to sum one."""
+    with open(os.path.join(workdir, "alphas.txt"), "w") as fh:
+        fh.writelines(f"{a!r}\n" for a in np.linspace(0.9, 0.2, 50).tolist())
+    rng = np.random.default_rng(3)
+    with open(os.path.join(workdir, "rows.csv"), "w") as fh:
+        for n in range(161):
+            row = np.sort(rng.random(n + 1))[::-1]
+            fh.write(",".join(map(repr, (row / row.sum()).tolist())) + "\n")
+
+
 def _run(main, argv: list[str], make_inputs) -> dict:
     """Digests of one CLI run in a fresh directory that holds only the
     files `make_inputs` writes into it."""
@@ -103,6 +127,10 @@ def cases() -> list[tuple[str, list[str], object]]:
     for argv in _readme_commands():
         found.append(("readme " + " ".join(argv), argv, _readme_inputs))
     found.append(("readme-large " + " ".join(LARGE), LARGE, lambda workdir: None))
+    for argv in ROW_BUILT:
+        for operator in ("abs_mean", "mean"):
+            args = argv + ["--operator", operator]
+            found.append(("row-built " + " ".join(args), args, _matrix_files))
     return found
 
 

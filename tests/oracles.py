@@ -3,8 +3,9 @@
 The classical Walsh objects built through the package's transform
 (partial sums S_m, the Dirichlet and Fejer kernels), the total integral of
 a grid function, endpoint, length and grid views of dyadic intervals and
-exact step functions, and the full-grid fold of the streamed maximal
-supremum.  No program path needs them, so they
+exact step functions, the full-grid fold of the streamed maximal
+supremum and the row-by-row bank of mean weights.  No program path needs
+them, so they
 live here and not in `walshmeans`.
 """
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
-from walshmeans.maximal import _block_sizes, _level_groups
+from walshmeans.maximal import _block_sizes, _level, _level_groups
+from walshmeans.summability import mean_coefficient_weights
 from walshmeans.transform import GridFunction, forward_array, inverse_array
 
 
@@ -126,3 +128,11 @@ def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
             sup = np.abs(x).max(axis=tuple(range(1, d + 1)))
             np.maximum(view, sup.reshape((-1,) + coarse), out=view)
     return out.reshape(batch + out.shape[1:])
+
+
+def mean_weight_rows(T, subseq):
+    """The rows of `maximal._mean_weight_matrix`, one `mean_coefficient_weights`
+    call (so one `tau` call) per index, each at the bank's width 2^{m*}."""
+    width = 1 << _level(subseq.indices[-1])
+    for n in subseq:
+        yield mean_coefficient_weights(T, n, width)

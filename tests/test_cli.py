@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -427,14 +428,41 @@ def test_non_finite_input_rejected(tmp_path, capsys):
 ], ids=["wlp-checkerboard-1e308", "mt2-constant-1e308"])
 def test_non_finite_report_refused(argv, samples, tmp_path, capsys):
     # finite samples whose sums overflow: the report would hold NaN, so the
-    # command exits 1 before it writes anything
+    # command exits 1 before it writes anything, naming the first NaN's key
     src, out = tmp_path / "G.csv", tmp_path / "out.json"
     save_grid2d(GridFunction(GridSpec(6), samples), str(src))
+    where = "diagnostics[0].H0_sup" if argv[0] == "wlp" else "points[0].diag_errors[0]"
     for extra in ([], ["--out", str(out)]):
         assert run(argv + ["--input", str(src)] + extra) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: the report would hold a non-finite number\n"
+        assert captured.err == f"error: the report would hold a non-finite number (nan) at {where}\n"
         assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "3", "--n1", "5",
+      "--input", "{H}"], "the grid would hold a non-finite sample (nan) at cell 0, 0"),
+    (["mean", "--matrix", "fejer", "--n", "3", "--input", "{h}"],
+     "the grid would hold a non-finite sample (nan) at cell 0"),
+    (["mt2-experiment", "--matrix0", "fejer", "--matrix1", "fejer", "--seq0", "powers:2..4",
+      "--seq1", "powers:2..4", "--point", "1,1", "--input", "{H}"],
+     "the report would hold a non-finite number (nan) at points[0].diag_errors[0]"),
+], ids=["tensor", "mean", "mt2-experiment"])
+def test_overflow_exits_1_with_one_error_line(argv, message, tmp_path, capsys):
+    # K = 6 grids of 1e308, whose sums overflow: a grid or report of NaN is
+    # refused before any file is written, and stderr holds the error line
+    # only (a floating-point warning would raise here)
+    H, h, out = tmp_path / "H.csv", tmp_path / "h.csv", tmp_path / "out"
+    save_grid2d(GridFunction(GridSpec(6), np.full((64, 64), 1e308)), str(H))
+    save_grid1d(GridFunction(GridSpec(6), np.full(64, 1e308)), str(h))
+    argv = [a.format(H=H, h=h) for a in argv] + ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -464,6 +492,21 @@ def test_work_guard_rail(capsys):
     assert run(["maximal", "--matrix", "fejer", "--seq", "list:3,40",
                 "--resolution", "5"]) == 1
     capsys.readouterr()
+
+
+def test_dyadic_maximal_work_guard_rail(capsys):
+    # the dyadic maximal function reads (K + 1) 2^K cells a trial: at K = 14,
+    # 8739 trials are the first count above the limit, refused at once
+    t0 = time.perf_counter()
+    code = run(["maximal", "--matrix", "fejer", "--seq", "powers:1..4", "--resolution", "14",
+                "--operator", "dyadic_maximal", "--trials", "8739"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("guard rail: predicted work of 2147696640 element reads exceeds "
+                            "the limit of 2147483648; lower --trials\n")
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_cumulative_table_guard_rail(capsys):

@@ -1,6 +1,8 @@
 """Walsh-Lebesgue functionals: shifted-average sums, the domination
 inequalities, point classification, and the tensor convergence report."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -352,3 +354,14 @@ def test_mt2_experiment_constant_input():
         for j, n1 in enumerate(sub):
             defect = 1 - (1 - L.row(n0)[n0]) * (1 - L.row(n1)[n1])
             assert p["errors"][i][j] == pytest.approx(defect, abs=1e-12)
+
+
+@pytest.mark.parametrize("depths", [range(-2, 3), (5, 2), range(3, 6), ()],
+                         ids=["negative", "reversed", "past-K", "empty"])
+def test_classify_wlp_checks_its_depth_range(depths):
+    # 0 <= a <= b <= K, checked by the library itself and named as given
+    F = GridFunction(GridSpec(4), np.ones((16, 16)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"depth range {depths!r}: expected increasing depths a..b with "
+            "0 <= a <= b <= 4, the grid's resolution")):
+        classify_wlp(F, (1, 1), depth_range=depths)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sup_of_means_reference
+from oracles import mean_weight_rows, sup_of_means_reference
 from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
@@ -394,6 +394,57 @@ def test_weak_type_experiment_holds_three_grids(K, operator):
     bank = 8 * K * (1 << K)   # powers:1..K, up to level K
     held = 3 * 8 * trials * (1 << K) + bank + 5 * 8 * maximal._CHUNK_CELLS
     assert _experiment_peak(f"powers:1..{K}", trials, K, operator) < held
+
+
+@pytest.mark.parametrize("operator", maximal._OPERATORS)
+def test_weak_type_experiment_memory_does_not_grow_with_trials(operator):
+    # the trials are drawn, transformed and reduced one block at a time:
+    # 400 trials hold what 50 hold, to within one block of cells
+    low, high = (_experiment_peak("powers:1..12", trials, 12, operator) for trials in (50, 400))
+    assert abs(high - low) < 8 * maximal._CHUNK_CELLS
+
+
+def _tau_calls(T):
+    """Count the calls of T's tau in T.calls (an instance attribute)."""
+    tau = T.tau
+    T.calls = 0
+
+    def counted(s, n):
+        T.calls += 1
+        return tau(s, n)
+    T.tau = counted
+    return T
+
+
+@pytest.mark.parametrize("matrix, spec, chunk, calls", [
+    ("fejer", "all:1..4096", None, 94),
+    ("nlog", "all:1..4096", None, 94),
+    ("cesaro:0.5", "alternating:0..5", None, 6),
+    ("cesaro:0.5", "all:1..300", 1 << 10, 70),
+    ("cesaro-seq", "all:1..300", 1 << 10, 70),
+    ("custom", "all:1..300", 1 << 10, 70),
+    ("custom", "list:1,2,5,77,300", None, 5),
+])
+def test_bank_fill_matches_row_by_row(matrix, spec, chunk, calls, tmp_path, monkeypatch):
+    # one tau call per run of rows holding at most _CHUNK_CELLS cells, and
+    # every bit as the per-row loop: all:1..4096 fills levels 10, 11 and 12
+    # with 4, 16 and 64 calls, and 1024-cell runs split all:1..300 from
+    # level 6 on
+    if chunk:
+        monkeypatch.setattr(maximal, "_CHUNK_CELLS", chunk)
+    if matrix == "cesaro-seq":
+        alphas = tmp_path / "alphas.txt"
+        alphas.write_text("".join(f"{a!r}\n" for a in np.linspace(0.9, 0.3, 40).tolist()))
+        T = matrix_from_spec(f"cesaro-seq:{alphas}")
+    elif matrix == "custom":
+        T = _custom_matrix(tmp_path, 301)
+    else:
+        T = matrix_from_spec(matrix)
+    sub = subsequence_from_spec(spec)
+    bank = maximal._mean_weight_matrix(_tau_calls(T), sub)
+    assert T.calls == calls
+    assert bank.shape == (len(sub), 1 << maximal._level(sub.indices[-1]))
+    assert all(np.array_equal(row, ref) for row, ref in zip(bank, mean_weight_rows(T, sub)))
 
 
 @pytest.mark.parametrize("operator", maximal._OPERATORS)

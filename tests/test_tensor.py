@@ -357,14 +357,16 @@ def test_llogl_experiment_builds_two_banks(monkeypatch):
     # the two banks are built once per experiment, not once per trial, and
     # each trial's ratio is that of tensor_maximal bit for bit
     from walshmeans import tensor
-    from walshmeans.maximal import _ratio_summary
+    from walshmeans.maximal import _ratio_summary, _weak_quasinorm_values
     T0, T1 = builtin_matrix("nlog"), matrix_from_spec("cesaro:0.5")
     s0, s1 = subsequence_from_spec("all:1..16"), subsequence_from_spec("powers:2..5")
     K, trials = 5, 4
     rng = np.random.default_rng(8)
     inputs = [tensor.random_test_function_2d(GridSpec(K), rng) for _ in range(trials)]
-    expect = _ratio_summary([tensor_maximal(T0, s0, T1, s1, F).samples for F in inputs],
-                            inputs[0].cell_measure, [1.0 + llogl_norm(F) for F in inputs])
+    cell = inputs[0].cell_measure
+    expect = _ratio_summary([_weak_quasinorm_values(tensor_maximal(T0, s0, T1, s1, F).samples,
+                                                    cell) / (1.0 + llogl_norm(F))
+                             for F in inputs])
     built = []
     bank = tensor._mean_weight_matrix
     monkeypatch.setattr(tensor, "_mean_weight_matrix",
