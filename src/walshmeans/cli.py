@@ -31,7 +31,7 @@ from .summability import (
     upsilon,
 )
 from .tensor import llogl_weak_type_experiment, load_grid2d, save_grid2d, tensor_mean
-from .transform import GridFunction, load_grid1d, save_grid1d
+from .transform import GridFunction, _one_blas_thread, load_grid1d, save_grid1d
 
 MAX_WORK = 1 << 31   # predicted element-stages of one maximal experiment
 MAX_NSEQ = 1 << 12   # largest n_k of example1: n_max pieces of n_max-bit rationals
@@ -47,8 +47,10 @@ def _check_resolution(K: int, dims: int) -> GridSpec:
 def _check_work(work: int, unit: str = "element-stages",
                 remedy: str = "shorten the subsequence or lower --trials") -> None:
     """Refuse an experiment predicted to take more than MAX_WORK units of
-    work: element-stages of its band-limited means (trials x `mean_work`
-    of the subsequences), or element reads of the dyadic maximal function."""
+    work: element-stages of each trial's forward transform, d K 2^{dK} on a
+    d-dimensional grid, and of its band-limited means (`mean_work` of the
+    subsequences), times the trials; or element reads of the dyadic maximal
+    function."""
     if work > MAX_WORK:
         raise GuardRailError(
             f"predicted work of {work} {unit} exceeds the limit of {MAX_WORK}; {remedy}")
@@ -122,7 +124,7 @@ def cmd_maximal(args) -> int:
         _check_work(args.trials * (args.resolution + 1) * spec.size, "element reads",
                     "lower --trials")
     else:
-        _check_work(args.trials * mean_work(subseq))
+        _check_work(args.trials * (args.resolution * spec.size + mean_work(subseq)))
     _emit(weak_type_experiment(T, subseq, trials=args.trials, K=args.resolution,
                                seed=args.seed, operator=args.operator), args.out)
     return OK
@@ -150,7 +152,8 @@ def cmd_llogl(args) -> int:
     subseq1 = subsequence_from_spec(args.seq1)
     subseq0.check_resolution(spec)
     subseq1.check_resolution(spec)
-    _check_work(args.trials * mean_work(subseq0, subseq1))
+    _check_work(args.trials * (2 * args.resolution * spec.size ** 2
+                               + mean_work(subseq0, subseq1)))
     _emit(llogl_weak_type_experiment(T0, subseq0, T1, subseq1, trials=args.trials,
                                      K=args.resolution, seed=args.seed), args.out)
     return OK
@@ -316,8 +319,9 @@ def main(argv=None) -> int:
         return CONFIG_ERROR
     try:
         # overflow reaches the output as a non-finite number, which the
-        # report and grid writers refuse with one error line
-        with np.errstate(all="ignore"):
+        # report and grid writers refuse with one error line; the CLI owns
+        # its process, so it runs the Paley GEMMs on one BLAS thread
+        with np.errstate(all="ignore"), _one_blas_thread():
             return args.fn(args)
     except GuardRailError as exc:
         sys.stderr.write(f"guard rail: {exc}\n")

@@ -53,14 +53,17 @@ def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
 
     Each product mean is constant on 2^{m_a} x 2^{m_b} cells, so it is
     inverted on that coarse grid (see `maximal`)."""
-    return GridFunction(F.spec, next(_tensor_sups(T0, subseq0, T1, subseq1, [F])))
+    _, sup = next(_tensor_sups(T0, subseq0, T1, subseq1, F.spec, [F]))
+    return GridFunction(F.spec, sup)
 
 
 def _tensor_sups(T0: TransformationMatrix, subseq0: IndexSubsequence,
-                 T1: TransformationMatrix, subseq1: IndexSubsequence, inputs):
-    """The samples of the tensor maximal function of each grid of `inputs`,
-    one at a time, with the two banks of mean weights built once."""
-    spec = inputs[0].spec
+                 T1: TransformationMatrix, subseq1: IndexSubsequence,
+                 spec: GridSpec, inputs):
+    """Each grid F of the iterable `inputs` (on `spec`) with the samples of
+    its tensor maximal function, one at a time, so that F is taken from
+    `inputs` only after the previous one's supremum; the two banks of mean
+    weights are built once."""
     subseq0.check_resolution(spec)
     subseq1.check_resolution(spec)
     K = spec.resolution
@@ -68,7 +71,7 @@ def _tensor_sups(T0: TransformationMatrix, subseq0: IndexSubsequence,
              (_mean_weight_matrix(T1, subseq1), subseq1)]
     for F in inputs:
         coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
-        yield _sup_of_means(coeffs, banks, K)
+        yield F, _sup_of_means(coeffs, banks, K)
 
 
 def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
@@ -107,9 +110,10 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
                                trials: int, K: int, seed: int = 0,
                                generator=random_test_function_2d) -> dict:
     """Ratio ||tensor maximal F||_{1,infty} / (1 + int |F| ln+ |F|) over a
-    seeded random ensemble.  The two banks are built once; the trials run
-    one at a time against them, since a stacked forward transform would
-    round differently from one of a single trial.  The report is that of
+    seeded random ensemble.  The two banks are built once; the trials are
+    drawn and reduced to their ratios one at a time, so the working set does
+    not grow with ``trials`` (a stacked forward transform would also round
+    differently from one of a single trial).  The report is that of
     `weak_type_experiment` with a family and a subsequence per axis, and no
     operator."""
     if trials < 1:
@@ -118,11 +122,10 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
         raise ValueError(f"seed must be >= 0, got {seed}")
     spec = GridSpec(K)
     rng = np.random.default_rng(seed)
-    inputs = [generator(spec, rng) for _ in range(trials)]
-    sups = _tensor_sups(T0, subseq0, T1, subseq1, inputs)
-    cell = inputs[0].cell_measure
-    summary = _ratio_summary([_weak_quasinorm_values(sup, cell) / (1.0 + llogl_norm(F))
-                              for sup, F in zip(sups, inputs)])
+    inputs = (generator(spec, rng) for _ in range(trials))
+    sups = _tensor_sups(T0, subseq0, T1, subseq1, spec, inputs)
+    summary = _ratio_summary([_weak_quasinorm_values(sup, F.cell_measure) / (1.0 + llogl_norm(F))
+                              for F, sup in sups])
     return {"family": [T0.name, T1.name],
             "subsequence": [subseq0.describe(), subseq1.describe()],
             "K": K, "trials": trials, "seed": seed, **summary}

@@ -11,14 +11,21 @@ Algazi, IEEE Trans. Computers, 1976) in Paley order: split a cell index as
 l = l_hi 2^b + l_lo and a coefficient index as n = n_hi 2^a + n_lo with
 a + b = K.  Then w_n(l/2^K) = w_{n_hi}(l_lo/2^b) w_{n_lo}(l_hi/2^a), so for
 a row viewed as the matrix X[l_hi, l_lo] the coefficients in row-major
-(n_hi, n_lo) order are (X W_b)^T W_a.  With b = min(7, ceil(K/2)) that is
-one GEMM with W_b over all rows, one transposing copy, and the same
-transform on the remaining a bits.  The bit reversal lives inside the W
-matrices, so no gather is needed.
+(n_hi, n_lo) order are (X W_b)^T W_a.  With a = min(7, floor(K/2)) that is
+the transform on the b bits over all contiguous rows, then one GEMM with
+W_a over each row's transposed view, which BLAS packs as it would a
+contiguous operand, so no transposing copy is made.  For K <= 14 the b-bit
+factor is one GEMM with W_b; above that a = 7 and the b-bit factor
+recurses, so the leading 7 bits of the cell index are always applied last.
+The bit reversal lives inside the W matrices, so no gather is needed.
+
+The GEMMs gain no wall time from a second BLAS thread, which spins for
+twice the CPU, so the CLI runs its commands inside `_one_blas_thread`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +89,8 @@ def paley_matrix(k: int) -> np.ndarray:
 def _paley(values, K: int, out=None) -> np.ndarray:
     """values @ W_K along the last axis, leading axes a batch, written into
     ``out`` (C-contiguous, of the same shape, not overlapping ``values``)
-    or a new array.  The first GEMM of the factorisation writes into
-    ``out`` too, so the transposing copy is the only temporary."""
+    or a new array.  The b-bit factor goes into one temporary and the a-bit
+    GEMM reads its transposed view straight into ``out``."""
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
@@ -94,12 +101,57 @@ def _paley(values, K: int, out=None) -> np.ndarray:
     if K <= _RADIX:
         np.matmul(x.reshape(-1, 1 << K), paley_matrix(K), out=out.reshape(-1, 1 << K))
         return out
-    b = min(_RADIX, (K + 1) // 2)
-    a = K - b
-    y = np.matmul(x.reshape(-1, 1 << b), paley_matrix(b), out=out.reshape(-1, 1 << b))
-    z = np.ascontiguousarray(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1))
-    _paley(z.reshape(-1, 1 << a), a, out.reshape(-1, 1 << a))
+    a = min(_RADIX, K // 2)
+    b = K - a
+    y = _paley(x.reshape(-1, 1 << b), b)
+    np.matmul(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1), paley_matrix(a),
+              out=out.reshape(-1, 1 << b, 1 << a))
     return out
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when the
+    process has mapped no OpenBLAS that exports them."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:   # no /proc: not Linux
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:   # e.g. a mapping whose file was since deleted
+            continue
+        for prefix, suffix in (("openblas_", ""), ("scipy_openblas_", "64_"),
+                               ("openblas_", "64_")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, restoring its previous
+    count on exit; does nothing when no OpenBLAS is loaded."""
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def forward_array(samples: np.ndarray, K: int) -> np.ndarray:

@@ -10,7 +10,9 @@ process through `walshmeans.cli.main`:
   `tests/test_cli.py` writes for them;
 - the README's large `maximal` command (about 2 s);
 - `maximal` over a `cesaro-seq:` and a `custom:` matrix, the families
-  built row by row, whose files are written into the case directory.
+  built row by row, whose files are written into the case directory;
+- `maximal` and `llogl-experiment` over level-0 subsequences, whose work
+  is all forward transforms, and a 64-trial `llogl-experiment`.
 
 The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
@@ -73,6 +75,18 @@ ROW_BUILT = [
 ]
 
 
+# level-0 subsequences: each trial's work is its forward transform; and a
+# 2D experiment of 64 trials, each drawn after the last one's ratio
+EXTRA = [
+    ["maximal", "--matrix", "fejer", "--seq", "list:1", "--resolution", "14",
+     "--trials", "4", "--seed", "3"],
+    ["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "list:1",
+     "--seq1", "powers:0..0", "--resolution", "8", "--trials", "4", "--seed", "3"],
+    ["llogl-experiment", "--matrix0", "fejer", "--matrix1", "fejer", "--seq0", "powers:1..8",
+     "--seq1", "powers:1..8", "--resolution", "8", "--trials", "64", "--seed", "5"],
+]
+
+
 def _matrix_files(workdir: str) -> None:
     """alphas.txt: 50 Cesaro exponents from 0.9 down to 0.2; rows.csv: 161
     random nonincreasing rows, each scaled to sum one."""
@@ -131,6 +145,8 @@ def cases() -> list[tuple[str, list[str], object]]:
         for operator in ("abs_mean", "mean"):
             args = argv + ["--operator", operator]
             found.append(("row-built " + " ".join(args), args, _matrix_files))
+    for argv in EXTRA:
+        found.append(("extra " + " ".join(argv), argv, lambda workdir: None))
     return found
 
 

@@ -4,9 +4,9 @@ The classical Walsh objects built through the package's transform
 (partial sums S_m, the Dirichlet and Fejer kernels), the total integral of
 a grid function, endpoint, length and grid views of dyadic intervals and
 exact step functions, the full-grid fold of the streamed maximal
-supremum and the row-by-row bank of mean weights.  No program path needs
-them, so they
-live here and not in `walshmeans`.
+supremum, the row-by-row bank of mean weights and the Paley transform
+with its transposing copy.  No program path needs them, so they live here
+and not in `walshmeans`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
 from walshmeans.maximal import _block_sizes, _level, _level_groups
 from walshmeans.summability import mean_coefficient_weights
-from walshmeans.transform import GridFunction, forward_array, inverse_array
+from walshmeans.transform import _RADIX, GridFunction, forward_array, inverse_array, paley_matrix
 
 
 def partial_sum(f: GridFunction, m: int) -> GridFunction:
@@ -136,3 +136,17 @@ def mean_weight_rows(T, subseq):
     width = 1 << _level(subseq.indices[-1])
     for n in subseq:
         yield mean_coefficient_weights(T, n, width)
+
+
+def paley_with_copy(values, K: int) -> np.ndarray:
+    """values @ W_K as `transform._paley` computed it with b = min(7,
+    ceil(K/2)): one GEMM with W_b over all rows, a transposing copy, and
+    the same transform, recursing, on the remaining a = K - b bits."""
+    x = np.asarray(values, dtype=float)
+    if K <= _RADIX:
+        return np.matmul(x.reshape(-1, 1 << K), paley_matrix(K)).reshape(x.shape)
+    b = min(_RADIX, (K + 1) // 2)
+    a = K - b
+    y = np.matmul(x.reshape(-1, 1 << b), paley_matrix(b))
+    z = np.ascontiguousarray(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1))
+    return paley_with_copy(z.reshape(-1, 1 << a), a).reshape(x.shape)

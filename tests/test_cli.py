@@ -16,7 +16,7 @@ import pytest
 
 from oracles import fejer_kernel
 from walshmeans.cli import main
-from walshmeans import tensor
+from walshmeans import cli, tensor, transform
 from walshmeans.dyadic import DyadicRational, GridSpec
 from walshmeans.exact import avg_sweep_at_zero, divergence_report
 from walshmeans.lebesgue import classify_wlp, mt2_convergence_experiment
@@ -480,13 +480,13 @@ def test_work_guard_rail(capsys):
     assert run(["maximal", "--matrix", "fejer", "--seq", "all:1..16384",
                 "--resolution", "14"]) == 2
     err = capsys.readouterr().err
-    assert "predicted work of 122287263300 element-stages" in err
+    assert "predicted work of 122298732100 element-stages" in err
     assert "limit of 2147483648" in err
     assert run(["llogl-experiment", "--matrix0", "fejer", "--matrix1", "fejer",
                 "--seq0", "all:1..256", "--seq1", "all:1..256",
                 "--resolution", "8"]) == 2
     err = capsys.readouterr().err
-    assert "predicted work of 585392989680 element-stages" in err
+    assert "predicted work of 585413961200 element-stages" in err
     assert "limit of 2147483648" in err
     # an index beyond the grid is a config error, not a guard rail
     assert run(["maximal", "--matrix", "fejer", "--seq", "list:3,40",
@@ -507,6 +507,88 @@ def test_dyadic_maximal_work_guard_rail(capsys):
                             "the limit of 2147483648; lower --trials\n")
     assert captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["maximal", "--matrix", "fejer", "--seq", "list:1", "--resolution", "14",
+      "--trials", "9363"], 2147647488),
+    (["maximal", "--matrix", "nlog", "--seq", "powers:0..0", "--resolution", "14",
+      "--trials", "9363", "--operator", "mean"], 2147647488),
+    (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "list:1",
+      "--seq1", "powers:0..0", "--resolution", "8", "--trials", "2049"], 2148532224),
+], ids=["maximal-list", "maximal-powers", "llogl-experiment"])
+def test_level_zero_work_guard_rail(argv, work, capsys):
+    # the means of a level-0 index cost nothing, but each trial still
+    # forward-transforms its grid: K 2^K element-stages in 1D (9363 trials
+    # are the first count above the limit at K = 14) and 2K 4^K in 2D (2049
+    # at K = 8); refused at once
+    t0 = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"guard rail: predicted work of {work} element-stages exceeds the "
+                            "limit of 2147483648; shorten the subsequence or lower --trials\n")
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_commands_run_on_one_blas_thread(monkeypatch, capsys):
+    # a command sees one OpenBLAS thread; after main the caller's count is
+    # back, also when the command failed with exit code 1
+    api = transform._openblas_threads()
+    assert api is not None, "numpy's OpenBLAS was not found in the process"
+    get, put = api
+    seen = []
+    real = cli.c2_quantity
+
+    def spy(*args):
+        seen.append(get())
+        return real(*args)
+
+    def failing(*args):
+        seen.append(get())
+        raise ValueError("refused")
+
+    argv = ["c2-check", "--alpha", "0.5", "--seq", "powers:1..3"]
+    before = get()
+    put(2)
+    try:
+        monkeypatch.setattr(cli, "c2_quantity", spy)
+        assert run(argv) == 0
+        assert (seen, get()) == ([1], 2)
+        monkeypatch.setattr(cli, "c2_quantity", failing)
+        assert run(argv) == 1
+        assert (seen, get()) == ([1, 1], 2)
+    finally:
+        put(before)
+    assert capsys.readouterr().err == "error: refused\n"
+
+
+def test_maximal_without_openblas(monkeypatch, capsys):
+    # with no OpenBLAS found the command runs on the library's own thread
+    # count, and its report is the same bytes
+    argv = ["maximal", "--matrix", "fejer", "--seq", "powers:1..14", "--resolution", "14",
+            "--trials", "3", "--seed", "2"]
+    assert run(argv) == 0
+    expect = capsys.readouterr().out
+    monkeypatch.setattr(transform, "_openblas_threads", lambda: None)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_openblas_lookup_waits_for_a_command():
+    # importing the CLI finds no library; the first command does, once
+    code = ("from walshmeans import cli, transform; "
+            "assert transform._openblas_threads.cache_info().currsize == 0; "
+            "cli.main(['c2-check', '--alpha', '0.5', '--seq', 'powers:1..2']); "
+            "cli.main(['c2-check', '--alpha', '0.5', '--seq', 'powers:1..2']); "
+            "info = transform._openblas_threads.cache_info(); "
+            "assert (info.misses, info.hits) == (1, 1), info")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cumulative_table_guard_rail(capsys):
@@ -551,7 +633,7 @@ _TERMS = "has 100000000 terms, above the limit of 1048576"
      "resolution 30 exceeds the 2D guard rail of 8"),
     (["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "powers:1..8",
       "--seq1", "powers:1..8", "--resolution", "8", "--trials", "1000000"],
-     "predicted work of 3657720000000 element-stages exceeds the limit of 2147483648"),
+     "predicted work of 4706296000000 element-stages exceeds the limit of 2147483648"),
     (["example1", "--nseq", "5,17,65,257,1048577"],
      "'5,17,65,257,1048577' has largest index 1048577, above the limit of 4096"),
     (["tensor", "--matrix0", "fejer", "--matrix1", "fejer", "--n0", "1", "--n1", "1",

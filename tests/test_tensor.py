@@ -3,6 +3,7 @@ operators, 2D functionals, and the L log L experiment."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,29 @@ def test_llogl_experiment_builds_two_banks(monkeypatch):
     rep = llogl_weak_type_experiment(T0, s0, T1, s1, trials=trials, K=K, seed=8)
     assert built == ["nlog", "cesaro:0.5"]
     assert {"max_ratio": rep["max_ratio"], "quantiles": rep["quantiles"]} == expect
+
+
+def _llogl_peak(trials: int) -> int:
+    """tracemalloc peak, in bytes, of a fejer L log L experiment over
+    powers:1..8 on both axes at K = 8, after a small one has made the lazy
+    imports and the caches."""
+    T = builtin_matrix("fejer")
+    llogl_weak_type_experiment(T, subsequence_from_spec("powers:1..2"), T,
+                               subsequence_from_spec("powers:1..2"), trials=1, K=2)
+    s = subsequence_from_spec("powers:1..8")
+    tracemalloc.start()
+    try:
+        llogl_weak_type_experiment(T, s, T, s, trials=trials, K=8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_llogl_experiment_memory_does_not_grow_with_trials():
+    # each trial is drawn and reduced to its ratio before the next is drawn,
+    # so 56 more trials cost less than one more 4^K grid of samples
+    grid = 8 * 4 ** 8
+    assert abs(_llogl_peak(64) - _llogl_peak(8)) < grid
 
 
 def test_llogl_experiment_stability_fejer():

@@ -1,13 +1,17 @@
 """Walsh functions, the fast Paley-ordered transform, kernels, and dyadic
 convolution, checked against naive definition-based oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import dirichlet_kernel, fejer_kernel, partial_sum
+from oracles import dirichlet_kernel, fejer_kernel, paley_with_copy, partial_sum
 from walshmeans.dyadic import GridSpec
 from walshmeans.transform import (
     GridFunction,
+    _paley,
+    _walsh_signs,
     bit_reversal,
     dyadic_convolve,
     forward_array,
@@ -137,6 +141,71 @@ def test_transform_batches_and_non_contiguous_views(K):
         assert np.abs(got_i - butterfly_inverse(x, K)).max() < 1e-12 * N
     with pytest.raises(ValueError):
         forward_array(np.zeros(N), K + 1)
+
+
+def _batches(K: int, rng) -> list:
+    """Inputs of 1, 3 and 8 rows; the 8 rows a transposed (strided) view."""
+    N = 1 << K
+    return [rng.normal(size=(1, N)), rng.normal(size=(3, N)), rng.normal(size=(N, 8)).T]
+
+
+def _check_rows(x, K: int, idx) -> None:
+    """forward_array and inverse_array (also into ``out=``) of the rows x,
+    at the coefficients or cells idx, against the dense product with rows
+    idx of W_K, read from `_walsh_signs` (W_K is symmetric, so they are also
+    its columns)."""
+    N = 1 << K
+    W = _walsh_signs(np.asarray(idx)[:, None], K)
+    out = np.empty(x.shape)
+    assert inverse_array(x, K, out=out) is out
+    inverse = inverse_array(x, K)
+    assert np.array_equal(out, inverse)
+    assert np.abs(forward_array(x, K)[:, idx] - x @ W.T / N).max() < 1e-13
+    assert np.abs(inverse[:, idx] - x @ W.T).max() < 1e-12 * N
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_transform_matches_dense_paley_product(K):
+    # the whole product, 512 rows of W_K at a time
+    N = 1 << K
+    for x in _batches(K, np.random.default_rng(100 + K)):
+        for start in range(0, N, 512):
+            _check_rows(x, K, np.arange(start, min(N, start + 512)))
+
+
+@pytest.mark.parametrize("K", range(13, 17))
+def test_transform_matches_walsh_rows_at_sampled_coefficients(K):
+    N = 1 << K
+    rng = np.random.default_rng(200 + K)
+    idx = np.concatenate([[0, 1, N // 2, N - 1], rng.integers(0, N, 12)])
+    for x in _batches(K, rng):
+        _check_rows(x, K, idx)
+
+
+@pytest.mark.parametrize("K", range(8, 15))
+def test_paley_equals_transposing_copy_reference(K):
+    # GEMM packs the transposed view as it packs the reference's contiguous
+    # copy, so every entry is the same double up to K = 14, where the two
+    # split the bits alike
+    rng = np.random.default_rng(300 + K)
+    for rows in (1, 8, 512):
+        x = rng.normal(size=(rows, 1 << K))
+        assert np.array_equal(_paley(x, K), paley_with_copy(x, K))
+
+
+def test_paley_holds_one_temporary():
+    # at K = 13 the 6-bit factor reads the 7-bit factor's output through a
+    # transposed view: into ``out``, nothing but that output is allocated
+    x = np.random.default_rng(4).normal(size=(8, 1 << 13))
+    out = np.empty(x.shape)
+    inverse_array(x, 13, out=out)
+    tracemalloc.start()
+    try:
+        inverse_array(x, 13, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= peak < 1.5 * x.nbytes
 
 
 @pytest.mark.parametrize("K", (14, 16))
