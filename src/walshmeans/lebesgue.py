@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .maximal import IndexSubsequence, _mean_weight_matrix
+from .maximal import IndexSubsequence
 from .summability import TransformationMatrix
-from .transform import GridFunction, forward_array, walsh_sample
+from .tensor import _tensor_banks
+from .transform import GridFunction, _check_dims, _forward_axes, walsh_sample
 
 
 def _shifted_index(x: int, digit: int, K: int) -> int:
@@ -33,6 +34,7 @@ class _DeltaTable:
     """Prefix sums of |F - F(x0,x1)| for O(1) rectangle integrals."""
 
     def __init__(self, F: GridFunction, x0: int, x1: int):
+        _check_dims(F.samples, 2)
         self.K = F.spec.resolution
         F.spec.check_index(x0)
         F.spec.check_index(x1)
@@ -147,20 +149,17 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
     diag_errors and whether they decrease (errors_decreasing).  Errors at
     passing points are expected to shrink as min(n_a, n_b) grows.
     """
+    _check_dims(F.samples, 2)
     spec = F.spec
-    subseq0.check_resolution(spec)
-    subseq1.check_resolution(spec)
+    (W0, _), (W1, _) = _tensor_banks(((T0, subseq0), (T1, subseq1)), spec)
     points = [tuple(p) for p in points]
     diags = [classify_wlp(F, p) for p in points]
 
     # the means are diagonal in the Walsh basis, so at one point x
     # (T0_{n_a} x T1_{n_b} F)(x) = sum_{k,l} W0[a,k] w_k(x0) F^[k,l] W1[b,l] w_l(x1)
-    # for every pair at once; w_k(x0) = w_{x0}(k / 2^K) by symmetry
-    K = spec.resolution
-    W0 = _mean_weight_matrix(T0, subseq0)
-    W1 = _mean_weight_matrix(T1, subseq1)
-    coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
-    coeffs = coeffs[:W0.shape[1], :W1.shape[1]]   # the weights vanish beyond
+    # for every pair at once; w_k(x0) = w_{x0}(k / 2^K) by symmetry, and the
+    # weights vanish past the banks' widths
+    coeffs = _forward_axes(F.samples, spec.resolution, 2)[:W0.shape[1], :W1.shape[1]]
     reports = []
     for (x0, x1), diag in zip(points, diags):
         row0 = W0 * walsh_sample(x0, spec).samples[:W0.shape[1]]

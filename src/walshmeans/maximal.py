@@ -23,7 +23,7 @@ import numpy as np
 from .dyadic import GridSpec
 from .io import MAX_REPORT_VALUES, GuardRailError, parse_numbers
 from .summability import TransformationMatrix
-from .transform import GridFunction, forward_array, inverse_array
+from .transform import GridFunction, _forward_axes, forward_array, inverse_array
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,12 @@ def _level(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _level_groups(subseq: IndexSubsequence) -> list[tuple[int, np.ndarray]]:
-    """(m, positions a with m_a = m) for each level present, increasing m."""
-    levels = np.array([_level(n) for n in subseq])
-    return [(int(m), np.flatnonzero(levels == m)) for m in np.unique(levels)]
+def _level_groups(subseq: IndexSubsequence) -> list[tuple[int, slice]]:
+    """(m, the run of positions a with m_a = m) for each level m, increasing."""
+    levels = [_level(n) for n in subseq]
+    ms, starts = np.unique(levels, return_index=True)
+    bounds = [*starts.tolist(), len(levels)]
+    return [(int(m), slice(a, b)) for m, a, b in zip(ms, bounds, bounds[1:])]
 
 
 def mean_work(*subseqs: IndexSubsequence) -> int:
@@ -175,14 +177,14 @@ def _fold_levels(coeffs, banks, groups, levels, into) -> None:
         return
     *lower, top = groups[j]
     acc = None
-    for m, ix in lower:
+    for m, rows in lower:
         if acc is None:
             shape = list(into.shape)
             shape[1 + j] = 1 << m
             acc = np.zeros(shape)
         else:
             acc = np.repeat(acc, 1 << (m - prev), axis=1 + j)
-        _fold_levels(coeffs, banks, groups, levels + ((m, ix),), acc)
+        _fold_levels(coeffs, banks, groups, levels + ((m, rows),), acc)
         prev = m
     if acc is not None:
         # a view of into (contiguous) as (..., 2^prev, 2^(top - prev), ...)
@@ -204,7 +206,7 @@ def _fold_blocks(coeffs, banks, group, into) -> None:
     d = len(group)
     ms = [m for m, _ in group]
     band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
-    counts = [len(coeffs)] + [len(ix) for _, ix in group]
+    counts = [len(coeffs)] + [rows.stop - rows.start for _, rows in group]
     sizes = _block_sizes(counts, 1 << sum(ms))
     buffers = [np.empty(math.prod(sizes) << sum(ms)) for _ in range(2)]
 
@@ -216,7 +218,7 @@ def _fold_blocks(coeffs, banks, group, into) -> None:
         t = slice(starts[0], starts[0] + sizes[0])
         # axes: batch, one row axis per bank, one coefficient axis per bank
         x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
-        weights = [bank[ix[start: start + size], :1 << m] for bank, (m, ix), start, size
+        weights = [bank[rows][start: start + size, :1 << m] for bank, (m, rows), start, size
                    in zip(banks, group, starts[1:], sizes[1:])]
         product = block(0, x.shape[:1] + tuple(len(w) for w in weights) + band.shape[1:])
         for j, w in enumerate(weights):
@@ -251,24 +253,27 @@ def _mean_weight_matrix(T: TransformationMatrix,
             f"{len(subseq) * width} bank cells, above the limit of {_MAX_BANK_CELLS}")
     bank = np.zeros((len(subseq), width))
     indices = np.array(subseq.indices)[:, None]
-    for m, ix in _level_groups(subseq):
+    for m, rows in _level_groups(subseq):
         step = max(1, _CHUNK_CELLS >> m)
-        for i in range(0, len(ix), step):
-            rows = ix[i: i + step]
-            n = indices[rows]
+        for i in range(rows.start, rows.stop, step):
+            run = slice(i, min(i + step, rows.stop))
+            n = indices[run]
             s = n - 1 - np.arange(1 << m)
-            bank[rows, :1 << m] = np.where(s >= 0, T.tau(np.maximum(s, 0), n), 0.0)
+            bank[run, :1 << m] = np.where(s >= 0, T.tau(np.maximum(s, 0), n), 0.0)
     return bank
 
 
 def maximal_mean(T: TransformationMatrix, subseq: IndexSubsequence,
                  f: GridFunction) -> GridFunction:
-    """sup_a |T_{n_a}(f)| pointwise."""
+    """sup_a |T_{n_a}(f)| pointwise, along the last axis of a 2D f."""
     subseq.check_resolution(f.spec)
+    return _maximal(f, [(_mean_weight_matrix(T, subseq), subseq)])
+
+
+def _maximal(f: GridFunction, banks) -> GridFunction:
+    """The supremum of means of f over one bank per trailing axis of f."""
     K = f.spec.resolution
-    bank = _mean_weight_matrix(T, subseq)
-    return GridFunction(
-        f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
+    return GridFunction(f.spec, _sup_of_means(_forward_axes(f.samples, K, len(banks)), banks, K))
 
 
 def abs_kernel_spectra(T: TransformationMatrix,
@@ -276,23 +281,20 @@ def abs_kernel_spectra(T: TransformationMatrix,
     """Coefficient rows of |V_{n_a}|, up to 2^{m*} like the mean weights:
     V_{n_a} is constant on 2^{m_a} cells, so |V_{n_a}| is too."""
     bank = _mean_weight_matrix(T, subseq)
-    for m, ix in _level_groups(subseq):
+    for m, rows in _level_groups(subseq):
         step = max(1, _CHUNK_CELLS >> m)
-        for i in range(0, len(ix), step):
-            rows = ix[i: i + step]
-            kernels = inverse_array(bank[rows, :1 << m], m)
-            bank[rows, :1 << m] = forward_array(np.abs(kernels, out=kernels), m)
+        for i in range(rows.start, rows.stop, step):
+            run = slice(i, min(i + step, rows.stop))
+            kernels = inverse_array(bank[run, :1 << m], m)
+            bank[run, :1 << m] = forward_array(np.abs(kernels, out=kernels), m)
     return bank
 
 
 def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
                      f: GridFunction) -> GridFunction:
-    """sup_a |f * |V_{n_a}|| pointwise (kernel absolute value first)."""
+    """sup_a |f * |V_{n_a}|| pointwise, along the last axis of a 2D f."""
     subseq.check_resolution(f.spec)
-    K = f.spec.resolution
-    bank = abs_kernel_spectra(T, subseq)
-    return GridFunction(
-        f.spec, _sup_of_means(forward_array(f.samples, K), [(bank, subseq)], K))
+    return _maximal(f, [(abs_kernel_spectra(T, subseq), subseq)])
 
 
 def dyadic_maximal(f):
@@ -402,41 +404,50 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
     nonnegative inputs; the maximal ratio is the headline number.  The report
     names the family, the subsequence and the ``operator``, with K, trials,
     seed, max_ratio and the ratio quantiles; the 2D report of
-    `llogl_weak_type_experiment` has the same keys but no operator.
-
-    The trials run in blocks of at most _CHUNK_CELLS input cells, each
-    drawn, transformed and reduced to its ratios before the next is drawn,
-    so the working set does not grow with ``trials``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    `llogl_weak_type_experiment` has the same keys but no operator."""
+    _check_trials(trials, seed)
     if operator not in _OPERATORS:
         raise ValueError(f"operator must be one of {_OPERATORS}")
     spec = GridSpec(K)
     subseq.check_resolution(spec)
-    banks = None
-    if operator != "dyadic_maximal":
-        banks = [(abs_kernel_spectra(T, subseq) if operator == "abs_mean"
-                  else _mean_weight_matrix(T, subseq), subseq)]
+    bank = {"abs_mean": abs_kernel_spectra, "mean": _mean_weight_matrix}.get(operator)
+    banks = None if bank is None else [(bank(T, subseq), subseq)]
+    return {"family": T.name, "subsequence": subseq.describe(), "operator": operator,
+            **_trial_summary(trials, seed, max(1, _CHUNK_CELLS >> K), spec, generator, banks,
+                             lambda f: max(f.l1_norm(), np.finfo(float).tiny))}
+
+
+def _check_trials(trials: int, seed: int) -> None:
+    """The checks of both weak-type experiments, made before any bank is built."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _trial_summary(trials: int, seed: int, block: int, spec: GridSpec, generator, banks,
+                   norm) -> dict:
+    """K, trials, seed and the `_ratio_summary` of ``trials`` seeded trials,
+    each block of ``block`` reduced to its ratios before the next is drawn:
+    the working set does not grow with ``trials``."""
     rng = np.random.default_rng(seed)
-    step = max(1, _CHUNK_CELLS >> K)   # trials per block
-    ratios = [r for start in range(0, trials, step)
-              for r in _trial_ratios(min(step, trials - start), spec, rng, generator, banks)]
-    return {"family": T.name, "subsequence": subseq.describe(), "K": K, "trials": trials,
-            "seed": seed, "operator": operator, **_ratio_summary(ratios)}
+    ratios = [r for i in range(0, trials, block)
+              for r in _trial_ratios(min(block, trials - i), spec, rng, generator, banks, norm)]
+    return {"K": spec.resolution, "trials": trials, "seed": seed, **_ratio_summary(ratios)}
 
 
-def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks) -> list[float]:
-    """||sup||_{1,infty} / ||f||_1 for each of ``count`` trials f drawn from
-    ``rng``: sup is the `dyadic_maximal` of f when ``banks`` is None, else
-    the supremum of means folded over the trials' forward transform."""
+def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm) -> list[float]:
+    """||sup||_{1,infty} / norm(f) for each of ``count`` trials f
+    drawn from ``rng``: sup is the `dyadic_maximal` of f when ``banks`` is
+    None, else the supremum of means over one bank per axis of f."""
     inputs = [generator(spec, rng) for _ in range(count)]
-    l1 = [max(f.l1_norm(), np.finfo(float).tiny) for f in inputs]
+    norms = [norm(f) for f in inputs]
+    cell_measure = inputs[0].cell_measure
     if banks is None:
         sups = (dyadic_maximal(f).samples for f in inputs)
     else:
-        coeffs = forward_array(np.stack([f.samples for f in inputs]), spec.resolution)
+        coeffs = _forward_axes(np.stack([f.samples for f in inputs]), spec.resolution,
+                               len(banks))
         del inputs   # only their coefficients are needed from here on
         sups = _sup_of_means(coeffs, banks, spec.resolution)
-    return [_weak_quasinorm_values(sup, spec.cell_measure) / d for sup, d in zip(sups, l1)]
+    return [_weak_quasinorm_values(sup, cell_measure) / d for sup, d in zip(sups, norms)]

@@ -13,17 +13,18 @@ from .dyadic import GridSpec
 from .io import write_grid
 from .maximal import (
     IndexSubsequence,
+    _check_trials,
+    _maximal,
     _mean_weight_matrix,
-    _ratio_summary,
-    _sup_of_means,
     _random_test_function,
-    _weak_quasinorm_values,
-    abs_kernel_spectra,
+    _trial_summary,
     dyadic_maximal,
     llogl_norm,
+    maximal_abs_mean,
+    maximal_mean,
 )
 from .summability import TransformationMatrix, check_order, mean_coefficient_weights
-from .transform import GridFunction, _load_grid, forward_array, inverse_array
+from .transform import GridFunction, _check_dims, _load_grid, forward_array, inverse_array
 
 
 def apply_axis(T: TransformationMatrix, n: int, F: GridFunction,
@@ -32,6 +33,7 @@ def apply_axis(T: TransformationMatrix, n: int, F: GridFunction,
     leaving the other variable fixed."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
+    _check_dims(F.samples, 2)
     spec = F.spec
     check_order("mean", n, spec)
     K = spec.resolution
@@ -53,25 +55,15 @@ def tensor_maximal(T0: TransformationMatrix, subseq0: IndexSubsequence,
 
     Each product mean is constant on 2^{m_a} x 2^{m_b} cells, so it is
     inverted on that coarse grid (see `maximal`)."""
-    _, sup = next(_tensor_sups(T0, subseq0, T1, subseq1, F.spec, [F]))
-    return GridFunction(F.spec, sup)
+    _check_dims(F.samples, 2)
+    return _maximal(F, _tensor_banks(((T0, subseq0), (T1, subseq1)), F.spec))
 
 
-def _tensor_sups(T0: TransformationMatrix, subseq0: IndexSubsequence,
-                 T1: TransformationMatrix, subseq1: IndexSubsequence,
-                 spec: GridSpec, inputs):
-    """Each grid F of the iterable `inputs` (on `spec`) with the samples of
-    its tensor maximal function, one at a time, so that F is taken from
-    `inputs` only after the previous one's supremum; the two banks of mean
-    weights are built once."""
-    subseq0.check_resolution(spec)
-    subseq1.check_resolution(spec)
-    K = spec.resolution
-    banks = [(_mean_weight_matrix(T0, subseq0), subseq0),
-             (_mean_weight_matrix(T1, subseq1), subseq1)]
-    for F in inputs:
-        coeffs = forward_array(forward_array(F.samples, K).T, K).T   # both axes
-        yield F, _sup_of_means(coeffs, banks, K)
+def _tensor_banks(pairs, spec: GridSpec) -> list:
+    """The bank of mean weights of each (matrix, subsequence) axis pair."""
+    for _, subseq in pairs:
+        subseq.check_resolution(spec)
+    return [(_mean_weight_matrix(T, subseq), subseq) for T, subseq in pairs]
 
 
 def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
@@ -79,21 +71,14 @@ def iterated_majorant(T0: TransformationMatrix, subseq0: IndexSubsequence,
                       F: GridFunction) -> GridFunction:
     """sup_a |V_{n_a}|-average (axis 0) of sup_b |T1_{n_b} F| (axis 1); the
     iterated bound dominating the tensor maximal function."""
-    spec = F.spec
-    subseq0.check_resolution(spec)
-    subseq1.check_resolution(spec)
-    K = spec.resolution
-    inner = _sup_of_means(forward_array(F.samples, K),       # along axis 1
-                          [(_mean_weight_matrix(T1, subseq1), subseq1)], K)
-    out = _sup_of_means(forward_array(inner.T, K),           # along axis 0
-                        [(abs_kernel_spectra(T0, subseq0), subseq0)], K)
-    return GridFunction(spec, out.T)
+    _check_dims(F.samples, 2)
+    subseq0.check_resolution(F.spec)
+    inner = maximal_mean(T1, subseq1, F).samples   # along axis 1
+    out = maximal_abs_mean(T0, subseq0, GridFunction(F.spec, inner.T))   # along axis 0
+    return GridFunction(F.spec, out.samples.T)
 
 
-def hybrid_maximal(F: GridFunction) -> GridFunction:
-    """sup_n of first-variable dyadic averages with the second variable
-    fixed: f-natural, the dyadic maximal function along axis 0."""
-    return dyadic_maximal(F)
+hybrid_maximal = dyadic_maximal   # f-natural: E* along axis 0, the second variable fixed
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +95,18 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
                                trials: int, K: int, seed: int = 0,
                                generator=random_test_function_2d) -> dict:
     """Ratio ||tensor maximal F||_{1,infty} / (1 + int |F| ln+ |F|) over a
-    seeded random ensemble.  The two banks are built once; the trials are
-    drawn and reduced to their ratios one at a time, so the working set does
-    not grow with ``trials`` (a stacked forward transform would also round
-    differently from one of a single trial).  The report is that of
-    `weak_type_experiment` with a family and a subsequence per axis, and no
-    operator."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seeded random ensemble, through the trial loop of `weak_type_experiment`.
+    The two banks are built once; the trials run one per block, since a
+    stacked 2D forward transform rounds differently from one of a single
+    trial.  The report is that of `weak_type_experiment` with a family and a
+    subsequence per axis, and no operator."""
+    _check_trials(trials, seed)
     spec = GridSpec(K)
-    rng = np.random.default_rng(seed)
-    inputs = (generator(spec, rng) for _ in range(trials))
-    sups = _tensor_sups(T0, subseq0, T1, subseq1, spec, inputs)
-    summary = _ratio_summary([_weak_quasinorm_values(sup, F.cell_measure) / (1.0 + llogl_norm(F))
-                              for F, sup in sups])
+    banks = _tensor_banks(((T0, subseq0), (T1, subseq1)), spec)
     return {"family": [T0.name, T1.name],
             "subsequence": [subseq0.describe(), subseq1.describe()],
-            "K": K, "trials": trials, "seed": seed, **summary}
+            **_trial_summary(trials, seed, 1, spec, generator, banks,
+                             lambda F: 1.0 + llogl_norm(F))}
 
 
 def save_grid2d(F: GridFunction, path_or_buf) -> None:

@@ -161,6 +161,13 @@ def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _forward_axes(samples: np.ndarray, K: int, d: int) -> np.ndarray:
+    """Paley coefficients along the last d = 1 or 2 axes of ``samples``, the
+    last axis first (the order fixes the rounding)."""
+    x = forward_array(samples, K)
+    return forward_array(x.swapaxes(-2, -1), K).swapaxes(-2, -1) if d == 2 else x
+
+
 def inverse_array(coefficients: np.ndarray, K: int, *, out=None) -> np.ndarray:
     """Samples from Paley-ordered coefficient rows: c W_K, written into
     ``out`` when given (a C-contiguous array of the same shape that does not
@@ -181,9 +188,9 @@ def dyadic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     Characters of the dyadic group diagonalise the convolution, so the
     product of the two coefficient vectors is the spectrum of f * g.
     """
-    if f.spec.resolution != g.spec.resolution:
-        raise ValueError(
-            f"mismatched resolutions {f.spec.resolution} vs {g.spec.resolution}")
+    if f.samples.shape != g.samples.shape:
+        raise ValueError(f"mismatched grids: a {f.samples.ndim}D grid at K={f.spec.resolution} "
+                         f"and a {g.samples.ndim}D grid at K={g.spec.resolution}")
     K = f.spec.resolution
     c = forward_array(f.samples, K) * forward_array(g.samples, K)
     return GridFunction(f.spec, inverse_array(c, K))
@@ -202,6 +209,11 @@ def load_grid1d(path_or_buf) -> GridFunction:
 def _load_grid(path_or_buf, dims: int) -> GridFunction:
     """Read a `dims`-dimensional grid CSV, refusing one of the other dimension."""
     K, samples = read_grid(path_or_buf)
+    _check_dims(samples, dims)
+    return GridFunction(GridSpec(K), samples)
+
+
+def _check_dims(samples: np.ndarray, dims: int) -> None:
+    """Refuse the samples of a grid that is not `dims`-dimensional."""
     if samples.ndim != dims:
         raise ValueError(f"expected a {dims}D grid, got a {samples.ndim}D grid")
-    return GridFunction(GridSpec(K), samples)

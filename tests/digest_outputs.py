@@ -12,7 +12,10 @@ process through `walshmeans.cli.main`:
 - `maximal` over a `cesaro-seq:` and a `custom:` matrix, the families
   built row by row, whose files are written into the case directory;
 - `maximal` and `llogl-experiment` over level-0 subsequences, whose work
-  is all forward transforms, and a 64-trial `llogl-experiment`.
+  is all forward transforms, and a 64-trial `llogl-experiment`;
+- the library operators no command calls (`maximal_mean`,
+  `maximal_abs_mean`, `tensor_maximal`, `iterated_majorant`) on the
+  README's `f.csv` and `F.csv`, recording the digest of their samples.
 
 The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
@@ -126,6 +129,25 @@ def _run(main, argv: list[str], make_inputs) -> dict:
     return digests
 
 
+def library_digests(wm) -> dict:
+    """Digests of the samples of the operators no command calls, run on
+    the README's f.csv (K = 7) and F.csv (K = 6) over powers:1..K: the 1D
+    ones with fejer and with nlog, the 2D ones with fejer x nlog."""
+    with tempfile.TemporaryDirectory() as workdir:
+        _readme_inputs(workdir)
+        f = wm.load_grid1d(os.path.join(workdir, "f.csv"))
+        F = wm.load_grid2d(os.path.join(workdir, "F.csv"))
+    fejer, nlog = wm.builtin_matrix("fejer"), wm.builtin_matrix("nlog")
+    s7, s6 = wm.subsequence_from_spec("powers:1..7"), wm.subsequence_from_spec("powers:1..6")
+    runs = {f"library {op.__name__} {T.name} powers:1..7 f.csv": (op, T, s7, f)
+            for op in (wm.maximal_mean, wm.maximal_abs_mean) for T in (fejer, nlog)}
+    for op in (wm.tensor_maximal, wm.iterated_majorant):
+        runs[f"library {op.__name__} fejer x nlog powers:1..6 F.csv"] = (op, fejer, s6, nlog,
+                                                                          s6, F)
+    return {name: {"samples": _sha(op(*args).samples.tobytes())}
+            for name, (op, *args) in runs.items()}
+
+
 def cases() -> list[tuple[str, list[str], object]]:
     """(name, argv, input writer) of every case."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -157,11 +179,13 @@ def main(argv=None) -> int:
         return 2
     src, out = map(os.path.abspath, argv)
     sys.path.insert(0, src)
+    import walshmeans
     from walshmeans import cli
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         sys.stderr.write(f"imported {cli.__file__}, not a module under {src}\n")
         return 2
     digests = {name: _run(cli.main, args, make) for name, args, make in cases()}
+    digests.update(library_digests(walshmeans))
     with open(out, "w") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")

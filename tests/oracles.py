@@ -111,13 +111,13 @@ def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
         band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
         fine = sum(((1 << m, 1 << (K - m)) for m in ms), ())    # of the result
         coarse = sum(((1 << m, 1) for m in ms), ())             # of one sup
-        counts = [len(coeffs)] + [len(ix) for _, ix in group]
+        counts = [len(coeffs)] + [ix.stop - ix.start for _, ix in group]
         sizes = _block_sizes(counts, 1 << sum(ms))
         for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
             t = slice(starts[0], starts[0] + sizes[0])
             x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
             for j, ((rows, _), (m, ix)) in enumerate(zip(banks, group)):
-                w = rows[ix[starts[j + 1]: starts[j + 1] + sizes[j + 1]], :1 << m]
+                w = rows[ix][starts[j + 1]: starts[j + 1] + sizes[j + 1], :1 << m]
                 shape = [1] * (1 + 2 * d)
                 shape[1 + j], shape[1 + d + j] = w.shape
                 x = x * w.reshape(shape)

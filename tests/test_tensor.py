@@ -8,7 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
+from walshmeans.io import GuardRailError
+from walshmeans.lebesgue import classify_wlp, h0, h1, mt2_convergence_experiment, w2d
 from walshmeans.maximal import (
     IndexSubsequence,
     llogl_norm,
@@ -34,6 +37,7 @@ from walshmeans.tensor import (
 )
 from walshmeans.transform import (
     GridFunction,
+    dyadic_convolve,
     forward_array,
     inverse_array,
     walsh_sample,
@@ -419,3 +423,48 @@ def test_random_test_function_2d_nonnegative():
     F = random_test_function_2d(GridSpec(5), np.random.default_rng(0))
     assert hashlib.sha256(F.samples.tobytes()).hexdigest() == (
         "bf5b46f7d169d5757a1bc10c3ced4a1f5ab4914d9ddcc14c193ad959fa9d4bb4")
+
+
+_LINE = GridFunction(GridSpec(4), np.arange(16.0))   # a 1D grid at K = 4
+_SQUARE = GridFunction(GridSpec(4), np.ones((16, 16)))
+_FEJER, _SEQ = builtin_matrix("fejer"), subsequence_from_spec("powers:1..4")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tensor_maximal(_FEJER, _SEQ, _FEJER, _SEQ, _LINE), "a 1D grid"),
+    (lambda: iterated_majorant(_FEJER, _SEQ, _FEJER, _SEQ, _LINE), "a 1D grid"),
+    (lambda: apply_axis(_FEJER, 3, _LINE, axis=0), "a 1D grid"),
+    (lambda: tensor_mean(_FEJER, 3, _FEJER, 3, _LINE), "a 1D grid"),
+    (lambda: classify_wlp(_LINE, (1, 2)), "a 1D grid"),
+    (lambda: w2d(_LINE, 1, 2, 2, 2), "a 1D grid"),
+    (lambda: h0(_LINE, 1, 2, 2), "a 1D grid"),
+    (lambda: h1(_LINE, 1, 2, 2), "a 1D grid"),
+    (lambda: mt2_convergence_experiment(_FEJER, _FEJER, _SEQ, _SEQ, _LINE, [(1, 2)]),
+     "a 1D grid"),
+    (lambda: mt2_convergence_experiment(_FEJER, _FEJER, _SEQ, _SEQ, _LINE, []), "a 1D grid"),
+    (lambda: dyadic_convolve(_LINE, _SQUARE), "a 1D grid at K=4 and a 2D grid at K=4"),
+    (lambda: dyadic_convolve(_SQUARE, _LINE), "a 2D grid at K=4 and a 1D grid at K=4"),
+], ids=["tensor_maximal", "iterated_majorant", "apply_axis", "tensor_mean", "classify_wlp",
+        "w2d", "h0", "h1", "mt2", "mt2-no-points", "convolve-1d-2d", "convolve-2d-1d"])
+def test_2d_operators_refuse_a_1d_grid(call, message):
+    # named ValueErrors, not an IndexError, an AxisError or a (16,) answer
+    with pytest.raises(ValueError, match=f"(expected a 2D grid, got|mismatched grids:) {message}"):
+        call()
+
+
+def test_experiment_checks_trials_and_seed_before_the_banks():
+    # 4097 indices at level 14 need 2^26 + 2^14 bank cells, past the cap, so
+    # a bank built before the trials and seed checks would raise GuardRailError
+    big = IndexSubsequence(tuple(range(8193, 12290)))
+    assert len(big) << 14 > maximal._MAX_BANK_CELLS
+    T = builtin_matrix("fejer")
+    with pytest.raises(GuardRailError):
+        weak_type_experiment(T, big, trials=1, K=14)
+    with pytest.raises(GuardRailError):
+        llogl_weak_type_experiment(T, big, T, _SEQ, trials=1, K=14)
+    for trials, seed, message in [(0, 0, "trials must be >= 1"),
+                                  (1, -1, "seed must be >= 0, got -1")]:
+        with pytest.raises(ValueError, match=message):
+            weak_type_experiment(T, big, trials=trials, K=14, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            llogl_weak_type_experiment(T, big, T, _SEQ, trials=trials, K=14, seed=seed)
