@@ -151,7 +151,7 @@ def mt2_convergence_experiment(T0: TransformationMatrix, T1: TransformationMatri
     """
     _check_dims(F.samples, 2)
     spec = F.spec
-    (W0, _), (W1, _) = _tensor_banks(((T0, subseq0), (T1, subseq1)), spec)
+    W0, W1 = (bank.matrix() for bank, _ in _tensor_banks(((T0, subseq0), (T1, subseq1)), spec))
     points = [tuple(p) for p in points]
     diags = [classify_wlp(F, p) for p in points]
 

@@ -95,7 +95,7 @@ def _check_spec_size(text: str, terms: int, bits: int) -> None:
 # Maximal operators.
 
 _CHUNK_CELLS = 1 << 17      # cells of one streamed block of means (1 MiB)
-_MAX_BANK_CELLS = 1 << 26   # cells of one bank of mean weights (512 MiB)
+_MAX_BANK_CELLS = 1 << 26   # len x 2^{m*} of one bank of mean weights (512 MiB)
 
 
 def _level(n: int) -> int:
@@ -137,11 +137,11 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
     rows_1[b] x ...)| on the full 2^K grid of each of the last d =
     len(banks) axes of ``coeffs``; its leading axes are a batch.
 
-    ``banks[j] = (rows, subseq)``: row a multiplies the Walsh coefficients
-    along axis j and vanishes from 2^{m_a} on.  The means of one level tuple
-    (m_0, ...) are therefore constant on 2^{m_0} x ... cells: they are
-    inverted at that resolution, in blocks of at most _CHUNK_CELLS cells
-    over (batch x rows).
+    ``banks[j] = (bank, subseq)``, ``bank`` a `LevelBank`: row a multiplies
+    the Walsh coefficients along axis j and vanishes from 2^{m_a} on.  The
+    means of one level tuple (m_0, ...) are therefore constant on 2^{m_0} x
+    ... cells: they are inverted at that resolution, in blocks of at most
+    _CHUNK_CELLS cells over (batch x rows).
 
     The supremum is folded coarse to fine, one axis inside the other (see
     `_fold_levels`), so each block folds into a running maximum at its own
@@ -218,7 +218,7 @@ def _fold_blocks(coeffs, banks, group, into) -> None:
         t = slice(starts[0], starts[0] + sizes[0])
         # axes: batch, one row axis per bank, one coefficient axis per bank
         x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
-        weights = [bank[rows][start: start + size, :1 << m] for bank, (m, rows), start, size
+        weights = [bank[m][start: start + size] for bank, (m, _), start, size
                    in zip(banks, group, starts[1:], sizes[1:])]
         product = block(0, x.shape[:1] + tuple(len(w) for w in weights) + band.shape[1:])
         for j, w in enumerate(weights):
@@ -238,28 +238,48 @@ def _fold_blocks(coeffs, banks, group, into) -> None:
         np.maximum(view, sup, out=view)
 
 
-def _mean_weight_matrix(T: TransformationMatrix,
-                        subseq: IndexSubsequence) -> np.ndarray:
-    """Spectral multipliers of T_{n_a}, one row each, up to 2^{m*} for the
-    level m* of the largest index (every row vanishes beyond).
+class LevelBank(dict):
+    """Spectral multiplier rows of a subsequence, stored level by level: each
+    level m of `_level_groups` maps to one C-contiguous array of its rows
+    in order, 2^m wide, since row a vanishes from 2^{m_a} on."""
 
-    Row a holds tau_{n_a-1-i, n_a} at i < n_a and 0 from n_a on, as
-    `mean_coefficient_weights` gives it.  Each level is filled with one
-    `T.tau` call per run of rows holding at most _CHUNK_CELLS cells."""
+    @property
+    def nbytes(self) -> int:
+        return sum(rows.nbytes for rows in self.values())
+
+    def matrix(self) -> np.ndarray:
+        """The rows padded with zeros to one matrix, 2^{m*} wide for the top
+        level m*."""
+        out = np.zeros((sum(map(len, self.values())), 1 << max(self)))
+        start = 0
+        for m, rows in self.items():
+            out[start: start + len(rows), :1 << m] = rows
+            start += len(rows)
+        return out
+
+
+def _mean_weight_matrix(T: TransformationMatrix, subseq: IndexSubsequence) -> LevelBank:
+    """Spectral multipliers of T_{n_a}, one row each, in a `LevelBank`.
+
+    Row a holds tau_{n_a-1-i, n_a} at i < n_a and 0 from n_a up to 2^{m_a},
+    as `mean_coefficient_weights` gives it.  Each level is filled with one
+    `T.tau` call per run of rows holding at most _CHUNK_CELLS cells.  The
+    guard still counts len x 2^{m*} cells, as if every row were as wide as
+    the top level's."""
     width = 1 << _level(subseq.indices[-1])
     if len(subseq) * width > _MAX_BANK_CELLS:
         raise GuardRailError(
             f"{len(subseq)} indices up to level {_level(subseq.indices[-1])} need "
             f"{len(subseq) * width} bank cells, above the limit of {_MAX_BANK_CELLS}")
-    bank = np.zeros((len(subseq), width))
+    bank = LevelBank()
     indices = np.array(subseq.indices)[:, None]
     for m, rows in _level_groups(subseq):
+        level = bank[m] = np.empty((rows.stop - rows.start, 1 << m))
         step = max(1, _CHUNK_CELLS >> m)
-        for i in range(rows.start, rows.stop, step):
-            run = slice(i, min(i + step, rows.stop))
-            n = indices[run]
+        for i in range(0, len(level), step):
+            n = indices[rows][i: i + step]
             s = n - 1 - np.arange(1 << m)
-            bank[run, :1 << m] = np.where(s >= 0, T.tau(np.maximum(s, 0), n), 0.0)
+            level[i: i + step] = np.where(s >= 0, T.tau(np.maximum(s, 0), n), 0.0)
     return bank
 
 
@@ -276,17 +296,15 @@ def _maximal(f: GridFunction, banks) -> GridFunction:
     return GridFunction(f.spec, _sup_of_means(_forward_axes(f.samples, K, len(banks)), banks, K))
 
 
-def abs_kernel_spectra(T: TransformationMatrix,
-                       subseq: IndexSubsequence) -> np.ndarray:
-    """Coefficient rows of |V_{n_a}|, up to 2^{m*} like the mean weights:
-    V_{n_a} is constant on 2^{m_a} cells, so |V_{n_a}| is too."""
+def abs_kernel_spectra(T: TransformationMatrix, subseq: IndexSubsequence) -> LevelBank:
+    """Coefficient rows of |V_{n_a}|, stored like the mean weights: V_{n_a}
+    is constant on 2^{m_a} cells, so |V_{n_a}| is too."""
     bank = _mean_weight_matrix(T, subseq)
-    for m, rows in _level_groups(subseq):
+    for m, level in bank.items():
         step = max(1, _CHUNK_CELLS >> m)
-        for i in range(rows.start, rows.stop, step):
-            run = slice(i, min(i + step, rows.stop))
-            kernels = inverse_array(bank[run, :1 << m], m)
-            bank[run, :1 << m] = forward_array(np.abs(kernels, out=kernels), m)
+        for i in range(0, len(level), step):
+            kernels = inverse_array(level[i: i + step], m)
+            level[i: i + step] = forward_array(np.abs(kernels, out=kernels), m)
     return bank
 
 
@@ -326,12 +344,13 @@ def weak_quasinorm(g) -> float:
 
 
 def _weak_quasinorm_values(values: np.ndarray, cell_measure: float) -> float:
-    v = np.ravel(values)
-    uniq, counts = np.unique(v, return_counts=True)
-    if uniq[-1] <= 0:
+    """max_v v #(values >= v) x cell_measure, from one sort: the first of the
+    sorted values equal to v has exactly len - i of them at or above it, and
+    a later copy of v fewer, so only the first can give the maximum."""
+    s = np.sort(values, axis=None)
+    if s[-1] <= 0:
         return 0.0
-    tail = np.cumsum(counts[::-1])[::-1]   # number of samples >= uniq[j]
-    return float(np.max(uniq * tail) * cell_measure)
+    return float(np.max(s * np.arange(len(s), 0, -1)) * cell_measure)
 
 
 def llogl_norm(f) -> float:

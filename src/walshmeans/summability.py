@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import GridSpec, prefix
 from .io import GuardRailError, open_text, parse_numbers
-from .transform import GridFunction, forward_array, inverse_array
+from .transform import GridFunction, _check_dims, forward_array, inverse_array
 
 ROW_SUM_TOL = 1e-12
 
@@ -347,7 +347,9 @@ def kernel_V(T: TransformationMatrix, n: int, spec: GridSpec) -> GridFunction:
 def apply_mean(T: TransformationMatrix, n: int, f: GridFunction,
                path: str = "coefficient") -> GridFunction:
     """The matrix mean T_n(f), evaluated in coefficient space or through
-    convolution with the kernel; the two paths agree up to round-off."""
+    convolution with the kernel; the two paths agree up to round-off.
+    ``f`` must be a 1D grid."""
+    _check_dims(f.samples, 1)
     spec = f.spec
     check_order("mean", n, spec)
     K = spec.resolution

@@ -175,6 +175,13 @@ def inverse_array(coefficients: np.ndarray, K: int, *, out=None) -> np.ndarray:
     return _paley(coefficients, K, out)
 
 
+def _inverse_axes(coefficients: np.ndarray, K: int, d: int) -> np.ndarray:
+    """Samples from Paley coefficients along the last d = 1 or 2 axes, the
+    twin of `_forward_axes`."""
+    x = inverse_array(coefficients, K)
+    return inverse_array(x.swapaxes(-2, -1), K).swapaxes(-2, -1) if d == 2 else x
+
+
 def walsh_sample(n: int, spec: GridSpec) -> GridFunction:
     """The Walsh-Paley function w_n sampled on the grid (+/-1 per cell)."""
     if not 0 <= n < spec.size:
@@ -183,17 +190,18 @@ def walsh_sample(n: int, spec: GridSpec) -> GridFunction:
 
 
 def dyadic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """(f * g)(l) = 2^-K sum_j f(j) g(l xor j), via the convolution theorem.
+    """(f * g)(l) = 2^-K sum_j f(j) g(l xor j), via the convolution theorem;
+    on 2D grids l and j are pairs, xor acts on each, and the factor is 4^-K.
 
     Characters of the dyadic group diagonalise the convolution, so the
-    product of the two coefficient vectors is the spectrum of f * g.
+    product of the two coefficient arrays is the spectrum of f * g.
     """
     if f.samples.shape != g.samples.shape:
         raise ValueError(f"mismatched grids: a {f.samples.ndim}D grid at K={f.spec.resolution} "
                          f"and a {g.samples.ndim}D grid at K={g.spec.resolution}")
-    K = f.spec.resolution
-    c = forward_array(f.samples, K) * forward_array(g.samples, K)
-    return GridFunction(f.spec, inverse_array(c, K))
+    K, d = f.spec.resolution, f.samples.ndim
+    c = _forward_axes(f.samples, K, d) * _forward_axes(g.samples, K, d)
+    return GridFunction(f.spec, _inverse_axes(c, K, d))
 
 
 def save_grid1d(f: GridFunction, path_or_buf) -> None:

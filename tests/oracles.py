@@ -4,9 +4,9 @@ The classical Walsh objects built through the package's transform
 (partial sums S_m, the Dirichlet and Fejer kernels), the total integral of
 a grid function, endpoint, length and grid views of dyadic intervals and
 exact step functions, the full-grid fold of the streamed maximal
-supremum, the row-by-row bank of mean weights and the Paley transform
-with its transposing copy.  No program path needs them, so they live here
-and not in `walshmeans`.
+supremum, the row-by-row bank of mean weights, the weak quasinorm through
+the distinct values and the Paley transform with its transposing copy.
+No program path needs them, so they live here and not in `walshmeans`.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
         for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
             t = slice(starts[0], starts[0] + sizes[0])
             x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
-            for j, ((rows, _), (m, ix)) in enumerate(zip(banks, group)):
-                w = rows[ix][starts[j + 1]: starts[j + 1] + sizes[j + 1], :1 << m]
+            for j, ((bank, _), (m, _)) in enumerate(zip(banks, group)):
+                w = bank[m][starts[j + 1]: starts[j + 1] + sizes[j + 1]]
                 shape = [1] * (1 + 2 * d)
                 shape[1 + j], shape[1 + d + j] = w.shape
                 x = x * w.reshape(shape)
@@ -132,10 +132,21 @@ def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
 
 def mean_weight_rows(T, subseq):
     """The rows of `maximal._mean_weight_matrix`, one `mean_coefficient_weights`
-    call (so one `tau` call) per index, each at the bank's width 2^{m*}."""
+    call (so one `tau` call) per index, each at the width 2^{m*} of the
+    largest index's level."""
     width = 1 << _level(subseq.indices[-1])
     for n in subseq:
         yield mean_coefficient_weights(T, n, width)
+
+
+def weak_quasinorm_values_reference(values, cell_measure: float) -> float:
+    """`maximal._weak_quasinorm_values` through the distinct values: the
+    largest v x #(values >= v) over them, times the cell measure."""
+    uniq, counts = np.unique(np.ravel(values), return_counts=True)
+    if uniq[-1] <= 0:
+        return 0.0
+    tail = np.cumsum(counts[::-1])[::-1]   # number of samples >= uniq[j]
+    return float(np.max(uniq * tail) * cell_measure)
 
 
 def paley_with_copy(values, K: int) -> np.ndarray:

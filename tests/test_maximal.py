@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mean_weight_rows, sup_of_means_reference
+from oracles import mean_weight_rows, sup_of_means_reference, weak_quasinorm_values_reference
 from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
@@ -404,6 +404,23 @@ def test_weak_type_experiment_memory_does_not_grow_with_trials(operator):
     assert abs(high - low) < 8 * maximal._CHUNK_CELLS
 
 
+def test_weak_quasinorm_sort_matches_distinct_values():
+    # bit for bit against the np.unique form: ties, zeros, a lone positive
+    # value, an all-zero input and 2D sups of ties at several scales
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(16), np.zeros((4, 4)), np.array([0.0, 0.0, 3.0, 0.0]),
+             np.array([2.0, 2.0, 2.0, 2.0]), np.array([0.0, 1.5, 1.5, 0.25, 1.5, 0.0, 0.25, 4.0])]
+    for _ in range(100):
+        n = 1 << int(rng.integers(0, 12))
+        cases.append(rng.random(n) * 10.0 ** rng.integers(-3, 4))
+        cases.append(rng.integers(0, 5, size=n) / 4)     # many ties and zeros
+        cases.append(np.abs(rng.normal(size=(16, 16))).round(1))
+    for values in cases:
+        cell_measure = 1.0 / values.size
+        assert (maximal._weak_quasinorm_values(values, cell_measure)
+                == weak_quasinorm_values_reference(values, cell_measure))
+
+
 def _tau_calls(T):
     """Count the calls of T's tau in T.calls (an instance attribute)."""
     tau = T.tau
@@ -427,9 +444,10 @@ def _tau_calls(T):
 ])
 def test_bank_fill_matches_row_by_row(matrix, spec, chunk, calls, tmp_path, monkeypatch):
     # one tau call per run of rows holding at most _CHUNK_CELLS cells, and
-    # every bit as the per-row loop: all:1..4096 fills levels 10, 11 and 12
-    # with 4, 16 and 64 calls, and 1024-cell runs split all:1..300 from
-    # level 6 on
+    # every bit as the per-row loop, cut to the level's width 2^m, past
+    # which each row vanishes: all:1..4096 fills levels 10, 11 and 12 with
+    # 4, 16 and 64 calls, and 1024-cell runs split all:1..300 from level 6
+    # on
     if chunk:
         monkeypatch.setattr(maximal, "_CHUNK_CELLS", chunk)
     if matrix == "cesaro-seq":
@@ -443,8 +461,32 @@ def test_bank_fill_matches_row_by_row(matrix, spec, chunk, calls, tmp_path, monk
     sub = subsequence_from_spec(spec)
     bank = maximal._mean_weight_matrix(_tau_calls(T), sub)
     assert T.calls == calls
-    assert bank.shape == (len(sub), 1 << maximal._level(sub.indices[-1]))
-    assert all(np.array_equal(row, ref) for row, ref in zip(bank, mean_weight_rows(T, sub)))
+    assert list(bank) == [m for m, _ in maximal._level_groups(sub)]
+    refs = list(mean_weight_rows(T, sub))
+    for m, rows in maximal._level_groups(sub):
+        level = bank[m]
+        assert level.shape == (rows.stop - rows.start, 1 << m) and level.flags.c_contiguous
+        assert all(np.array_equal(row, ref[:1 << m]) and not ref[1 << m:].any()
+                   for row, ref in zip(level, refs[rows]))
+
+
+@pytest.mark.parametrize("build", ["_mean_weight_matrix", "abs_kernel_spectra"])
+def test_bank_stores_each_row_at_its_level(build):
+    # fejer all:1..4096: 8 bytes for each of the 2^{m_a} cells of row a, two
+    # thirds of 4096 rows at the top level's 2^12 cells (128 MiB); the build
+    # holds them and at most a few runs of _CHUNK_CELLS cells beside them
+    sub = subsequence_from_spec("all:1..4096")
+    stored = 8 * sum(1 << maximal._level(n) for n in sub)
+    T = builtin_matrix("fejer")
+    getattr(maximal, build)(T, subsequence_from_spec("all:1..64"))
+    tracemalloc.start()
+    try:
+        bank = getattr(maximal, build)(T, sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.nbytes == stored < 0.7 * 8 * len(sub) * 4096
+    assert peak < stored + 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("operator", maximal._OPERATORS)

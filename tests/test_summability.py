@@ -387,6 +387,14 @@ def test_apply_mean_paths_agree():
             assert np.abs(a - b).max() < 1e-10
 
 
+@pytest.mark.parametrize("path", ["coefficient", "kernel"])
+def test_apply_mean_refuses_a_2d_grid(path):
+    spec = GridSpec(4)
+    square = GridFunction(spec, np.ones((spec.size, spec.size)))
+    with pytest.raises(ValueError, match="expected a 1D grid, got a 2D grid"):
+        apply_mean(builtin_matrix("fejer"), 3, square, path=path)
+
+
 def test_cesaro1_is_fejer_up_to_s0():
     # (C,1) and Fejer means differ only in how S_0 = 0 is weighted:
     # T^{C,1}_n = (n/(n+1)) T^F_n

@@ -319,6 +319,23 @@ def test_convolution_against_naive_sum():
     assert np.abs(fast - naive).max() < 1e-10
 
 
+@pytest.mark.parametrize("K", [2, 3])
+def test_convolution_of_2d_grids_against_naive_sum(K):
+    # the group convolution on 4 x 4 and 8 x 8 grids: xor on both indices,
+    # not row by row
+    N = 1 << K
+    spec = GridSpec(K)
+    rng = np.random.default_rng(7 + K)
+    f = GridFunction(spec, rng.normal(size=(N, N)))
+    g = GridFunction(spec, rng.normal(size=(N, N)))
+    naive = np.array([[sum(f.samples[a, b] * g.samples[i ^ a, j ^ b]
+                           for a in range(N) for b in range(N)) / N ** 2
+                       for j in range(N)] for i in range(N)])
+    fast = dyadic_convolve(f, g).samples
+    assert fast.shape == (N, N)
+    assert np.abs(fast - naive).max() < 1e-12
+
+
 def test_convolution_identities():
     spec = GridSpec(5)
     rng = np.random.default_rng(4)
