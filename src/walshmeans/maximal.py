@@ -321,11 +321,10 @@ def dyadic_maximal(f):
     second variable of a 2D grid) are carried along."""
     K = f.spec.resolution
     x = f.samples
-    best = np.repeat(np.abs(x.mean(axis=0))[None], len(x), axis=0)   # n = 0 term
-    for n in range(1, K + 1):
-        block = 1 << (K - n)
-        avg = x.reshape((1 << n, block) + x.shape[1:]).mean(axis=1)
-        np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
+    best = np.abs(x.mean(axis=0))[None]   # n = 0: one cell of the coarsest level
+    for n in range(1, K + 1):   # coarse to fine: each level's cells split in two
+        avg = x.reshape((1 << n, 1 << (K - n)) + x.shape[1:]).mean(axis=1)
+        best = np.maximum(np.repeat(best, 2, axis=0), np.abs(avg, out=avg), out=avg)
     return GridFunction(f.spec, best)
 
 

@@ -5,19 +5,25 @@ symmetric, so the forward transform of a sample row x is 2^-K x W_K and
 the inverse of a coefficient row c is c W_K; the normalisation makes
 f_hat(i) equal the integral of f * w_i.
 
-For K <= 7 the product is one GEMM against the cached dense W_K.
+For K <= 5 the product is one GEMM against the cached dense W_K.
 Larger K uses the Kronecker factorisation of the Walsh matrix (Fino and
 Algazi, IEEE Trans. Computers, 1976) in Paley order: split a cell index as
 l = l_hi 2^b + l_lo and a coefficient index as n = n_hi 2^a + n_lo with
 a + b = K.  Then w_n(l/2^K) = w_{n_hi}(l_lo/2^b) w_{n_lo}(l_hi/2^a), so for
 a row viewed as the matrix X[l_hi, l_lo] the coefficients in row-major
-(n_hi, n_lo) order are (X W_b)^T W_a.  With a = min(7, floor(K/2)) that is
-the transform on the b bits over all contiguous rows, then one GEMM with
-W_a over each row's transposed view, which BLAS packs as it would a
-contiguous operand, so no transposing copy is made.  For K <= 14 the b-bit
-factor is one GEMM with W_b; above that a = 7 and the b-bit factor
-recurses, so the leading 7 bits of the cell index are always applied last.
-The bit reversal lives inside the W matrices, so no gather is needed.
+(n_hi, n_lo) order are (X W_b)^T W_a.  With a = min(5, floor(K/2)) that is
+the transform on the b bits over all contiguous rows, by the same rule,
+then one GEMM with W_a over each row's transposed view, which BLAS packs
+as it would a contiguous operand, so no transposing copy is made.  Every
+factor is thus a GEMM with a W of at most 32 x 32, the leading a bits of
+the cell index applied last: K = 14 is the factors 5, 4 and 5 (lowest
+bits first), 80 multiply-adds per value in place of the 256 of two
+128-wide factors.  On one BLAS thread the GEMMs are bound by those
+multiply-adds, not by memory traffic, so narrower factors run faster down
+to 32 wide; factors of at most 16 or 64 were no faster overall.  The split
+depends on K alone, so a row's bits never depend on the batch.  The
+factors alternate between the output and one temporary.  The bit reversal
+lives inside the W matrices, so no gather is needed.
 
 The GEMMs gain no wall time from a second BLAS thread, which spins for
 twice the CPU, so the CLI runs its commands inside `_one_blas_thread`.
@@ -75,7 +81,7 @@ def _walsh_signs(n, K: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-_RADIX = 7   # largest factor applied as one dense GEMM (a 128 x 128 W)
+_RADIX = 5   # largest factor applied as one dense GEMM (a 32 x 32 W)
 
 
 @lru_cache(maxsize=_RADIX + 1)
@@ -86,11 +92,13 @@ def paley_matrix(k: int) -> np.ndarray:
     return W
 
 
-def _paley(values, K: int, out=None) -> np.ndarray:
+def _paley(values, K: int, out=None, tmp=None) -> np.ndarray:
     """values @ W_K along the last axis, leading axes a batch, written into
     ``out`` (C-contiguous, of the same shape, not overlapping ``values``)
-    or a new array.  The b-bit factor goes into one temporary and the a-bit
-    GEMM reads its transposed view straight into ``out``."""
+    or a new array.  ``tmp``, of the same kind, is work space: the b-bit
+    factor goes into it, with ``out`` as its own work space, and the a-bit
+    GEMM reads its transposed view straight into ``out``, so the factors
+    alternate between the two and one temporary serves any K."""
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
@@ -103,8 +111,11 @@ def _paley(values, K: int, out=None) -> np.ndarray:
         return out
     a = min(_RADIX, K // 2)
     b = K - a
-    y = _paley(x.reshape(-1, 1 << b), b)
-    np.matmul(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1), paley_matrix(a),
+    if tmp is None:
+        tmp = np.empty(x.shape)
+    rows = (-1, 1 << b)
+    _paley(x.reshape(rows), b, tmp.reshape(rows), out.reshape(rows))
+    np.matmul(tmp.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1), paley_matrix(a),
               out=out.reshape(-1, 1 << b, 1 << a))
     return out
 

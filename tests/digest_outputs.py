@@ -1,9 +1,10 @@
 """SHA-256 digests of the CLI's outputs, for byte-identity checks between trees.
 
-    python tests/digest_outputs.py SRC OUT.json
+    python tests/digest_outputs.py [--raw] SRC OUT.json
+    python tests/digest_outputs.py --compare A.json B.json
 
-imports `walshmeans` from SRC (a tree's `src/` directory) and runs, in
-process through `walshmeans.cli.main`:
+The first form imports `walshmeans` from SRC (a tree's `src/` directory)
+and runs, in process through `walshmeans.cli.main`:
 
 - every op of every `perfbench/workloads.py` workload at input seeds 0-3;
 - every command of the README's CLI block, on the `f.csv` and `F.csv` that
@@ -21,16 +22,26 @@ The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
 the digest of its stdout, its stderr, its exit code and of each file it
 wrote.  OUT.json maps the case names to these digests; run the script once
-per tree and compare the two files.  It is not a pytest module.
+per tree and compare the two files.  With `--raw` it records the outputs
+themselves in place of their digests (about 20 MB), the samples as a JSON
+list, so that `--compare` can say how far a rounding change moved them:
+for each case it prints `identical`, the largest |a - b| / scale over the
+floats of an output whose other text is the same (the scale being the
+largest |float| of that output in either file), or the first difference
+outside the floats (text, an integer, the exit code, a shape).  It exits 1
+when any case differs outside its floats or is missing from one file.  It
+is not a pytest module.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -44,6 +55,11 @@ LARGE = ["maximal", "--matrix", "fejer", "--seq", "all:1..4096", "--resolution",
 
 def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _text(data: str | bytes) -> str:
+    """The output itself, as `--raw` records it."""
+    return data if isinstance(data, str) else data.decode("utf-8", "backslashreplace")
 
 
 def _readme_commands() -> list[list[str]]:
@@ -102,9 +118,10 @@ def _matrix_files(workdir: str) -> None:
             fh.write(",".join(map(repr, (row / row.sum()).tolist())) + "\n")
 
 
-def _run(main, argv: list[str], make_inputs) -> dict:
-    """Digests of one CLI run in a fresh directory that holds only the
-    files `make_inputs` writes into it."""
+def _run(main, argv: list[str], make_inputs, record=_sha) -> dict:
+    """Digests (or what ``record`` makes of them) of the outputs of one CLI
+    run in a fresh directory that holds only the files `make_inputs` writes
+    into it."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
@@ -119,20 +136,21 @@ def _run(main, argv: list[str], make_inputs) -> dict:
                     rc = f"SystemExit({exc.code!r})"
                 except Exception as exc:   # recorded, not fatal: it is an output too
                     rc = f"raised {type(exc).__name__}: {exc}"
-            digests = {"stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue()),
-                       "exit": _sha(str(rc))}
+            digests = {"stdout": record(out.getvalue()), "stderr": record(err.getvalue()),
+                       "exit": record(str(rc))}
             for name in sorted(set(os.listdir(".")) - inputs):
                 with open(name, "rb") as fh:
-                    digests[f"file:{name}"] = _sha(fh.read())
+                    digests[f"file:{name}"] = record(fh.read())
         finally:
             os.chdir(cwd)
     return digests
 
 
-def library_digests(wm) -> dict:
-    """Digests of the samples of the operators no command calls, run on
-    the README's f.csv (K = 7) and F.csv (K = 6) over powers:1..K: the 1D
-    ones with fejer and with nlog, the 2D ones with fejer x nlog."""
+def library_digests(wm, raw: bool = False) -> dict:
+    """Digests of the samples of the operators no command calls (with
+    ``raw``, the samples as a JSON list), run on the README's f.csv (K = 7)
+    and F.csv (K = 6) over powers:1..K: the 1D ones with fejer and with
+    nlog, the 2D ones with fejer x nlog."""
     with tempfile.TemporaryDirectory() as workdir:
         _readme_inputs(workdir)
         f = wm.load_grid1d(os.path.join(workdir, "f.csv"))
@@ -144,8 +162,9 @@ def library_digests(wm) -> dict:
     for op in (wm.tensor_maximal, wm.iterated_majorant):
         runs[f"library {op.__name__} fejer x nlog powers:1..6 F.csv"] = (op, fejer, s6, nlog,
                                                                           s6, F)
-    return {name: {"samples": _sha(op(*args).samples.tobytes())}
-            for name, (op, *args) in runs.items()}
+    def record(samples):
+        return json.dumps(samples.tolist()) if raw else _sha(samples.tobytes())
+    return {name: {"samples": record(op(*args).samples)} for name, (op, *args) in runs.items()}
 
 
 def cases() -> list[tuple[str, list[str], object]]:
@@ -172,20 +191,92 @@ def cases() -> list[tuple[str, list[str], object]]:
     return found
 
 
+# a float as `repr` writes it: digits on both sides of the point, or an exponent
+_FLOAT = re.compile(r"(-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)")
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _difference(a: str, b: str) -> tuple[str, float | None]:
+    """How output b differs from output a: ("", max |a - b| / scale) when
+    only their floats differ, or a description of the first other
+    difference and None."""
+    if _DIGEST.fullmatch(a) and _DIGEST.fullmatch(b):
+        return "digests differ (record both trees with --raw)", None
+    pa, pb = _FLOAT.split(a), _FLOAT.split(b)
+    if len(pa) != len(pb):
+        return f"{len(pa) // 2} floats against {len(pb) // 2}", None
+    for i in range(0, len(pa), 2):
+        if pa[i] != pb[i]:
+            return f"text {pa[i][:60]!r} against {pb[i][:60]!r}", None
+    fa, fb = (np.array(p[1::2], dtype=float) for p in (pa, pb))
+    scale = max(np.abs(fa).max(), np.abs(fb).max())
+    return "", float(np.abs(fa - fb).max() / scale) if scale else 0.0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print, case by case, how the outputs in path_b differ from those in
+    path_a; 1 when any differ outside their floats or a case is missing."""
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    counts = {"identical": 0, "floats only": 0, "other": 0}
+    worst = 0.0
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}: only in {path_a if name in a else path_b}")
+            counts["other"] += 1
+            continue
+        found, moved = [], []
+        for field in sorted(a[name].keys() | b[name].keys()):
+            va, vb = a[name].get(field), b[name].get(field)
+            if va == vb:
+                continue
+            if va is None or vb is None:
+                found.append(f"{field} only in {path_a if vb is None else path_b}")
+                continue
+            what, delta = _difference(va, vb)
+            if what:
+                found.append(f"{field}: {what}")
+            else:
+                moved.append((delta, field))
+        if found:
+            print(f"{name}: " + "; ".join(found))
+            counts["other"] += 1
+        elif moved:
+            delta, field = max(moved)
+            print(f"{name}: floats only, max |a - b| / scale {delta:.3g} ({field})")
+            counts["floats only"] += 1
+            worst = max(worst, delta)
+        else:
+            print(f"{name}: identical")
+            counts["identical"] += 1
+    print(f"{counts['identical']} identical, {counts['floats only']} differ in floats only "
+          f"(at most {worst:.3g} of scale), {counts['other']} differ otherwise")
+    return 1 if counts["other"] else 0
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        sys.stderr.write("usage: python tests/digest_outputs.py SRC OUT.json\n")
-        return 2
-    src, out = map(os.path.abspath, argv)
+    parser = argparse.ArgumentParser(description="Digest the CLI's outputs under SRC into "
+                                     "OUT.json, or compare two such files.")
+    parser.add_argument("--raw", action="store_true",
+                        help="record the outputs themselves, not their digests")
+    parser.add_argument("--compare", action="store_true",
+                        help="compare A.json with B.json, two files written with --raw")
+    parser.add_argument("paths", nargs=2, metavar="PATH", help="SRC OUT.json, or A.json B.json")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.compare:
+        return compare(*args.paths)
+    src, out = map(os.path.abspath, args.paths)
     sys.path.insert(0, src)
     import walshmeans
     from walshmeans import cli
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         sys.stderr.write(f"imported {cli.__file__}, not a module under {src}\n")
         return 2
-    digests = {name: _run(cli.main, args, make) for name, args, make in cases()}
-    digests.update(library_digests(walshmeans))
+    record = _text if args.raw else _sha
+    digests = {name: _run(cli.main, argv_, make, record) for name, argv_, make in cases()}
+    digests.update(library_digests(walshmeans, args.raw))
     with open(out, "w") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,7 +5,8 @@ The classical Walsh objects built through the package's transform
 a grid function, endpoint, length and grid views of dyadic intervals and
 exact step functions, the full-grid fold of the streamed maximal
 supremum, the row-by-row bank of mean weights, the weak quasinorm through
-the distinct values and the Paley transform with its transposing copy.
+the distinct values, the dyadic maximal function folded over the full grid,
+and the Paley transform with its transposing copy.
 No program path needs them, so they live here and not in `walshmeans`.
 """
 
@@ -19,7 +20,7 @@ from walshmeans.dyadic import DyadicInterval, DyadicRational, GridSpec
 from walshmeans.exact import SparseStepFunction
 from walshmeans.maximal import _block_sizes, _level, _level_groups
 from walshmeans.summability import mean_coefficient_weights
-from walshmeans.transform import _RADIX, GridFunction, forward_array, inverse_array, paley_matrix
+from walshmeans.transform import GridFunction, forward_array, inverse_array, paley_matrix
 
 
 def partial_sum(f: GridFunction, m: int) -> GridFunction:
@@ -149,15 +150,39 @@ def weak_quasinorm_values_reference(values, cell_measure: float) -> float:
     return float(np.max(uniq * tail) * cell_measure)
 
 
+def dyadic_maximal_reference(f) -> np.ndarray:
+    """The samples of `maximal.dyadic_maximal` by a running maximum over the
+    full grid: each level's |average| repeated out to 2^K cells."""
+    K = f.spec.resolution
+    x = f.samples
+    best = np.repeat(np.abs(x.mean(axis=0))[None], len(x), axis=0)   # n = 0 term
+    for n in range(1, K + 1):
+        block = 1 << (K - n)
+        avg = x.reshape((1 << n, block) + x.shape[1:]).mean(axis=1)
+        np.maximum(best, np.repeat(np.abs(avg), block, axis=0), out=best)
+    return best
+
+
+def paley_factors(K: int) -> list:
+    """The widths of `transform._paley`'s Kronecker factors, lowest cell bits
+    first: K itself up to 5; above it the top a = min(5, floor(K/2)) bits
+    come last, after the factors of the remaining K - a bits.  K = 7 gives
+    4, 3; K = 14 gives 5, 4, 5; K = 16 gives 3, 3, 5, 5."""
+    if K <= 5:
+        return [K]
+    a = min(5, K // 2)
+    return paley_factors(K - a) + [a]
+
+
 def paley_with_copy(values, K: int) -> np.ndarray:
-    """values @ W_K as `transform._paley` computed it with b = min(7,
-    ceil(K/2)): one GEMM with W_b over all rows, a transposing copy, and
-    the same transform, recursing, on the remaining a = K - b bits."""
+    """values @ W_K as `transform._paley` computes it, one factor at a time
+    in the order of `paley_factors`: a GEMM with W_f over the lowest f of
+    the bits still to do, in contiguous rows, then a transposing copy that
+    makes the next bits the contiguous ones."""
     x = np.asarray(values, dtype=float)
-    if K <= _RADIX:
-        return np.matmul(x.reshape(-1, 1 << K), paley_matrix(K)).reshape(x.shape)
-    b = min(_RADIX, (K + 1) // 2)
-    a = K - b
-    y = np.matmul(x.reshape(-1, 1 << b), paley_matrix(b))
-    z = np.ascontiguousarray(y.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1))
-    return paley_with_copy(z.reshape(-1, 1 << a), a).reshape(x.shape)
+    y, left = x.reshape(-1, 1 << K), K
+    for f in paley_factors(K):
+        y = np.matmul(y.reshape(-1, 1 << f), paley_matrix(f))
+        left -= f
+        y = np.ascontiguousarray(y.reshape(-1, 1 << left, 1 << f).transpose(0, 2, 1))
+    return y.reshape(x.shape)

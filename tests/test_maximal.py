@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mean_weight_rows, sup_of_means_reference, weak_quasinorm_values_reference
+from oracles import (
+    dyadic_maximal_reference,
+    mean_weight_rows,
+    sup_of_means_reference,
+    weak_quasinorm_values_reference,
+)
 from walshmeans import maximal
 from walshmeans.dyadic import GridSpec
 from walshmeans.maximal import (
@@ -139,6 +144,18 @@ def test_dyadic_maximal():
             avg = f.samples.reshape(1 << n, -1).mean(axis=1)
             np.maximum(best, np.repeat(np.abs(avg), 1 << (K - n)), out=best)
         assert np.array_equal(dyadic_maximal(f).samples, best)
+
+
+@pytest.mark.parametrize("K, dims", [(1, 1), (5, 1), (14, 1), (3, 2), (8, 2)])
+def test_dyadic_maximal_matches_full_grid_fold(K, dims):
+    # the coarse-to-fine fold takes the maximum of the same averages as the
+    # full-grid running maximum, so every bit agrees; the rounded draws
+    # make ties between levels, and the shift makes most values negative
+    rng = np.random.default_rng(40 + K)
+    shape = (1 << K,) * dims
+    for x in (rng.normal(size=shape) - 0.5, np.round(rng.normal(size=shape)) - 1.0):
+        f = GridFunction(GridSpec(K), x)
+        assert np.array_equal(dyadic_maximal(f).samples, dyadic_maximal_reference(f))
 
 
 def test_weak_quasinorm():

@@ -71,10 +71,10 @@ def test_fwht_matches_naive_and_roundtrip():
         assert np.abs(back - f.samples).max() < 1e-12
 
 
-def fwht_natural(values: np.ndarray) -> np.ndarray:
+def fwht_natural(values: np.ndarray, dtype=float) -> np.ndarray:
     """Slow reference: unnormalised natural-order (Hadamard) butterfly
-    X[i] = sum_j (-1)^popcount(i&j) x[j] along the last axis."""
-    x = np.asarray(values, dtype=float)
+    X[i] = sum_j (-1)^popcount(i&j) x[j] along the last axis, in ``dtype``."""
+    x = np.asarray(values, dtype=dtype)
     shape = x.shape
     n = shape[-1]
     x = x.reshape(-1, n).copy()
@@ -122,6 +122,25 @@ def test_transform_matches_butterfly_on_long_rows(K):
     x = np.random.default_rng(K).normal(size=(2, 1 << K))
     assert np.abs(forward_array(x, K) - butterfly_forward(x, K)).max() < 1e-14
     assert np.abs(inverse_array(x, K) - butterfly_inverse(x, K)).max() < 1e-12 * (1 << K)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 on this platform")
+@pytest.mark.parametrize("K", range(1, 15))
+def test_transform_error_against_long_double_butterfly(K):
+    # Student-t rows with 3 degrees of freedom put much of each row's L1 norm
+    # in a few cells.  The butterfly in long double is exact to about 1e-18
+    # of that norm, so the difference is the transform's own rounding: at
+    # most 2.5e-16 of the row's L1 norm per entry (its mean for the forward
+    # transform, whose output is scaled by 2^-K)
+    N = 1 << K
+    x = np.random.default_rng(400 + K).standard_t(3, size=(16, N))
+    wide, rev = x.astype(np.longdouble), bit_reversal(K)
+    l1 = np.abs(x).sum(axis=1, keepdims=True)
+    forward = fwht_natural(wide[:, rev], np.longdouble) / N
+    inverse = fwht_natural(wide, np.longdouble)[:, rev]
+    assert (np.abs(forward_array(x, K) - forward) / (l1 / N)).max() <= 2.5e-16
+    assert (np.abs(inverse_array(x, K) - inverse) / l1).max() <= 2.5e-16
 
 
 @pytest.mark.parametrize("K", (3, 7, 9, 15))
@@ -182,11 +201,12 @@ def test_transform_matches_walsh_rows_at_sampled_coefficients(K):
         _check_rows(x, K, idx)
 
 
-@pytest.mark.parametrize("K", range(8, 15))
+@pytest.mark.parametrize("K", range(6, 17))
 def test_paley_equals_transposing_copy_reference(K):
     # GEMM packs the transposed view as it packs the reference's contiguous
-    # copy, so every entry is the same double up to K = 14, where the two
-    # split the bits alike
+    # copy, and the two apply the same factors in the same order, so every
+    # entry is the same double; K = 6 and 7 take two factors, K = 11 to 15
+    # three and K = 16 four
     rng = np.random.default_rng(300 + K)
     for rows in (1, 8, 512):
         x = rng.normal(size=(rows, 1 << K))
@@ -194,18 +214,20 @@ def test_paley_equals_transposing_copy_reference(K):
 
 
 def test_paley_holds_one_temporary():
-    # at K = 13 the 6-bit factor reads the 7-bit factor's output through a
-    # transposed view: into ``out``, nothing but that output is allocated
-    x = np.random.default_rng(4).normal(size=(8, 1 << 13))
-    out = np.empty(x.shape)
-    inverse_array(x, 13, out=out)
-    tracemalloc.start()
-    try:
-        inverse_array(x, 13, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert x.nbytes <= peak < 1.5 * x.nbytes
+    # each factor reads the last one's output through a transposed view, and
+    # the three factors at K = 13 and 14 alternate between ``out`` and one
+    # temporary: into ``out``, nothing but that temporary is allocated
+    for K in (13, 14):
+        x = np.random.default_rng(4).normal(size=(8, 1 << K))
+        out = np.empty(x.shape)
+        inverse_array(x, K, out=out)
+        tracemalloc.start()
+        try:
+            inverse_array(x, K, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes <= peak < 1.5 * x.nbytes
 
 
 @pytest.mark.parametrize("K", (14, 16))
