@@ -1,6 +1,6 @@
-"""SHA-256 digests of the CLI's outputs, for byte-identity checks between trees.
+"""The CLI's outputs, recorded for comparison between trees.
 
-    python tests/digest_outputs.py [--raw] SRC OUT.json
+    python tests/digest_outputs.py SRC OUT.json
     python tests/digest_outputs.py --compare A.json B.json
 
 The first form imports `walshmeans` from SRC (a tree's `src/` directory)
@@ -16,28 +16,26 @@ and runs, in process through `walshmeans.cli.main`:
   is all forward transforms, and a 64-trial `llogl-experiment`;
 - the library operators no command calls (`maximal_mean`,
   `maximal_abs_mean`, `tensor_maximal`, `iterated_majorant`) on the
-  README's `f.csv` and `F.csv`, recording the digest of their samples.
+  README's `f.csv` and `F.csv`, recording their samples as a JSON list.
 
 The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
-the digest of its stdout, its stderr, its exit code and of each file it
-wrote.  OUT.json maps the case names to these digests; run the script once
-per tree and compare the two files.  With `--raw` it records the outputs
-themselves in place of their digests (about 20 MB), the samples as a JSON
-list, so that `--compare` can say how far a rounding change moved them:
-for each case it prints `identical`, the largest |a - b| / scale over the
-floats of an output whose other text is the same (the scale being the
-largest |float| of that output in either file), or the first difference
-outside the floats (text, an integer, the exit code, a shape).  It exits 1
-when any case differs outside its floats or is missing from one file.  It
-is not a pytest module.
+its stdout, its stderr, its exit code and each file it wrote.  OUT.json
+(about 17 MB) maps the case names to these outputs; run the script once
+per tree.  Two files that `cmp` finds equal mean byte-identical outputs.
+`--compare` says how far a rounding change moved them: for each case it
+prints `identical`, the largest |a - b| / scale over the floats of an
+output whose other text is the same (the scale being the largest |float|
+of that output in either file), or the first difference outside the
+floats (text, an integer, the exit code, a shape).  It exits 1 when any
+case differs outside its floats or is missing from one file.  It is not a
+pytest module.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -51,15 +49,6 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LARGE = ["maximal", "--matrix", "fejer", "--seq", "all:1..4096", "--resolution", "14",
          "--trials", "8"]
-
-
-def _sha(data: str | bytes) -> str:
-    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
-
-
-def _text(data: str | bytes) -> str:
-    """The output itself, as `--raw` records it."""
-    return data if isinstance(data, str) else data.decode("utf-8", "backslashreplace")
 
 
 def _readme_commands() -> list[list[str]]:
@@ -118,10 +107,9 @@ def _matrix_files(workdir: str) -> None:
             fh.write(",".join(map(repr, (row / row.sum()).tolist())) + "\n")
 
 
-def _run(main, argv: list[str], make_inputs, record=_sha) -> dict:
-    """Digests (or what ``record`` makes of them) of the outputs of one CLI
-    run in a fresh directory that holds only the files `make_inputs` writes
-    into it."""
+def _run(main, argv: list[str], make_inputs) -> dict:
+    """The outputs of one CLI run in a fresh directory that holds only the
+    files `make_inputs` writes into it."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
@@ -136,21 +124,19 @@ def _run(main, argv: list[str], make_inputs, record=_sha) -> dict:
                     rc = f"SystemExit({exc.code!r})"
                 except Exception as exc:   # recorded, not fatal: it is an output too
                     rc = f"raised {type(exc).__name__}: {exc}"
-            digests = {"stdout": record(out.getvalue()), "stderr": record(err.getvalue()),
-                       "exit": record(str(rc))}
+            outputs = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": str(rc)}
             for name in sorted(set(os.listdir(".")) - inputs):
                 with open(name, "rb") as fh:
-                    digests[f"file:{name}"] = record(fh.read())
+                    outputs[f"file:{name}"] = fh.read().decode("utf-8", "backslashreplace")
         finally:
             os.chdir(cwd)
-    return digests
+    return outputs
 
 
-def library_digests(wm, raw: bool = False) -> dict:
-    """Digests of the samples of the operators no command calls (with
-    ``raw``, the samples as a JSON list), run on the README's f.csv (K = 7)
-    and F.csv (K = 6) over powers:1..K: the 1D ones with fejer and with
-    nlog, the 2D ones with fejer x nlog."""
+def library_outputs(wm) -> dict:
+    """The samples, as a JSON list, of the operators no command calls, run
+    on the README's f.csv (K = 7) and F.csv (K = 6) over powers:1..K: the
+    1D ones with fejer and with nlog, the 2D ones with fejer x nlog."""
     with tempfile.TemporaryDirectory() as workdir:
         _readme_inputs(workdir)
         f = wm.load_grid1d(os.path.join(workdir, "f.csv"))
@@ -162,9 +148,8 @@ def library_digests(wm, raw: bool = False) -> dict:
     for op in (wm.tensor_maximal, wm.iterated_majorant):
         runs[f"library {op.__name__} fejer x nlog powers:1..6 F.csv"] = (op, fejer, s6, nlog,
                                                                           s6, F)
-    def record(samples):
-        return json.dumps(samples.tolist()) if raw else _sha(samples.tobytes())
-    return {name: {"samples": record(op(*args).samples)} for name, (op, *args) in runs.items()}
+    return {name: {"samples": json.dumps(op(*args).samples.tolist())}
+            for name, (op, *args) in runs.items()}
 
 
 def cases() -> list[tuple[str, list[str], object]]:
@@ -193,15 +178,12 @@ def cases() -> list[tuple[str, list[str], object]]:
 
 # a float as `repr` writes it: digits on both sides of the point, or an exponent
 _FLOAT = re.compile(r"(-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)")
-_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _difference(a: str, b: str) -> tuple[str, float | None]:
     """How output b differs from output a: ("", max |a - b| / scale) when
     only their floats differ, or a description of the first other
     difference and None."""
-    if _DIGEST.fullmatch(a) and _DIGEST.fullmatch(b):
-        return "digests differ (record both trees with --raw)", None
     pa, pb = _FLOAT.split(a), _FLOAT.split(b)
     if len(pa) != len(pb):
         return f"{len(pa) // 2} floats against {len(pb) // 2}", None
@@ -257,12 +239,9 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Digest the CLI's outputs under SRC into "
+    parser = argparse.ArgumentParser(description="Record the CLI's outputs under SRC into "
                                      "OUT.json, or compare two such files.")
-    parser.add_argument("--raw", action="store_true",
-                        help="record the outputs themselves, not their digests")
-    parser.add_argument("--compare", action="store_true",
-                        help="compare A.json with B.json, two files written with --raw")
+    parser.add_argument("--compare", action="store_true", help="compare A.json with B.json")
     parser.add_argument("paths", nargs=2, metavar="PATH", help="SRC OUT.json, or A.json B.json")
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if args.compare:
@@ -274,13 +253,12 @@ def main(argv=None) -> int:
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         sys.stderr.write(f"imported {cli.__file__}, not a module under {src}\n")
         return 2
-    record = _text if args.raw else _sha
-    digests = {name: _run(cli.main, argv_, make, record) for name, argv_, make in cases()}
-    digests.update(library_digests(walshmeans, args.raw))
+    outputs = {name: _run(cli.main, argv_, make) for name, argv_, make in cases()}
+    outputs.update(library_outputs(walshmeans))
     with open(out, "w") as fh:
-        json.dump(digests, fh, indent=2, sort_keys=True)
+        json.dump(outputs, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{len(digests)} cases written to {out}")
+    print(f"{len(outputs)} cases written to {out}")
     return 0
 
 
