@@ -10,6 +10,12 @@ Wade and Simon, Walsh Series, 1990).  So with m = ceil(log2 n) the mean
 T_n f, the kernel V_n, |V_n| and f * |V_n| all live on a 2^m-cell grid
 whatever the resolution K: each is evaluated there, from the first 2^m
 coefficients, and spread over the 2^(K-m) fine cells of each coarse cell.
+
+A weak-type experiment runs its trials in blocks, all in one `_Workspace`
+of grow-only flat buffers: the trials, their coefficients, the
+transforms' temporary, the blocks of means and the supremum are written
+into the same memory in every block, buffers never live at once share it,
+and so no block after the first faults in fresh memory.
 """
 
 from __future__ import annotations
@@ -132,7 +138,49 @@ def _block_sizes(counts: list[int], unit: int) -> list[int]:
     return sizes[::-1]
 
 
-def _sup_of_means(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
+class _Workspace:
+    """Grow-only, C-contiguous flat buffers that one weak-type experiment
+    reuses in every trial block, so no block faults in fresh memory.
+    `take` returns an array of a shape on the start of one buffer (a slot),
+    which grows, and never shrinks, to fit it."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, slot, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if slot not in self._buffers or self._buffers[slot].size < size:
+            self._buffers[slot] = None   # let the old buffer go before the new one comes
+            self._buffers[slot] = np.empty(size)
+        return self._buffers[slot][:size].reshape(shape)
+
+
+# Workspace slots.  The inputs and the forward transform's temporary are dead
+# once the coefficients exist: they become the two block buffers of the fold,
+# and the inputs' slot then takes the spread sup.
+_INPUTS, _TEMP, _COEFFS, _SUP, _SCRATCH, _ACC = range(6)
+
+
+def _split(a: np.ndarray, axis: int, cells: int) -> np.ndarray:
+    """A view of the C-contiguous ``a`` with ``axis`` split into (cells, rest)."""
+    return a.reshape(a.shape[:axis] + (cells, -1) + a.shape[axis + 1:])
+
+
+def _repeat(a: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Write np.repeat(a, r, axis) into the C-contiguous ``out``, r being
+    out's length along ``axis`` over a's.  A short run of copies is written
+    as r strided copies of ``a``: numpy broadcasts slowly into a short
+    innermost axis."""
+    view = _split(out, axis, a.shape[axis])
+    r = view.shape[axis + 1]
+    if r > 4:
+        view[...] = np.expand_dims(a, axis + 1)
+        return
+    for k in range(r):
+        view[(slice(None),) * (axis + 1) + (k,)] = a
+
+
+def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     """sup over the row tuples (a, b, ...) of |inverse(coeffs * rows_0[a] x
     rows_1[b] x ...)| on the full 2^K grid of each of the last d =
     len(banks) axes of ``coeffs``; its leading axes are a batch.
@@ -148,79 +196,95 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
     levels, never into the full grid.  The maximum reaches the top level
     m*_j of each axis, the level of its largest index, and is spread over
     the 2^K grid once at the end.
+
+    Every buffer comes from the `_Workspace` ``work`` (a new one when not
+    given): the sup is zeroed in place, and the result is a view of one of
+    its slots, valid until ``work`` is used again.
     """
+    work = _Workspace() if work is None else work
     d = len(banks)
     batch = coeffs.shape[:coeffs.ndim - d]
     coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
     groups = [_level_groups(s) for _, s in banks]
-    sup = np.zeros((len(coeffs),) + tuple(1 << g[-1][0] for g in groups))
-    _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup)
-    for j, g in enumerate(groups):
-        if g[-1][0] < K:
-            sup = np.repeat(sup, 1 << (K - g[-1][0]), axis=1 + j)
+    tops = [g[-1][0] for g in groups]
+    sup = work.take(_SUP, (len(coeffs),) + tuple(1 << m for m in tops))
+    sup.fill(0.0)
+    _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup, work)
+    if min(tops) < K:
+        full = work.take(_INPUTS, (len(coeffs),) + (1 << K,) * d)
+        # each cell of the top levels covers 2^(K - m*_j) cells along axis j
+        spread = full.reshape((len(coeffs),) + sum(((1 << m, 1 << (K - m)) for m in tops), ()))
+        spread[...] = sup.reshape((len(coeffs),) + sum(((1 << m, 1) for m in tops), ()))
+        sup = full
     return sup.reshape(batch + sup.shape[1:])
 
 
-def _fold_levels(coeffs, banks, groups, levels, into) -> None:
-    """Fold into ``into`` the sup over the level tuples that begin with
-    ``levels``, the chosen (m, positions) of the first len(levels) axes.
-    ``into`` is on 2^m cells along those axes and 2^{m*} along the others.
+def _fold_levels(coeffs, banks, groups, levels, into, work) -> None:
+    """Fold into ``into`` (C-contiguous) the sup over the level tuples that
+    begin with ``levels``, the chosen (m, positions) of the first
+    len(levels) axes.  ``into`` is on 2^m cells along those axes and 2^{m*}
+    along the others.
 
     The next axis walks its levels in increasing m.  Below its top level
     m* the maximum runs in a buffer at the current level, repeated up to
     each next level before that level is folded into it; it is folded into
-    ``into`` before the top level, which folds into ``into`` directly.
+    ``into`` before the top level, which folds into ``into`` directly.  At
+    most half as fine as ``into`` along this axis, the buffer alternates
+    between the two halves of a workspace slot of into's size; on the first
+    axis that slot is ``into`` itself, still free until the top level, and
+    the last buffer is staged in the inputs' slot to be spread over it.
     """
     j = len(levels)
     if j == len(groups):
-        _fold_blocks(coeffs, banks, levels, into)
+        _fold_blocks(coeffs, banks, levels, into, work)
         return
     *lower, top = groups[j]
-    acc = None
-    for m, rows in lower:
-        if acc is None:
+    if lower:
+        halves = (into if j == 0 else work.take((_ACC, j), into.shape)).reshape(2, -1)
+        for i, (m, rows) in enumerate(lower):
             shape = list(into.shape)
             shape[1 + j] = 1 << m
-            acc = np.zeros(shape)
+            level = halves[i % 2][:math.prod(shape)].reshape(shape)
+            if i == 0:
+                level.fill(0.0)
+            else:   # each cell of acc covers a run of finer cells
+                _repeat(acc, level, 1 + j)
+            acc, prev = level, m
+            _fold_levels(coeffs, banks, groups, levels + ((m, rows),), acc, work)
+        if j == 0:   # into holds nothing but acc yet
+            staged = work.take(_INPUTS, acc.shape)
+            np.copyto(staged, acc)
+            _repeat(staged, into, 1)
         else:
-            acc = np.repeat(acc, 1 << (m - prev), axis=1 + j)
-        _fold_levels(coeffs, banks, groups, levels + ((m, rows),), acc)
-        prev = m
-    if acc is not None:
-        # a view of into (contiguous) as (..., 2^prev, 2^(top - prev), ...)
-        # along axis j: each cell of acc covers a run of finer cells
-        fine = into.reshape(into.shape[:1 + j] + (1 << prev, -1) + into.shape[2 + j:])
-        np.maximum(fine, np.expand_dims(acc, 2 + j), out=fine)
-        del acc   # before the top level's blocks allocate
-    _fold_levels(coeffs, banks, groups, levels + (top,), into)
+            fine = _split(into, 1 + j, 1 << prev)
+            np.maximum(fine, np.expand_dims(acc, 2 + j), out=fine)
+    _fold_levels(coeffs, banks, groups, levels + (top,), into, work)
 
 
-def _fold_blocks(coeffs, banks, group, into) -> None:
+def _fold_blocks(coeffs, banks, group, into, work) -> None:
     """Fold the means of one level tuple ``group`` into ``into``, which is
     on its 2^{m_0} x ... cells, inverting them in blocks of at most
     _CHUNK_CELLS cells over (batch x rows).
 
-    Two block buffers serve every block: the product of the coefficients
-    and the rows is formed in one, and each axis is inverted from one into
-    the other; the row maximum goes into the one the last axis left free."""
+    The workspace slots of the inputs and of the forward temporary are the
+    two block buffers: the product of the coefficients and the rows is
+    formed in the first, and each axis is inverted from one into the other,
+    with the scratch slot as the transform's work space; the row maximum
+    goes into the one the last axis left free."""
     d = len(group)
     ms = [m for m, _ in group]
     band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
     counts = [len(coeffs)] + [rows.stop - rows.start for _, rows in group]
     sizes = _block_sizes(counts, 1 << sum(ms))
-    buffers = [np.empty(math.prod(sizes) << sum(ms)) for _ in range(2)]
-
-    def block(i, shape):
-        """A C-contiguous array of ``shape`` on the start of buffer i % 2."""
-        return buffers[i % 2][:math.prod(shape)].reshape(shape)
-
+    blocks = (_INPUTS, _TEMP)   # taken in turn
     for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
         t = slice(starts[0], starts[0] + sizes[0])
         # axes: batch, one row axis per bank, one coefficient axis per bank
         x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])
         weights = [bank[m][start: start + size] for bank, (m, _), start, size
                    in zip(banks, group, starts[1:], sizes[1:])]
-        product = block(0, x.shape[:1] + tuple(len(w) for w in weights) + band.shape[1:])
+        product = work.take(blocks[0],
+                            x.shape[:1] + tuple(len(w) for w in weights) + band.shape[1:])
         for j, w in enumerate(weights):
             shape = [1] * (1 + 2 * d)
             shape[1 + j], shape[1 + d + j] = w.shape
@@ -230,10 +294,11 @@ def _fold_blocks(coeffs, banks, group, into) -> None:
             axis = 1 + d + j
             rows_of_axis = x.swapaxes(axis, -1)
             x = inverse_array(rows_of_axis, m,
-                              out=block(j + 1, rows_of_axis.shape)).swapaxes(axis, -1)
+                              out=work.take(blocks[(j + 1) % 2], rows_of_axis.shape),
+                              tmp=work.take(_SCRATCH, rows_of_axis.shape)).swapaxes(axis, -1)
         row_axes = tuple(range(1, d + 1))
         sup = np.max(np.abs(x, out=x), axis=row_axes,
-                     out=block(d + 1, x.shape[:1] + x.shape[1 + d:]))
+                     out=work.take(blocks[(d + 1) % 2], x.shape[:1] + x.shape[1 + d:]))
         view = into[t]
         np.maximum(view, sup, out=view)
 
@@ -345,11 +410,13 @@ def weak_quasinorm(g) -> float:
 def _weak_quasinorm_values(values: np.ndarray, cell_measure: float) -> float:
     """max_v v #(values >= v) x cell_measure, from one sort: the first of the
     sorted values equal to v has exactly len - i of them at or above it, and
-    a later copy of v fewer, so only the first can give the maximum."""
-    s = np.sort(values, axis=None)
+    a later copy of v fewer, so only the first can give the maximum.  A
+    C-contiguous ``values`` is sorted and scaled in place: it is consumed."""
+    s = values.reshape(-1)
+    s.sort()
     if s[-1] <= 0:
         return 0.0
-    return float(np.max(s * np.arange(len(s), 0, -1)) * cell_measure)
+    return float(np.max(np.multiply(s, np.arange(len(s), 0, -1), out=s)) * cell_measure)
 
 
 def llogl_norm(f) -> float:
@@ -446,26 +513,38 @@ def _check_trials(trials: int, seed: int) -> None:
 def _trial_summary(trials: int, seed: int, block: int, spec: GridSpec, generator, banks,
                    norm) -> dict:
     """K, trials, seed and the `_ratio_summary` of ``trials`` seeded trials,
-    each block of ``block`` reduced to its ratios before the next is drawn:
-    the working set does not grow with ``trials``."""
+    each block of ``block`` reduced to its ratios before the next is drawn
+    in one `_Workspace`: the working set does not grow with ``trials``, and
+    after the first block no block allocates a buffer of its own."""
     rng = np.random.default_rng(seed)
+    work = _Workspace()
     ratios = [r for i in range(0, trials, block)
-              for r in _trial_ratios(min(block, trials - i), spec, rng, generator, banks, norm)]
+              for r in _trial_ratios(min(block, trials - i), spec, rng, generator, banks, norm,
+                                     work)]
     return {"K": spec.resolution, "trials": trials, "seed": seed, **_ratio_summary(ratios)}
 
 
-def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm) -> list[float]:
+def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm,
+                  work) -> list[float]:
     """||sup||_{1,infty} / norm(f) for each of ``count`` trials f
     drawn from ``rng``: sup is the `dyadic_maximal` of f when ``banks`` is
-    None, else the supremum of means over one bank per axis of f."""
-    inputs = [generator(spec, rng) for _ in range(count)]
-    norms = [norm(f) for f in inputs]
-    cell_measure = inputs[0].cell_measure
+    None, else the supremum of means over one bank per axis of f.  Each f
+    is written into a row of the `_Workspace` ``work`` as it is drawn."""
+    norms = []
+    for i in range(count):
+        f = generator(spec, rng)
+        if i == 0:
+            inputs = work.take(_INPUTS, (count,) + f.samples.shape)
+        inputs[i] = f.samples
+        norms.append(norm(f))
+    cell_measure = f.cell_measure
+    del f   # its samples are in inputs
     if banks is None:
-        sups = (dyadic_maximal(f).samples for f in inputs)
+        sups = (dyadic_maximal(GridFunction(spec, x)).samples for x in inputs)
     else:
-        coeffs = _forward_axes(np.stack([f.samples for f in inputs]), spec.resolution,
-                               len(banks))
+        coeffs = _forward_axes(inputs, spec.resolution, len(banks),
+                               out=work.take(_COEFFS, inputs.shape),
+                               tmp=work.take(_TEMP, inputs.shape), swapped=inputs)
         del inputs   # only their coefficients are needed from here on
-        sups = _sup_of_means(coeffs, banks, spec.resolution)
+        sups = _sup_of_means(coeffs, banks, spec.resolution, work)
     return [_weak_quasinorm_values(sup, cell_measure) / d for sup, d in zip(sups, norms)]

@@ -110,7 +110,8 @@ def llogl_weak_type_experiment(T0: TransformationMatrix, subseq0: IndexSubsequen
 
 
 def save_grid2d(F: GridFunction, path_or_buf) -> None:
-    """Write a 2D F as a grid CSV (see `walshmeans.io`)."""
+    """Write a 2D F as a grid CSV (see `walshmeans.io`); a 1D one is refused."""
+    _check_dims(F.samples, 2)
     write_grid(path_or_buf, F.spec.resolution, F.samples)
 
 

@@ -102,10 +102,11 @@ def _paley(values, K: int, out=None, tmp=None) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
+    for name, given in (("out", out), ("tmp", tmp)):
+        if given is not None and (given.shape != x.shape or not given.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous array of shape {x.shape}")
     if out is None:
         out = np.empty(x.shape)
-    elif out.shape != x.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {x.shape}")
     if K <= _RADIX:
         np.matmul(x.reshape(-1, 1 << K), paley_matrix(K), out=out.reshape(-1, 1 << K))
         return out
@@ -165,25 +166,40 @@ def _one_blas_thread():
         put(before)
 
 
-def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
-    """Paley-ordered coefficients of sample rows: 2^-K x W_K."""
-    out = _paley(samples, K)
+def forward_array(samples: np.ndarray, K: int, *, out=None, tmp=None) -> np.ndarray:
+    """Paley-ordered coefficients of sample rows: 2^-K x W_K, written into
+    ``out`` when given and returned; ``tmp`` is the transform's work space
+    (see `inverse_array`)."""
+    out = _paley(samples, K, out, tmp)
     out *= 1.0 / (1 << K)
     return out
 
 
-def _forward_axes(samples: np.ndarray, K: int, d: int) -> np.ndarray:
+def _forward_axes(samples: np.ndarray, K: int, d: int, *, out=None, tmp=None,
+                  swapped=None) -> np.ndarray:
     """Paley coefficients along the last d = 1 or 2 axes of ``samples``, the
-    last axis first (the order fixes the rounding)."""
-    x = forward_array(samples, K)
-    return forward_array(x.swapaxes(-2, -1), K).swapaxes(-2, -1) if d == 2 else x
+    last axis first (the order fixes the rounding).  The coefficients go
+    into ``out`` and ``tmp`` is work space; in 2D the second transform reads
+    a C-contiguous copy of the first one's swapped axes, made into
+    ``swapped``.  Each is an array of the shape of ``samples``, or new when
+    not given; in 2D the result is a view of ``out`` with the last two axes
+    swapped."""
+    x = forward_array(samples, K, out=out, tmp=tmp)
+    if d == 1:
+        return x
+    if swapped is None:
+        swapped = np.empty(x.shape)
+    np.copyto(swapped, x.swapaxes(-2, -1))
+    return forward_array(swapped, K, out=x, tmp=tmp).swapaxes(-2, -1)
 
 
-def inverse_array(coefficients: np.ndarray, K: int, *, out=None) -> np.ndarray:
+def inverse_array(coefficients: np.ndarray, K: int, *, out=None, tmp=None) -> np.ndarray:
     """Samples from Paley-ordered coefficient rows: c W_K, written into
     ``out`` when given (a C-contiguous array of the same shape that does not
-    overlap ``coefficients``) and returned."""
-    return _paley(coefficients, K, out)
+    overlap ``coefficients``) and returned.  ``tmp``, of the same kind and
+    overlapping neither, is the transform's work space, or a new array when
+    not given."""
+    return _paley(coefficients, K, out, tmp)
 
 
 def _inverse_axes(coefficients: np.ndarray, K: int, d: int) -> np.ndarray:
@@ -216,7 +232,8 @@ def dyadic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def save_grid1d(f: GridFunction, path_or_buf) -> None:
-    """Write a 1D f as a grid CSV (see `walshmeans.io`)."""
+    """Write a 1D f as a grid CSV (see `walshmeans.io`); a 2D one is refused."""
+    _check_dims(f.samples, 1)
     write_grid(path_or_buf, f.spec.resolution, f.samples)
 
 

@@ -52,6 +52,23 @@ def test_grid_csv_roundtrip_and_bytes(dims, tmp_path):
     assert load(str(path)).samples.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_grid_writer_refuses_the_other_dimension(dims, tmp_path):
+    # each writer names the dimension it expected and the one it got, and
+    # writes nothing, not even the header
+    other = 3 - dims
+    _, save, _, _, _ = FORMATS[dims]
+    grid = GridFunction(GridSpec(2), np.ones((4,) * other))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"expected a {dims}D grid, got a {other}D grid"):
+        save(grid, buf)
+    assert buf.getvalue() == ""
+    path = tmp_path / "g.csv"
+    with pytest.raises(ValueError, match=f"expected a {dims}D grid"):
+        save(grid, str(path))
+    assert not path.exists()
+
+
 def test_long_line_refused_without_holding_it(tmp_path):
     # one 4,000,000-value line (16 MB) under K = 2 is refused at line 2 from
     # chunks of at most 4 x VALUE_CHARS characters, its values counted

@@ -4,7 +4,11 @@ weak-type experiment harness."""
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from walshmeans.summability import (
     matrix_from_spec,
     mean_coefficient_weights,
 )
+from walshmeans.tensor import llogl_weak_type_experiment, random_test_function_2d, tensor_maximal
 from walshmeans.transform import (
     GridFunction,
     forward_array,
@@ -421,6 +426,100 @@ def test_weak_type_experiment_memory_does_not_grow_with_trials(operator):
     assert abs(high - low) < 8 * maximal._CHUNK_CELLS
 
 
+def _fading(generator, large: int):
+    """``generator`` with its first ``large`` draws scaled by 2^20 and the
+    later ones by 2^-20.  A power of two scales every ratio's numerator and
+    denominator exactly alike, but a sup or a running maximum left over
+    from a large draw would dominate a small one's."""
+    drawn = itertools.count()
+
+    def draw(spec, rng):
+        f = generator(spec, rng)
+        return GridFunction(spec, f.samples * 2.0 ** (20 if next(drawn) < large else -20))
+    return draw
+
+
+@pytest.mark.parametrize("operator", ["abs_mean", "mean"])
+@pytest.mark.parametrize("spec", ["powers:1..14", "all:1..300", "all:4097..4160"])
+def test_trial_blocks_share_no_state(spec, operator, monkeypatch):
+    # 20 trials at K = 14 are blocks of 8, 8 and 4 in one workspace, the
+    # first block 2^40 times the others; the report equals the one made
+    # with a fresh workspace per block (top level at K and below it, one
+    # row per level and many, and a single level, which folds straight
+    # into the sup)
+    T, sub, K = builtin_matrix("fejer"), subsequence_from_spec(spec), 14
+    assert maximal._CHUNK_CELLS >> K == 8
+
+    def run():
+        return weak_type_experiment(T, sub, trials=20, K=K, seed=9, operator=operator,
+                                    generator=_fading(random_test_function, 8))
+
+    shared = run()
+    trial_ratios = maximal._trial_ratios
+    monkeypatch.setattr(maximal, "_trial_ratios",
+                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace()))
+    assert run() == shared
+
+
+def test_llogl_trials_share_no_state():
+    # each 2D trial is a block of its own in one workspace, the first 2^40
+    # times the others; every ratio is that of tensor_maximal and
+    # weak_quasinorm on the same function, so the reports are equal (lower
+    # levels on both axes, and top levels below K on both)
+    T0, T1 = builtin_matrix("fejer"), builtin_matrix("nlog")
+    s0, s1 = subsequence_from_spec("all:1..20"), subsequence_from_spec("alternating:0..2")
+    K, trials, spec = 7, 4, GridSpec(7)
+    report = llogl_weak_type_experiment(T0, s0, T1, s1, trials=trials, K=K, seed=2,
+                                        generator=_fading(random_test_function_2d, 1))
+    rng, draw = np.random.default_rng(2), _fading(random_test_function_2d, 1)
+    ratios = []
+    for _ in range(trials):
+        F = draw(spec, rng)
+        ratios.append(weak_quasinorm(tensor_maximal(T0, s0, T1, s1, F)) / (1.0 + llogl_norm(F)))
+    summary = maximal._ratio_summary(ratios)
+    assert {key: report[key] for key in summary} == summary
+
+
+_BLOCK_FAULTS = """
+import resource
+from walshmeans.maximal import subsequence_from_spec, weak_type_experiment
+from walshmeans.summability import builtin_matrix
+from walshmeans.transform import _one_blas_thread
+
+T, sub = builtin_matrix("fejer"), subsequence_from_spec("powers:1..14")
+
+def faults(trials, operator):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    weak_type_experiment(T, sub, trials=trials, K=14, operator=operator)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+with _one_blas_thread():
+    for operator in ("abs_mean", "mean"):
+        low = min(faults(16, operator) for _ in range(2))
+        high = min(faults(48, operator) for _ in range(2))
+        print(operator, (high - low) / 4)
+"""
+
+
+def test_trial_blocks_fault_in_no_fresh_memory():
+    # after the first block every buffer of the trial loop is reused: each
+    # further block of 8 trials at K = 14 adds fewer than 64 minor page
+    # faults (about 1,370 when each block allocated its own buffers).  It
+    # runs in a fresh interpreter: the heap that earlier tests leave behind
+    # can serve freed blocks again without a fault and hide them.
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor page faults are counted on Linux")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _BLOCK_FAULTS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    per_block = dict(line.split() for line in done.stdout.splitlines())
+    assert set(per_block) == {"abs_mean", "mean"}
+    for operator, faults in per_block.items():
+        assert float(faults) < 64, (operator, faults)
+
+
 def test_weak_quasinorm_sort_matches_distinct_values():
     # bit for bit against the np.unique form: ties, zeros, a lone positive
     # value, an all-zero input and 2D sups of ties at several scales
@@ -434,7 +533,8 @@ def test_weak_quasinorm_sort_matches_distinct_values():
         cases.append(np.abs(rng.normal(size=(16, 16))).round(1))
     for values in cases:
         cell_measure = 1.0 / values.size
-        assert (maximal._weak_quasinorm_values(values, cell_measure)
+        # the function sorts and scales its input in place: give it a copy
+        assert (maximal._weak_quasinorm_values(values.copy(), cell_measure)
                 == weak_quasinorm_values_reference(values, cell_measure))
 
 

@@ -216,21 +216,42 @@ def test_paley_equals_transposing_copy_reference(K):
         assert np.array_equal(_paley(x, K), paley_with_copy(x, K))
 
 
+def _inverse_peak(x, K: int, **buffers) -> int:
+    """tracemalloc peak, in bytes, of inverse_array(x, K, **buffers), after
+    one call has made the cached Paley matrices."""
+    inverse_array(x, K, **buffers)
+    tracemalloc.start()
+    try:
+        inverse_array(x, K, **buffers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_paley_holds_one_temporary():
     # each factor reads the last one's output through a transposed view, and
     # the three factors at K = 13 and 14 alternate between ``out`` and one
-    # temporary: into ``out``, nothing but that temporary is allocated
+    # temporary: into ``out``, nothing but that temporary is allocated, and
+    # into a caller-held ``out`` and ``tmp`` nothing of the rows' size
     for K in (13, 14):
         x = np.random.default_rng(4).normal(size=(8, 1 << K))
         out = np.empty(x.shape)
-        inverse_array(x, K, out=out)
-        tracemalloc.start()
-        try:
-            inverse_array(x, K, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _inverse_peak(x, K, out=out)
         assert x.nbytes <= peak < 1.5 * x.nbytes
+        assert _inverse_peak(x, K, out=out, tmp=np.empty(x.shape)) < 64 * 1024
+
+
+@pytest.mark.parametrize("tmp", [np.empty((1024, 4)).T, np.empty((4, 512)), np.empty(4096)],
+                         ids=["transposed", "short-rows", "flat"])
+def test_paley_refuses_a_tmp_of_another_layout(tmp):
+    # an F-ordered tmp of the right shape used to return a wrong transform
+    x = np.random.default_rng(6).normal(size=(4, 1024))
+    with pytest.raises(ValueError, match=r"tmp must be a C-contiguous array of shape \(4, 1024\)"):
+        _paley(x, 10, None, tmp)
+    for transform in (forward_array, inverse_array):
+        with pytest.raises(ValueError, match="tmp must be a C-contiguous"):
+            transform(x, 10, tmp=tmp)
+    assert np.array_equal(_paley(x, 10, None, np.empty((4, 1024))), _paley(x, 10))
 
 
 @pytest.mark.parametrize("K", (14, 16))
