@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -418,6 +419,41 @@ def test_weak_type_experiment_holds_three_grids(K, operator):
     assert _experiment_peak(f"powers:1..{K}", trials, K, operator) < held
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 32])
+def test_repeat_matches_np_repeat(r):
+    # strided copies up to _SHORT_REPEAT, a broadcast above: the same bytes
+    # as np.repeat along each axis of a batch of 1D and 2D grids
+    rng = np.random.default_rng(r)
+    for shape in [(3, 4), (2, 4, 8)]:
+        a = rng.normal(size=shape)
+        for axis in range(1, len(shape)):
+            ref = np.repeat(a, r, axis)
+            out = np.full(ref.shape, np.nan)
+            maximal._repeat(a, out, axis)
+            assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("op, spec, K", [
+    (maximal_mean, "all:1..512", 14),        # spread from level 9 to 14
+    (maximal_abs_mean, "powers:1..14", 14),  # the top level is K: no spread
+    (tensor_maximal, "all:1..64", 7),        # spread on both axes
+])
+def test_one_shot_result_holds_only_its_grid(op, spec, K):
+    # a maximal operator called once returns an array of exactly its grid's
+    # size, not a view that keeps a larger workspace buffer alive (level 9
+    # of all:1..512 folds blocks of 256 rows x 512 cells, 8 times the grid)
+    T, sub = builtin_matrix("nlog"), subsequence_from_spec(spec)
+    rng = np.random.default_rng(3)
+    if op is tensor_maximal:
+        f = random_test_function_2d(GridSpec(K), rng)
+        sup = op(T, sub, T, sub, f).samples
+    else:
+        f = random_test_function(GridSpec(K), rng)
+        sup = op(T, sub, f).samples
+    owner = sup if sup.base is None else sup.base
+    assert sup.shape == f.samples.shape and owner.nbytes == sup.nbytes
+
+
 @pytest.mark.parametrize("operator", maximal._OPERATORS)
 def test_weak_type_experiment_memory_does_not_grow_with_trials(operator):
     # the trials are drawn, transformed and reduced one block at a time:
@@ -506,13 +542,18 @@ def test_trial_blocks_fault_in_no_fresh_memory():
     # further block of 8 trials at K = 14 adds fewer than 64 minor page
     # faults (about 1,370 when each block allocated its own buffers).  It
     # runs in a fresh interpreter: the heap that earlier tests leave behind
-    # can serve freed blocks again without a fault and hide them.
+    # can serve freed blocks again without a fault and hide them.  The bound
+    # assumes glibc malloc with its default tunables: another allocator may
+    # map and unmap the trials' transient arrays differently.
     pytest.importorskip("resource")
     if not sys.platform.startswith("linux"):
         pytest.skip("minor page faults are counted on Linux")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the fault count assumes glibc malloc")
     src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _BLOCK_FAULTS], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     per_block = dict(line.split() for line in done.stdout.splitlines())
     assert set(per_block) == {"abs_mean", "mean"}
