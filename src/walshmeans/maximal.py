@@ -390,14 +390,58 @@ def maximal_abs_mean(T: TransformationMatrix, subseq: IndexSubsequence,
 def dyadic_maximal(f):
     """E*(f) = sup_{0<=n<=K} |S_{2^n} f|, the dyadic martingale maximal
     function in the first variable: the later axes of ``f.samples`` (the
-    second variable of a 2D grid) are carried along."""
+    second variable of a 2D grid) are carried along.  S_{2^n} f is the
+    `_level_sums` of level n times the exact 2^-(K-n), which rounds as
+    numpy's mean does; the levels fold coarse to fine."""
     K = f.spec.resolution
     x = f.samples
-    best = np.abs(x.mean(axis=0))[None]   # n = 0: one cell of the coarsest level
-    for n in range(1, K + 1):   # coarse to fine: each level's cells split in two
-        avg = x.reshape((1 << n, 1 << (K - n)) + x.shape[1:]).mean(axis=1)
-        best = np.maximum(np.repeat(best, 2, axis=0), np.abs(avg, out=avg), out=avg)
+    best = None
+    for n, sums in enumerate(_level_sums(x, K)):
+        # the last level of a 1D grid is x itself, scaled into a new array
+        avg = np.multiply(sums, 2.0 ** (n - K), out=None if sums is x else sums)
+        np.abs(avg, out=avg)
+        best = avg if best is None else np.maximum(np.repeat(best, 2, axis=0), avg, out=avg)
     return GridFunction(f.spec, best)
+
+
+def _halves(s: np.ndarray) -> np.ndarray:
+    """The sums of the consecutive pairs of s along axis 0."""
+    return s[0::2] + s[1::2]
+
+
+def _level_sums(x: np.ndarray, K: int):
+    """Yield, coarse to fine, the sums of x along axis 0 over the 2^n cells
+    of each level n = 0..K, each equal to x.reshape((1 << n, -1) +
+    x.shape[1:]).sum(axis=1) but for the sign of a zero.  The caller may
+    overwrite each but x itself, the last in 1D.
+
+    numpy adds a contiguous row of L cells in one running sum below 8,
+    in eight stride-8 running sums joined as a tree up to 128, and as the
+    sum of its two halves above.  So in 1D the rows of 2, 4 and 8 cells
+    come from the pair sums in that order, and each row above 128 from
+    its halves' sums.  numpy adds along a middle axis in one running sum,
+    so a 2D x takes numpy's sums level by level."""
+    if x.ndim > 1:
+        for n in range(K + 1):
+            yield x.reshape((1 << n, -1) + x.shape[1:]).sum(axis=1)
+        return
+    first = 0   # the coarsest level whose rows numpy sums
+    if K > 7:
+        levels = [x.reshape(1 << (K - 7), -1).sum(axis=1)]   # rows of 128 cells
+        while len(levels[-1]) > 1:
+            levels.append(_halves(levels[-1]))
+        while levels:
+            yield levels.pop()
+        first = K - 6
+    for n in range(first, K - 3):   # rows of 16 to 128 cells: numpy's own sums
+        yield x.reshape(1 << n, -1).sum(axis=1)
+    pairs = _halves(x)
+    if K >= 3:   # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+        yield _halves(_halves(pairs))
+    if K >= 2:   # ((a0 + a1) + a2) + a3
+        yield (pairs[0::2] + x[2::4]) + x[3::4]
+    yield pairs
+    yield x
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +481,9 @@ def _llogl_values(values: np.ndarray, cell_measure: float) -> float:
     big = a > 1.0
     if not big.any():
         return 0.0
-    return float(np.sum(a[big] * np.log(a[big])) * cell_measure)
+    b = a[big]   # gathered once: its log is multiplied by it in place
+    terms = np.log(b)
+    return float(np.sum(np.multiply(terms, b, out=terms)) * cell_measure)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ and runs, in process through `walshmeans.cli.main`:
   is all forward transforms, and a 64-trial `llogl-experiment`;
 - the library operators no command calls (`maximal_mean`,
   `maximal_abs_mean`, `tensor_maximal`, `iterated_majorant`) on the
-  README's `f.csv` and `F.csv`, recording their samples as a JSON list.
+  README's `f.csv` and `F.csv`, and `dyadic_maximal` on `f.csv` and
+  `hybrid_maximal` on `F.csv` (its 1D and 2D paths), recording their
+  samples as a JSON list.
 
 The commands and inputs come from the tree this script is in, so two trees
 run the same cases.  Each case runs in a fresh empty directory and records
@@ -136,7 +138,8 @@ def _run(main, argv: list[str], make_inputs) -> dict:
 def library_outputs(wm) -> dict:
     """The samples, as a JSON list, of the operators no command calls, run
     on the README's f.csv (K = 7) and F.csv (K = 6) over powers:1..K: the
-    1D ones with fejer and with nlog, the 2D ones with fejer x nlog."""
+    1D ones with fejer and with nlog, the 2D ones with fejer x nlog; and of
+    `dyadic_maximal` on f.csv and `hybrid_maximal` on F.csv."""
     with tempfile.TemporaryDirectory() as workdir:
         _readme_inputs(workdir)
         f = wm.load_grid1d(os.path.join(workdir, "f.csv"))
@@ -148,6 +151,8 @@ def library_outputs(wm) -> dict:
     for op in (wm.tensor_maximal, wm.iterated_majorant):
         runs[f"library {op.__name__} fejer x nlog powers:1..6 F.csv"] = (op, fejer, s6, nlog,
                                                                           s6, F)
+    runs["library dyadic_maximal f.csv"] = (wm.dyadic_maximal, f)
+    runs["library hybrid_maximal F.csv"] = (wm.hybrid_maximal, F)
     return {name: {"samples": json.dumps(op(*args).samples.tolist())}
             for name, (op, *args) in runs.items()}
 

@@ -5,7 +5,8 @@ The classical Walsh objects built through the package's transform
 a grid function, endpoint, length and grid views of dyadic intervals and
 exact step functions, the full-grid fold of the streamed maximal
 supremum, the row-by-row bank of mean weights, the weak quasinorm through
-the distinct values, the dyadic maximal function folded over the full grid,
+the distinct values, the L log L functional as one expression, the dyadic
+maximal function folded over the full grid,
 and the Paley transform with its transposing copy.
 No program path needs them, so they live here and not in `walshmeans`.
 """
@@ -148,6 +149,16 @@ def weak_quasinorm_values_reference(values, cell_measure: float) -> float:
         return 0.0
     tail = np.cumsum(counts[::-1])[::-1]   # number of samples >= uniq[j]
     return float(np.max(uniq * tail) * cell_measure)
+
+
+def llogl_values_reference(values, cell_measure: float) -> float:
+    """`maximal._llogl_values` as one expression: the sum of |v| ln |v| over
+    the |v| > 1, times the cell measure."""
+    a = np.abs(np.ravel(values))
+    big = a > 1.0
+    if not big.any():
+        return 0.0
+    return float(np.sum(a[big] * np.log(a[big])) * cell_measure)
 
 
 def dyadic_maximal_reference(f) -> np.ndarray:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     dyadic_maximal_reference,
+    llogl_values_reference,
     mean_weight_rows,
     sup_of_means_reference,
     weak_quasinorm_values_reference,
@@ -152,16 +153,55 @@ def test_dyadic_maximal():
         assert np.array_equal(dyadic_maximal(f).samples, best)
 
 
-@pytest.mark.parametrize("K, dims", [(1, 1), (5, 1), (14, 1), (3, 2), (8, 2)])
+def _level_inputs(K, dims, seed):
+    """A normal draw shifted so that most values are negative, a rounded
+    one (ties between levels), zeros of both signs, subnormals (about
+    1e-310), and values near +-1e308 whose level sums overflow to +-inf
+    and, where both meet, to nan."""
+    rng = np.random.default_rng(seed)
+    shape = (1 << K,) * dims
+    x = rng.normal(size=shape)
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return [x - 0.5, np.round(x) - 1.0, signs * 0.0, x * 1e-310,
+            signs * rng.uniform(0.2, 1.7, size=shape) * 1e308]
+
+
+@pytest.mark.parametrize("K", range(1, 15))
+def test_level_sums_are_numpys_row_sums(K):
+    # each level is formed in the order numpy adds a row, so every bit of
+    # x.reshape(2^n, -1).sum(axis=1) agrees, overflows included
+    for x in _level_inputs(K, 1, 60 + K):
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = list(maximal._level_sums(x, K))
+            assert len(levels) == K + 1 and levels[-1] is x
+            for n, sums in enumerate(levels):
+                assert np.array_equal(sums, x.reshape(1 << n, -1).sum(axis=1), equal_nan=True)
+
+
+@pytest.mark.parametrize("K, dims", [(K, 1) for K in range(1, 15)] + [(3, 2), (8, 2)])
 def test_dyadic_maximal_matches_full_grid_fold(K, dims):
     # the coarse-to-fine fold takes the maximum of the same averages as the
-    # full-grid running maximum, so every bit agrees; the rounded draws
-    # make ties between levels, and the shift makes most values negative
-    rng = np.random.default_rng(40 + K)
-    shape = (1 << K,) * dims
-    for x in (rng.normal(size=shape) - 0.5, np.round(rng.normal(size=shape)) - 1.0):
+    # full-grid running maximum, so every bit agrees (see `_level_inputs`)
+    for x in _level_inputs(K, dims, 40 + K):
         f = GridFunction(GridSpec(K), x)
-        assert np.array_equal(dyadic_maximal(f).samples, dyadic_maximal_reference(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(dyadic_maximal(f).samples, dyadic_maximal_reference(f),
+                                  equal_nan=True)
+
+
+def test_dyadic_maximal_memory():
+    # the level sums hold the pair sums and the levels of 128 cells or
+    # more; with the running maximum and the finest level's |x| and
+    # repeat, about 2.5 grids of 2^14 cells
+    f = GridFunction(GridSpec(14), np.random.default_rng(5).normal(size=1 << 14))
+    dyadic_maximal(f)
+    tracemalloc.start()
+    try:
+        dyadic_maximal(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * f.samples.nbytes
 
 
 def test_weak_quasinorm():
@@ -196,6 +236,31 @@ def test_llogl_norm():
     assert llogl_norm(GridFunction(spec, np.full(spec.size, e))) == pytest.approx(e)
     f = GridFunction(spec, np.r_[np.full(4, e * e), np.zeros(12)])
     assert llogl_norm(f) == pytest.approx(e * e / 2)
+
+
+def test_llogl_values_equal_the_one_expression():
+    rng = np.random.default_rng(8)
+    grids = [rng.normal(size=(256, 256)) * 3.0, rng.standard_cauchy(size=(64, 64)),
+             rng.uniform(-1.0, 1.0, size=(32, 32)), rng.normal(size=1 << 12) * 2.0]
+    for values in grids:
+        for cell_measure in (2.0 ** -16, 0.3):
+            assert maximal._llogl_values(values, cell_measure) == \
+                llogl_values_reference(values, cell_measure)
+    assert maximal._llogl_values(grids[2], 1.0) == 0.0
+
+
+def test_llogl_values_memory():
+    # |values|, the mask, the values above 1 and their log: about 3.1 grids
+    values = np.random.default_rng(9).uniform(1.5, 4.0, size=(256, 256))
+    values[::3] *= -1.0
+    maximal._llogl_values(values[:2], 1.0)
+    tracemalloc.start()
+    try:
+        maximal._llogl_values(values, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * values.nbytes
 
 
 def test_weak_type_experiment_constant_oracle():

@@ -3,9 +3,10 @@
 A Walsh mean is a convolution on the dyadic group, so it commutes with the
 shift x -> x xor h (Schipp, Wade and Simon, Walsh Series, 1990, ch. 1); the
 operators are positively homogeneous and even; and the tensor mean of a
-product a (x) b is the product of the 1D means.  None of these needs a
-reference, so they check the level-by-level banks at K = 14 and the 2D
-cap (T. Y. Chen, S. C. Cheung and S. M. Yiu, "Metamorphic testing: a new
+product a (x) b is the product of the 1D means.  The dyadic maximal
+function commutes with the shift too, which permutes the cells of each
+level.  None of these needs a reference, so they check the level-by-level
+banks and the shared level sums at K = 14 and the 2D cap (T. Y. Chen, S. C. Cheung and S. M. Yiu, "Metamorphic testing: a new
 approach for generating next test cases", HKUST-CS98-01, 1998).
 """
 
@@ -13,7 +14,12 @@ import numpy as np
 import pytest
 
 from walshmeans.dyadic import GridSpec
-from walshmeans.maximal import maximal_abs_mean, maximal_mean, subsequence_from_spec
+from walshmeans.maximal import (
+    dyadic_maximal,
+    maximal_abs_mean,
+    maximal_mean,
+    subsequence_from_spec,
+)
 from walshmeans.summability import matrix_from_spec
 from walshmeans.tensor import tensor_maximal
 from walshmeans.transform import GridFunction
@@ -58,3 +64,21 @@ def test_tensor_maximal_of_a_product_is_the_outer_product(K):
     expect = np.outer(maximal_mean(T0, s0, GridFunction(spec, a)).samples,
                       maximal_mean(T1, s1, GridFunction(spec, b)).samples)
     assert_rel_close(got, expect)
+
+
+@pytest.mark.parametrize("K, dims", [(6, 1), (10, 1), (14, 1), (4, 2), (7, 2)])
+def test_dyadic_maximal_scales_negates_and_shifts(K, dims):
+    # E*(2^k f) = 2^k E*(f) and E*(-f) = E*(f) to the last bit, since the
+    # level sums scale and negate exactly; E*(f(. xor h)) = E*(f)(. xor h),
+    # the 2D grid shifted along both axes (the second is carried along)
+    spec = GridSpec(K)
+    rng = np.random.default_rng(30 + K)
+    f = rng.normal(size=(spec.size,) * dims)
+    base = dyadic_maximal(GridFunction(spec, f)).samples
+    for k in (-3, 5):
+        scaled = dyadic_maximal(GridFunction(spec, 2.0 ** k * f)).samples
+        assert np.array_equal(scaled, 2.0 ** k * base)
+    assert np.array_equal(dyadic_maximal(GridFunction(spec, -f)).samples, base)
+    for h in rng.integers(1, spec.size, size=2).tolist():
+        shift = np.ix_(*[np.arange(spec.size) ^ h] * dims)
+        assert_rel_close(dyadic_maximal(GridFunction(spec, f[shift])).samples, base[shift])
