@@ -15,7 +15,12 @@ A weak-type experiment runs its trials in blocks, all in one `_Workspace`
 of grow-only flat buffers: the trials, their coefficients, the
 transforms' temporary, the blocks of means and the supremum are written
 into the same memory in every block, buffers never live at once share it,
-and so no block after the first faults in fresh memory.
+and so no block after the first faults in fresh memory.  The supremum's
+fold is planned once, as a flat list of numpy calls on views of the
+slots, the coefficients and the banks' rows, and the workspace keeps the
+plan, keyed by the coefficients' address, shape and strides and by the
+banks: each block writes its coefficients into the same buffer and runs
+the list again.  A one-shot operator plans, runs and drops its own.
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dyadic import GridSpec
 from .io import MAX_REPORT_VALUES, GuardRailError, parse_numbers
 from .summability import TransformationMatrix
-from .transform import GridFunction, _forward_axes, forward_array, inverse_array
+from .transform import GridFunction, _forward_axes, _paley_steps, forward_array, inverse_array
 
 
 @dataclass(frozen=True)
@@ -127,25 +133,28 @@ def mean_work(*subseqs: IndexSubsequence) -> int:
     return sum(st * total // c for st, c in zip(stages, cells))
 
 
-def _block_sizes(counts: list[int], unit: int) -> list[int]:
-    """Block length per axis so that one block of `unit`-cell items holds
-    at most _CHUNK_CELLS cells (one item at least); later axes fill first."""
-    room = max(1, _CHUNK_CELLS // unit)
+def _block_sizes(n: int, group) -> tuple[list[int], list[int]]:
+    """The counts of a level tuple's axes (the batch of n, then the rows of
+    each bank) and the block length along each, so that one block holds at
+    most _CHUNK_CELLS cells (one item at least); later axes fill first."""
+    counts = [n] + [rows.stop - rows.start for _, rows in group]
+    room = max(1, _CHUNK_CELLS >> sum(m for m, _ in group))
     sizes = []
     for count in reversed(counts):
         sizes.append(min(count, room))
         room = max(1, room // sizes[-1])
-    return sizes[::-1]
+    return counts, sizes[::-1]
 
 
 class _Workspace:
     """Grow-only, C-contiguous flat buffers that one weak-type experiment
     reuses in every trial block, so no block faults in fresh memory.
     `take` returns an array of a shape on the start of one buffer (a slot),
-    which grows, and never shrinks, to fit it."""
+    which grows, and never shrinks, to fit it; ``plan`` is the last fold's."""
 
     def __init__(self):
         self._buffers = {}
+        self.plan = None
 
     def take(self, slot, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -169,19 +178,17 @@ def _split(a: np.ndarray, axis: int, cells: int) -> np.ndarray:
 _SHORT_REPEAT = 4   # the largest r that `_repeat` writes as r strided copies
 
 
-def _repeat(a: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """Write np.repeat(a, r, axis) into the C-contiguous ``out``, r being
-    out's length along ``axis`` over a's.  numpy broadcasts slowly into a
-    short innermost axis: r strided copies of ``a`` take 0.2-0.8 of the
-    broadcast's time at r = 2, 0.6-1.0 at r = 4 and 1.5-2.4 times it at
-    r = 8, so the copies are used up to _SHORT_REPEAT."""
+def _repeat(a: np.ndarray, out: np.ndarray, axis: int, steps: list) -> None:
+    """Append to ``steps`` the copies of np.repeat(a, r, axis) into the
+    C-contiguous ``out``, r being out's length along ``axis`` over a's: up
+    to _SHORT_REPEAT r strided copies of ``a``, which take 0.2-0.8 of a
+    broadcast's time at r = 2, 0.6-1.0 at r = 4 and 1.5-2.4 times it at r = 8."""
     view = _split(out, axis, a.shape[axis])
     r = view.shape[axis + 1]
     if r > _SHORT_REPEAT:
-        view[...] = np.expand_dims(a, axis + 1)
-        return
-    for k in range(r):
-        view[(slice(None),) * (axis + 1) + (k,)] = a
+        steps.append(partial(np.copyto, view, np.expand_dims(a, axis + 1)))
+    else:
+        steps += [partial(np.copyto, view[(slice(None),) * (axis + 1) + (k,)], a) for k in range(r)]
 
 
 def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
@@ -201,36 +208,53 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     m*_j of each axis, the level of its largest index, and is spread over
     the 2^K grid once at the end.
 
-    Every buffer comes from the `_Workspace` ``work``: the sup is zeroed in
-    place, and the result is a view of one of its slots, valid until
-    ``work`` is used again.  Without ``work`` a new workspace is used, and
-    the result is an array of its own, exactly the size of the grid.
+    It runs the plan of the `_Workspace` ``work`` (see the module
+    docstring), made first if it has none for these coefficients and banks:
+    the result is a view of one of work's slots, valid until ``work`` is
+    used again.  Without ``work`` a new workspace is used, and the result
+    is an array of its own, exactly the size of the grid.
     """
     once = work is None
     work = _Workspace() if once else work
     d = len(banks)
     batch = coeffs.shape[:coeffs.ndim - d]
     coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
-    groups = [_level_groups(s) for _, s in banks]
-    tops = [g[-1][0] for g in groups]
-    sup = work.take(_SUP, (len(coeffs),) + tuple(1 << m for m in tops))
-    sup.fill(0.0)
-    _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup, work)
-    if min(tops) < K:
-        shape = (len(coeffs),) + (1 << K,) * d
-        full = np.empty(shape) if once else work.take(_INPUTS, shape)
-        # each cell of the top levels covers 2^(K - m*_j) cells along axis j
-        spread = full.reshape((len(coeffs),) + sum(((1 << m, 1 << (K - m)) for m in tops), ()))
-        spread[...] = sup.reshape((len(coeffs),) + sum(((1 << m, 1) for m in tops), ()))
-        sup = full
+    n = len(coeffs)
+    key = (coeffs.ctypes.data, coeffs.shape, coeffs.strides, K,
+           tuple(map(id, itertools.chain(*banks))))
+    if work.plan is None or work.plan[0] != key:
+        work.plan = None   # let the old plan's views go before the slots grow
+        groups = [_level_groups(s) for _, s in banks]
+        tops = [g[-1][0] for g in groups]
+        sup, full = work.take(_SUP, (n,) + tuple(1 << m for m in tops)), (n,) + (1 << K,) * d
+        # every slot a step views grows first to its largest shape in the fold
+        largest = max(math.prod(_block_sizes(n, group)[1]) << sum(m for m, _ in group)
+                      for group in itertools.product(*groups))
+        for slot, cells in [(_TEMP, largest), (_SCRATCH, largest),
+                            (_INPUTS, max(largest, sup.size, 0 if once else math.prod(full))),
+                            *(((_ACC, j), sup.size) for j in range(1, d) if len(groups[j]) > 1)]:
+            work.take(slot, (cells,))
+        steps = [partial(sup.fill, 0.0)]
+        _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup, work, steps)
+        if min(tops) < K:
+            out = np.empty(full) if once else work.take(_INPUTS, full)
+            # each cell of the top levels covers 2^(K - m*_j) cells along axis j
+            view = out.reshape((n,) + sum(((1 << m, 1 << (K - m)) for m in tops), ()))
+            steps.append(partial(np.copyto, view,
+                                 sup.reshape((n,) + sum(((1 << m, 1) for m in tops), ()))))
+            sup = out
+        work.plan = (key, steps, sup, banks)
+    _, steps, sup, _ = work.plan
+    for step in steps:
+        step()
     return sup.reshape(batch + sup.shape[1:])
 
 
-def _fold_levels(coeffs, banks, groups, levels, into, work) -> None:
-    """Fold into ``into`` (C-contiguous) the sup over the level tuples that
-    begin with ``levels``, the chosen (m, positions) of the first
-    len(levels) axes.  ``into`` is on 2^m cells along those axes and 2^{m*}
-    along the others.
+def _fold_levels(coeffs, banks, groups, levels, into, work, steps) -> None:
+    """Plan the fold into ``into`` (C-contiguous) of the sup over the level
+    tuples that begin with ``levels``, the chosen (m, positions) of the
+    first len(levels) axes.  ``into`` is on 2^m cells along those axes and
+    2^{m*} along the others.
 
     The next axis walks its levels in increasing m.  Below its top level
     m* the maximum runs in a buffer at the current level, repeated up to
@@ -243,7 +267,7 @@ def _fold_levels(coeffs, banks, groups, levels, into, work) -> None:
     """
     j = len(levels)
     if j == len(groups):
-        _fold_blocks(coeffs, banks, levels, into, work)
+        _fold_blocks(coeffs, banks, levels, into, work, steps)
         return
     *lower, top = groups[j]
     if lower:
@@ -253,25 +277,25 @@ def _fold_levels(coeffs, banks, groups, levels, into, work) -> None:
             shape[1 + j] = 1 << m
             level = halves[i % 2][:math.prod(shape)].reshape(shape)
             if i == 0:
-                level.fill(0.0)
+                steps.append(partial(level.fill, 0.0))
             else:   # each cell of acc covers a run of finer cells
-                _repeat(acc, level, 1 + j)
+                _repeat(acc, level, 1 + j, steps)
             acc, prev = level, m
-            _fold_levels(coeffs, banks, groups, levels + ((m, rows),), acc, work)
+            _fold_levels(coeffs, banks, groups, levels + ((m, rows),), acc, work, steps)
         if j == 0:   # into holds nothing but acc yet
             staged = work.take(_INPUTS, acc.shape)
-            np.copyto(staged, acc)
-            _repeat(staged, into, 1)
+            steps.append(partial(np.copyto, staged, acc))
+            _repeat(staged, into, 1, steps)
         else:
             fine = _split(into, 1 + j, 1 << prev)
-            np.maximum(fine, np.expand_dims(acc, 2 + j), out=fine)
-    _fold_levels(coeffs, banks, groups, levels + (top,), into, work)
+            steps.append(partial(np.maximum, fine, np.expand_dims(acc, 2 + j), out=fine))
+    _fold_levels(coeffs, banks, groups, levels + (top,), into, work, steps)
 
 
-def _fold_blocks(coeffs, banks, group, into, work) -> None:
-    """Fold the means of one level tuple ``group`` into ``into``, which is
-    on its 2^{m_0} x ... cells, inverting them in blocks of at most
-    _CHUNK_CELLS cells over (batch x rows).
+def _fold_blocks(coeffs, banks, group, into, work, steps) -> None:
+    """Plan the fold of the means of one level tuple ``group`` into
+    ``into``, which is on its 2^{m_0} x ... cells, inverting them in blocks
+    of at most _CHUNK_CELLS cells over (batch x rows).
 
     The workspace slots of the inputs and of the forward temporary are the
     two block buffers: the product of the coefficients and the rows is
@@ -281,8 +305,7 @@ def _fold_blocks(coeffs, banks, group, into, work) -> None:
     d = len(group)
     ms = [m for m, _ in group]
     band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
-    counts = [len(coeffs)] + [rows.stop - rows.start for _, rows in group]
-    sizes = _block_sizes(counts, 1 << sum(ms))
+    counts, sizes = _block_sizes(len(coeffs), group)
     blocks = (_INPUTS, _TEMP)   # taken in turn
     for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
         t = slice(starts[0], starts[0] + sizes[0])
@@ -295,19 +318,18 @@ def _fold_blocks(coeffs, banks, group, into, work) -> None:
         for j, w in enumerate(weights):
             shape = [1] * (1 + 2 * d)
             shape[1 + j], shape[1 + d + j] = w.shape
-            np.multiply(product if j else x, w.reshape(shape), out=product)
+            steps.append(partial(np.multiply, product if j else x, w.reshape(shape), out=product))
         x = product
         for j, m in enumerate(ms):
             axis = 1 + d + j
             rows_of_axis = x.swapaxes(axis, -1)
-            x = inverse_array(rows_of_axis, m,
-                              out=work.take(blocks[(j + 1) % 2], rows_of_axis.shape),
-                              tmp=work.take(_SCRATCH, rows_of_axis.shape)).swapaxes(axis, -1)
-        row_axes = tuple(range(1, d + 1))
-        sup = np.max(np.abs(x, out=x), axis=row_axes,
-                     out=work.take(blocks[(d + 1) % 2], x.shape[:1] + x.shape[1 + d:]))
-        view = into[t]
-        np.maximum(view, sup, out=view)
+            out = work.take(blocks[(j + 1) % 2], rows_of_axis.shape)
+            _paley_steps(rows_of_axis, m, out, work.take(_SCRATCH, rows_of_axis.shape), steps)
+            x = out.swapaxes(axis, -1)
+        sup = work.take(blocks[(d + 1) % 2], x.shape[:1] + x.shape[1 + d:])
+        steps += [partial(np.abs, x, out=x),
+                  partial(np.maximum.reduce, x, axis=tuple(range(1, d + 1)), out=sup),
+                  partial(np.maximum, into[t], sup, out=into[t])]
 
 
 class LevelBank(dict):
@@ -400,7 +422,9 @@ def dyadic_maximal(f):
         # the last level of a 1D grid is x itself, scaled into a new array
         avg = np.multiply(sums, 2.0 ** (n - K), out=None if sums is x else sums)
         np.abs(avg, out=avg)
-        best = avg if best is None else np.maximum(np.repeat(best, 2, axis=0), avg, out=avg)
+        for k in () if best is None else (0, 1):   # cell i of best covers 2i and 2i + 1
+            np.maximum(avg[k::2], best, out=avg[k::2])
+        best = avg
     return GridFunction(f.spec, best)
 
 

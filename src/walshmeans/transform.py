@@ -12,18 +12,20 @@ l = l_hi 2^b + l_lo and a coefficient index as n = n_hi 2^a + n_lo with
 a + b = K.  Then w_n(l/2^K) = w_{n_hi}(l_lo/2^b) w_{n_lo}(l_hi/2^a), so for
 a row viewed as the matrix X[l_hi, l_lo] the coefficients in row-major
 (n_hi, n_lo) order are (X W_b)^T W_a.  With a = min(5, floor(K/2)) that is
-the transform on the b bits over all contiguous rows, by the same rule,
-then one GEMM with W_a over each row's transposed view, which BLAS packs
-as it would a contiguous operand, so no transposing copy is made.  Every
-factor is thus a GEMM with a W of at most 32 x 32, the leading a bits of
-the cell index applied last: K = 14 is the factors 5, 4 and 5 (lowest
-bits first), 80 multiply-adds per value in place of the 256 of two
-128-wide factors.  On one BLAS thread the GEMMs are bound by those
+the transform on the b bits over all rows, by the same rule, then one GEMM
+with W_a over each row's transposed view, which BLAS packs as it would a
+contiguous operand; a strided input goes to the first GEMM the same way,
+so no copy is made.  W's entries are +/-1, so every product is exact and
+only the order of the sums could change a bit: it is BLAS's own in either
+layout.  Every factor is thus a GEMM with a W of at most 32 x 32, the
+leading a bits of the cell index applied last: K = 14 is the factors 5, 4
+and 5 (lowest bits first), 80 multiply-adds per value in place of the 256
+of two 128-wide factors.  On one BLAS thread the GEMMs are bound by those
 multiply-adds, not by memory traffic, so narrower factors run faster down
 to 32 wide; factors of at most 16 or 64 were no faster overall.  The split
 depends on K alone, so a row's bits never depend on the batch.  The
-factors alternate between the output and one temporary.  The bit reversal
-lives inside the W matrices, so no gather is needed.
+factors alternate between the output and one temporary, and the bit
+reversal lives inside the W matrices, so no gather is needed.
 
 The GEMMs gain no wall time from a second BLAS thread, which spins for
 twice the CPU, so the CLI runs its commands inside `_one_blas_thread`.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,30 +97,44 @@ def paley_matrix(k: int) -> np.ndarray:
 def _paley(values, K: int, out=None, tmp=None) -> np.ndarray:
     """values @ W_K along the last axis, leading axes a batch, written into
     ``out`` (C-contiguous, of the same shape, not overlapping ``values``)
-    or a new array.  ``tmp``, of the same kind, is work space: the b-bit
-    factor goes into it, with ``out`` as its own work space, and the a-bit
-    GEMM reads its transposed view straight into ``out``, so the factors
-    alternate between the two and one temporary serves any K."""
+    or a new array, with ``tmp``, of the same kind, as work space: it runs
+    the steps of `_paley_steps`."""
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
     for name, given in (("out", out), ("tmp", tmp)):
         if given is not None and (given.shape != x.shape or not given.flags.c_contiguous):
             raise ValueError(f"{name} must be a C-contiguous array of shape {x.shape}")
-    if out is None:
-        out = np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else out
+    tmp = np.empty(x.shape) if tmp is None and K > _RADIX else tmp
+    for step in _paley_steps(x, K, out, tmp, []):
+        step()
+    return out
+
+
+def _paley_steps(x: np.ndarray, K: int, out: np.ndarray, tmp, steps: list) -> list:
+    """``steps`` with the calls appended that write x @ W_K, x any strided
+    view, into ``out`` (C-contiguous, of x's shape).  The b-bit factor goes
+    into ``tmp``, of out's kind, with ``out`` as its work space, and the
+    a-bit GEMM reads its transposed view straight into ``out``.  The first
+    factor reads ``x`` as one matrix when its rows merge, else as a batch
+    whose matrices' rows are its axis of unit stride."""
+    n = x.shape[-1]
     if K <= _RADIX:
-        np.matmul(x.reshape(-1, 1 << K), paley_matrix(K), out=out.reshape(-1, 1 << K))
-        return out
+        try:
+            x, y = x.reshape(-1, n, copy=False), out.reshape(-1, n)
+        except ValueError:   # rows that no one stride spans
+            i = x.strides[:-1].index(x.itemsize) if x.itemsize in x.strides[:-1] else -2
+            x, y = np.moveaxis(x, i, -2), np.moveaxis(out, i, -2)
+        steps.append(partial(np.matmul, x, paley_matrix(K), out=y))
+        return steps
     a = min(_RADIX, K // 2)
     b = K - a
-    if tmp is None:
-        tmp = np.empty(x.shape)
-    rows = (-1, 1 << b)
-    _paley(x.reshape(rows), b, tmp.reshape(rows), out.reshape(rows))
-    np.matmul(tmp.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1), paley_matrix(a),
-              out=out.reshape(-1, 1 << b, 1 << a))
-    return out
+    split = x.shape[:-1] + (1 << a, 1 << b)
+    _paley_steps(x.reshape(split), b, tmp.reshape(split), out.reshape(split), steps)
+    steps.append(partial(np.matmul, tmp.reshape(-1, 1 << a, 1 << b).transpose(0, 2, 1),
+                         paley_matrix(a), out=out.reshape(-1, 1 << b, 1 << a)))
+    return steps
 
 
 @lru_cache(maxsize=1)

@@ -113,8 +113,7 @@ def sup_of_means_reference(coeffs: np.ndarray, banks, K: int) -> np.ndarray:
         band = coeffs[(slice(None),) + tuple(slice(0, 1 << m) for m in ms)]
         fine = sum(((1 << m, 1 << (K - m)) for m in ms), ())    # of the result
         coarse = sum(((1 << m, 1) for m in ms), ())             # of one sup
-        counts = [len(coeffs)] + [ix.stop - ix.start for _, ix in group]
-        sizes = _block_sizes(counts, 1 << sum(ms))
+        counts, sizes = _block_sizes(len(coeffs), group)
         for starts in itertools.product(*map(range, [0] * len(counts), counts, sizes)):
             t = slice(starts[0], starts[0] + sizes[0])
             x = band[t].reshape((-1,) + (1,) * d + band.shape[1:])

@@ -48,6 +48,7 @@ from walshmeans.transform import (
     GridFunction,
     forward_array,
     inverse_array,
+    paley_matrix,
     walsh_sample,
 )
 
@@ -191,8 +192,9 @@ def test_dyadic_maximal_matches_full_grid_fold(K, dims):
 
 def test_dyadic_maximal_memory():
     # the level sums hold the pair sums and the levels of 128 cells or
-    # more; with the running maximum and the finest level's |x| and
-    # repeat, about 2.5 grids of 2^14 cells
+    # more; with the running maximum and the finest level's |x|, about 1.5
+    # grids of 2^14 cells (2.5 when each level's fold repeated the maximum
+    # into a full-level temporary)
     f = GridFunction(GridSpec(14), np.random.default_rng(5).normal(size=1 << 14))
     dyadic_maximal(f)
     tracemalloc.start()
@@ -201,7 +203,7 @@ def test_dyadic_maximal_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.6 * f.samples.nbytes
+    assert peak < 1.75 * f.samples.nbytes
 
 
 def test_weak_quasinorm():
@@ -444,6 +446,70 @@ def test_coarse_to_fine_fold_matches_full_grid_fold(chunk, monkeypatch):
         assert np.array_equal(got, sup_of_means_reference(coeffs, pair, K))
 
 
+def test_replayed_plan_reads_the_coefficient_buffer():
+    # one workspace, two sets of coefficients written into the same buffer:
+    # the second call runs the first one's plan, and each result is its own
+    # coefficients' sup, so the plan reads the buffer, not a snapshot of it
+    K, rng = 7, np.random.default_rng(13)
+    T = matrix_from_spec("nlog")
+    one = [(maximal._mean_weight_matrix(T, subsequence_from_spec("all:1..9")),
+            subsequence_from_spec("all:1..9"))]
+    two = one + [(maximal.abs_kernel_spectra(T, subsequence_from_spec("list:2,64")),
+                  subsequence_from_spec("list:2,64"))]
+    for banks, shape in [(one, (3, 1 << K)), (two, (2, 1 << K, 1 << K))]:
+        work, buffer = maximal._Workspace(), np.empty(shape)
+        for i in range(2):
+            buffer[...] = rng.normal(size=shape)
+            got = maximal._sup_of_means(buffer, banks, K, work)
+            plan = work.plan if i == 0 else plan
+            assert work.plan is plan
+            assert np.array_equal(got, sup_of_means_reference(buffer, banks, K))
+
+
+def _plan_arrays(plan):
+    """The owners of every array a plan's steps read or write."""
+    for step in plan[1]:
+        for a in (getattr(step.func, "__self__", None), *step.args, *step.keywords.values()):
+            if isinstance(a, np.ndarray):
+                yield a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("spec", ["powers:1..14", "all:1..300"])
+def test_replayed_blocks_keep_every_buffer(spec, monkeypatch):
+    # a 20-trial experiment at K = 14 runs blocks of 8, 8 and 4 trials in one
+    # workspace, got hold of by a stubbed constructor; the draw that opens a
+    # block sees the buffers the last block left.  After the second block
+    # each buffer is the object it was after the first, the plan is the same
+    # one, and each array the plan steps on is a workspace buffer, a bank
+    # level or a Paley matrix: no slot grew, and no outgrown buffer is kept
+    T, sub, K = builtin_matrix("fejer"), subsequence_from_spec(spec), 14
+    works, seen = [], []
+    init = maximal._Workspace.__init__
+
+    def keep(self):
+        init(self)
+        works.append(self)
+
+    def draw(grid, rng, drawn=itertools.count()):
+        if next(drawn) in (8, 16):
+            seen.append((dict(works[0]._buffers), works[0].plan))
+        return random_test_function(grid, rng)
+
+    monkeypatch.setattr(maximal._Workspace, "__init__", keep)
+    weak_type_experiment(T, sub, trials=20, K=K, seed=4, generator=draw)
+    monkeypatch.undo()
+    (first, plan), (second, replayed) = seen
+    assert len(works) == 1 and replayed is plan
+    assert first.keys() == second.keys()
+    assert all(second[slot] is buffer for slot, buffer in first.items())
+    bank = maximal.abs_kernel_spectra(T, sub)
+    owners = {id(a) for a in first.values()}
+    owners |= {id(paley_matrix(k)) for k in range(6)}
+    levels = {(a.shape, a.tobytes()) for a in bank.values()}
+    for owner in _plan_arrays(plan):
+        assert id(owner) in owners or (owner.shape, owner.tobytes()) in levels
+
+
 def _experiment_peak(spec, trials, K, operator="abs_mean"):
     """tracemalloc peak, in bytes, of one fejer weak-type experiment, after
     a small one has made the lazy imports and the caches."""
@@ -486,15 +552,19 @@ def test_weak_type_experiment_holds_three_grids(K, operator):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 32])
 def test_repeat_matches_np_repeat(r):
-    # strided copies up to _SHORT_REPEAT, a broadcast above: the same bytes
-    # as np.repeat along each axis of a batch of 1D and 2D grids
+    # strided copies up to _SHORT_REPEAT, a broadcast above, run from the
+    # steps it plans: the same bytes as np.repeat along each axis of a batch
+    # of 1D and 2D grids
     rng = np.random.default_rng(r)
     for shape in [(3, 4), (2, 4, 8)]:
         a = rng.normal(size=shape)
         for axis in range(1, len(shape)):
             ref = np.repeat(a, r, axis)
             out = np.full(ref.shape, np.nan)
-            maximal._repeat(a, out, axis)
+            steps = []
+            maximal._repeat(a, out, axis, steps)
+            for step in steps:
+                step()
             assert np.array_equal(out, ref)
 
 

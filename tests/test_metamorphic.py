@@ -21,7 +21,7 @@ from walshmeans.maximal import (
     subsequence_from_spec,
 )
 from walshmeans.summability import matrix_from_spec
-from walshmeans.tensor import tensor_maximal
+from walshmeans.tensor import tensor_maximal, tensor_mean
 from walshmeans.transform import GridFunction
 
 OPERATORS = {"mean": maximal_mean, "abs_mean": maximal_abs_mean}
@@ -64,6 +64,34 @@ def test_tensor_maximal_of_a_product_is_the_outer_product(K):
     expect = np.outer(maximal_mean(T0, s0, GridFunction(spec, a)).samples,
                       maximal_mean(T1, s1, GridFunction(spec, b)).samples)
     assert_rel_close(got, expect)
+
+
+@pytest.mark.parametrize("K", [4, 7])
+def test_tensor_maximal_swaps_its_axes_with_its_pairs(K):
+    # (T0, s0) on axis 0 and (T1, s1) on axis 1 of F, transposed, are
+    # (T1, s1) on axis 0 and (T0, s0) on axis 1 of F^T: the 2D fold's lower
+    # levels run on both axes, in both orders (all:1..min(20, 2^K) has
+    # levels 0..5, alternating:0..m levels 0, 3, 5, ...)
+    spec = GridSpec(K)
+    F = np.random.default_rng(40 + K).normal(size=(spec.size, spec.size))
+    T0, s0 = matrix_from_spec("fejer"), subsequence_from_spec(f"all:1..{min(20, spec.size)}")
+    T1, s1 = matrix_from_spec("nlog"), subsequence_from_spec(f"alternating:0..{(K - 1) // 2}")
+    got = tensor_maximal(T1, s1, T0, s0, GridFunction(spec, F.T)).samples
+    assert_rel_close(got, tensor_maximal(T0, s0, T1, s1, GridFunction(spec, F)).samples.T)
+
+
+def test_dyadic_shift_along_both_axes_commutes_with_the_tensor_mean():
+    # (T0_{n0} x T1_{n1}) F(. xor h0, . xor h1) is the shifted tensor mean,
+    # its axis-0 mean read from a transposed view of F
+    spec = GridSpec(7)
+    rng = np.random.default_rng(50)
+    F = rng.normal(size=(spec.size, spec.size))
+    T0, T1 = matrix_from_spec("fejer"), matrix_from_spec("cesaro:0.5")
+    base = tensor_mean(T0, 100, T1, 37, GridFunction(spec, F)).samples
+    for h0, h1 in rng.integers(1, spec.size, size=(2, 2)).tolist():
+        shift = np.ix_(np.arange(spec.size) ^ h0, np.arange(spec.size) ^ h1)
+        got = tensor_mean(T0, 100, T1, 37, GridFunction(spec, F[shift])).samples
+        assert_rel_close(got, base[shift])
 
 
 @pytest.mark.parametrize("K, dims", [(6, 1), (10, 1), (14, 1), (4, 2), (7, 2)])

@@ -216,6 +216,32 @@ def test_paley_equals_transposing_copy_reference(K):
         assert np.array_equal(_paley(x, K), paley_with_copy(x, K))
 
 
+@pytest.mark.parametrize("K", (3, 5, 6, 8, 11, 14))
+def test_paley_reads_strided_views_without_a_copy(K):
+    # a transposed 2D view and a 3D batch with its last two axes swapped go
+    # straight into the GEMMs, as the batch of matrices whose rows are the
+    # axis of unit stride: every entry is the double of the copying reference
+    rng = np.random.default_rng(500 + K)
+    N = 1 << K
+    for x in (rng.normal(size=(N, 6)).T, rng.normal(size=(2, N, 3)).swapaxes(-2, -1)):
+        assert not x.flags.c_contiguous
+        assert np.array_equal(_paley(x, K), paley_with_copy(x, K))
+
+
+def test_forward_transform_of_a_transposed_grid_holds_two_grids():
+    # the output and the one temporary of a 256 x 256 transposed view: 2.0
+    # grids, where a copy of the view before the first GEMM made it 3.0
+    x = np.random.default_rng(7).normal(size=(256, 256)).T
+    forward_array(x, 8)
+    tracemalloc.start()
+    try:
+        forward_array(x, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * x.nbytes <= peak < 2.25 * x.nbytes
+
+
 def _inverse_peak(x, K: int, **buffers) -> int:
     """tracemalloc peak, in bytes, of inverse_array(x, K, **buffers), after
     one call has made the cached Paley matrices."""
