@@ -226,7 +226,8 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
         work.plan = None   # let the old plan's views go before the slots grow
         groups = [_level_groups(s) for _, s in banks]
         tops = [g[-1][0] for g in groups]
-        sup, full = work.take(_SUP, (n,) + tuple(1 << m for m in tops)), (n,) + (1 << K,) * d
+        sup = work.take(_SUP, (n,) + tuple(1 << m for m in tops))
+        full = (n,) + (1 << K,) * d
         # every slot a step views grows first to its largest shape in the fold
         largest = max(math.prod(_block_sizes(n, group)[1]) << sum(m for m, _ in group)
                       for group in itertools.product(*groups))

@@ -184,8 +184,10 @@ def _one_blas_thread():
 
 def forward_array(samples: np.ndarray, K: int, *, out=None, tmp=None) -> np.ndarray:
     """Paley-ordered coefficients of sample rows: 2^-K x W_K, written into
-    ``out`` when given and returned; ``tmp`` is the transform's work space
-    (see `inverse_array`)."""
+    ``out`` when given (a C-contiguous array of the same shape that does not
+    overlap ``samples``) and returned.  ``tmp``, of the same kind and
+    overlapping neither, is the transform's work space, or a new array when
+    not given."""
     out = _paley(samples, K, out, tmp)
     out *= 1.0 / (1 << K)
     return out
@@ -209,13 +211,9 @@ def _forward_axes(samples: np.ndarray, K: int, d: int, *, out=None, tmp=None,
     return forward_array(swapped, K, out=x, tmp=tmp).swapaxes(-2, -1)
 
 
-def inverse_array(coefficients: np.ndarray, K: int, *, out=None, tmp=None) -> np.ndarray:
-    """Samples from Paley-ordered coefficient rows: c W_K, written into
-    ``out`` when given (a C-contiguous array of the same shape that does not
-    overlap ``coefficients``) and returned.  ``tmp``, of the same kind and
-    overlapping neither, is the transform's work space, or a new array when
-    not given."""
-    return _paley(coefficients, K, out, tmp)
+def inverse_array(coefficients: np.ndarray, K: int) -> np.ndarray:
+    """Samples from Paley-ordered coefficient rows: c W_K, in a new array."""
+    return _paley(coefficients, K)
 
 
 def _inverse_axes(coefficients: np.ndarray, K: int, d: int) -> np.ndarray:

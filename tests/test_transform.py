@@ -172,14 +172,14 @@ def _batches(K: int, rng) -> list:
 
 
 def _check_rows(x, K: int, idx) -> None:
-    """forward_array and inverse_array (also into ``out=``) of the rows x,
-    at the coefficients or cells idx, against the dense product with rows
-    idx of W_K, read from `_walsh_signs` (W_K is symmetric, so they are also
-    its columns)."""
+    """forward_array and inverse_array (and `_paley` into ``out``) of the
+    rows x, at the coefficients or cells idx, against the dense product with
+    rows idx of W_K, read from `_walsh_signs` (W_K is symmetric, so they are
+    also its columns)."""
     N = 1 << K
     W = _walsh_signs(np.asarray(idx)[:, None], K)
     out = np.empty(x.shape)
-    assert inverse_array(x, K, out=out) is out
+    assert _paley(x, K, out) is out
     inverse = inverse_array(x, K)
     assert np.array_equal(out, inverse)
     assert np.abs(forward_array(x, K)[:, idx] - x @ W.T / N).max() < 1e-13
@@ -242,13 +242,13 @@ def test_forward_transform_of_a_transposed_grid_holds_two_grids():
     assert 2 * x.nbytes <= peak < 2.25 * x.nbytes
 
 
-def _inverse_peak(x, K: int, **buffers) -> int:
-    """tracemalloc peak, in bytes, of inverse_array(x, K, **buffers), after
-    one call has made the cached Paley matrices."""
-    inverse_array(x, K, **buffers)
+def _paley_peak(x, K: int, **buffers) -> int:
+    """tracemalloc peak, in bytes, of _paley(x, K, **buffers), after one
+    call has made the cached Paley matrices."""
+    _paley(x, K, **buffers)
     tracemalloc.start()
     try:
-        inverse_array(x, K, **buffers)
+        _paley(x, K, **buffers)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,9 +262,9 @@ def test_paley_holds_one_temporary():
     for K in (13, 14):
         x = np.random.default_rng(4).normal(size=(8, 1 << K))
         out = np.empty(x.shape)
-        peak = _inverse_peak(x, K, out=out)
+        peak = _paley_peak(x, K, out=out)
         assert x.nbytes <= peak < 1.5 * x.nbytes
-        assert _inverse_peak(x, K, out=out, tmp=np.empty(x.shape)) < 64 * 1024
+        assert _paley_peak(x, K, out=out, tmp=np.empty(x.shape)) < 64 * 1024
 
 
 @pytest.mark.parametrize("tmp", [np.empty((1024, 4)).T, np.empty((4, 512)), np.empty(4096)],
@@ -274,9 +274,8 @@ def test_paley_refuses_a_tmp_of_another_layout(tmp):
     x = np.random.default_rng(6).normal(size=(4, 1024))
     with pytest.raises(ValueError, match=r"tmp must be a C-contiguous array of shape \(4, 1024\)"):
         _paley(x, 10, None, tmp)
-    for transform in (forward_array, inverse_array):
-        with pytest.raises(ValueError, match="tmp must be a C-contiguous"):
-            transform(x, 10, tmp=tmp)
+    with pytest.raises(ValueError, match="tmp must be a C-contiguous"):
+        forward_array(x, 10, tmp=tmp)
     assert np.array_equal(_paley(x, 10, None, np.empty((4, 1024))), _paley(x, 10))
 
 
