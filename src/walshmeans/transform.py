@@ -125,7 +125,7 @@ def _paley_steps(x: np.ndarray, K: int, out: np.ndarray, tmp, steps: list) -> li
             x, y = x.reshape(-1, n, copy=False), out.reshape(-1, n)
         except ValueError:   # rows that no one stride spans
             i = x.strides[:-1].index(x.itemsize) if x.itemsize in x.strides[:-1] else -2
-            x, y = np.moveaxis(x, i, -2), np.moveaxis(out, i, -2)
+            x, y = x.swapaxes(i, -2), out.swapaxes(i, -2)
         steps.append(partial(np.matmul, x, paley_matrix(K), out=y))
         return steps
     a = min(_RADIX, K // 2)
