@@ -15,12 +15,13 @@ A weak-type experiment runs its trials in blocks, all in one `_Workspace`
 of grow-only flat buffers: the trials, their coefficients, the
 transforms' temporary, the blocks of means and the supremum are written
 into the same memory in every block, buffers never live at once share it,
-and so no block after the first faults in fresh memory.  The supremum's
-fold is planned once, as a flat list of numpy calls on views of the
-slots, the coefficients and the banks' rows, and the workspace keeps the
-plan, keyed by the coefficients' address, shape and strides and by the
-banks: each block writes its coefficients into the same buffer and runs
-the list again.  A one-shot operator plans, runs and drops its own.
+and so no block after the first faults in fresh memory.  The trials'
+forward transforms and the supremum's fold are planned once, as a flat
+list of numpy calls on views of the slots, the trials and the banks' rows,
+and the workspace keeps the plan, keyed by the trials' address, shape and
+strides and by the banks: each block writes its trials into the same rows
+and runs the list again.  A one-shot operator plans, runs and drops its
+own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .dyadic import GridSpec
 from .io import MAX_REPORT_VALUES, GuardRailError, parse_numbers
 from .summability import TransformationMatrix
-from .transform import GridFunction, _forward_axes, _paley_steps, forward_array, inverse_array
+from .transform import GridFunction, _paley_steps, forward_array, inverse_array
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ class _Workspace:
     """Grow-only, C-contiguous flat buffers that one weak-type experiment
     reuses in every trial block, so no block faults in fresh memory.
     `take` returns an array of a shape on the start of one buffer (a slot),
-    which grows, and never shrinks, to fit it; ``plan`` is the last fold's."""
+    which grows, and never shrinks, to fit it; ``plan`` is the last one
+    `_sup_of_means` made."""
 
     def __init__(self):
         self._buffers = {}
@@ -191,10 +193,11 @@ def _repeat(a: np.ndarray, out: np.ndarray, axis: int, steps: list) -> None:
         steps += [partial(np.copyto, view[(slice(None),) * (axis + 1) + (k,)], a) for k in range(r)]
 
 
-def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
+def _sup_of_means(samples: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     """sup over the row tuples (a, b, ...) of |inverse(coeffs * rows_0[a] x
     rows_1[b] x ...)| on the full 2^K grid of each of the last d =
-    len(banks) axes of ``coeffs``; its leading axes are a batch.
+    len(banks) axes of ``samples``, coeffs being their Paley coefficients
+    along those axes; the leading axes are a batch.
 
     ``banks[j] = (bank, subseq)``, ``bank`` a `LevelBank`: row a multiplies
     the Walsh coefficients along axis j and vanishes from 2^{m_a} on.  The
@@ -202,6 +205,10 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     ... cells: they are inverted at that resolution, in blocks of at most
     _CHUNK_CELLS cells over (batch x rows).
 
+    The forward transforms run first, the last axis first (as
+    `_forward_axes` does), each scaled by the exact 2^-K: into the
+    coefficients' slot, in 2D through the scratch slot, whose swapped axes
+    the second transform reads, with the temporary's slot as work space.
     The supremum is folded coarse to fine, one axis inside the other (see
     `_fold_levels`), so each block folds into a running maximum at its own
     levels, never into the full grid.  The maximum reaches the top level
@@ -209,18 +216,18 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     the 2^K grid once at the end.
 
     It runs the plan of the `_Workspace` ``work`` (see the module
-    docstring), made first if it has none for these coefficients and banks:
-    the result is a view of one of work's slots, valid until ``work`` is
-    used again.  Without ``work`` a new workspace is used, and the result
-    is an array of its own, exactly the size of the grid.
+    docstring), made first if it has none for these samples and banks: the
+    result is a view of one of work's slots, valid until ``work`` is used
+    again.  Without ``work`` a new workspace is used, and the result is an
+    array of its own, exactly the size of the grid.
     """
     once = work is None
     work = _Workspace() if once else work
     d = len(banks)
-    batch = coeffs.shape[:coeffs.ndim - d]
-    coeffs = coeffs.reshape((-1,) + coeffs.shape[coeffs.ndim - d:])
-    n = len(coeffs)
-    key = (coeffs.ctypes.data, coeffs.shape, coeffs.strides, K,
+    batch = samples.shape[:samples.ndim - d]
+    samples = samples.reshape((-1,) + samples.shape[samples.ndim - d:])
+    n = len(samples)
+    key = (samples.ctypes.data, samples.shape, samples.strides, K,
            tuple(map(id, itertools.chain(*banks))))
     if work.plan is None or work.plan[0] != key:
         work.plan = None   # let the old plan's views go before the slots grow
@@ -228,15 +235,23 @@ def _sup_of_means(coeffs: np.ndarray, banks, K: int, work=None) -> np.ndarray:
         tops = [g[-1][0] for g in groups]
         sup = work.take(_SUP, (n,) + tuple(1 << m for m in tops))
         full = (n,) + (1 << K,) * d
-        # every slot a step views grows first to its largest shape in the fold
+        # every slot a step views grows first to its largest shape in the plan
         largest = max(math.prod(_block_sizes(n, group)[1]) << sum(m for m, _ in group)
                       for group in itertools.product(*groups))
-        for slot, cells in [(_TEMP, largest), (_SCRATCH, largest),
-                            (_INPUTS, max(largest, sup.size, 0 if once else math.prod(full))),
+        for slot, cells in [(_COEFFS, samples.size), (_TEMP, max(largest, samples.size)),
+                            (_SCRATCH, max(largest, samples.size if d == 2 else 0)),
+                            (_INPUTS, max(largest, sup.size, 0 if once else samples.size)),
                             *(((_ACC, j), sup.size) for j in range(1, d) if len(groups[j]) > 1)]:
             work.take(slot, (cells,))
-        steps = [partial(sup.fill, 0.0)]
-        _fold_levels(coeffs, [rows for rows, _ in banks], groups, (), sup, work, steps)
+        steps = []
+        x = samples
+        for j in range(d):
+            out = work.take(_COEFFS if j == d - 1 else _SCRATCH, x.shape)
+            _paley_steps(x, K, out, work.take(_TEMP, x.shape), steps)
+            steps.append(partial(np.multiply, out, 1.0 / (1 << K), out=out))
+            x = out.swapaxes(-2, -1) if d == 2 else out
+        steps.append(partial(sup.fill, 0.0))
+        _fold_levels(x, [rows for rows, _ in banks], groups, (), sup, work, steps)
         if min(tops) < K:
             out = np.empty(full) if once else work.take(_INPUTS, full)
             # each cell of the top levels covers 2^(K - m*_j) cells along axis j
@@ -387,8 +402,7 @@ def maximal_mean(T: TransformationMatrix, subseq: IndexSubsequence,
 
 def _maximal(f: GridFunction, banks) -> GridFunction:
     """The supremum of means of f over one bank per trailing axis of f."""
-    K = f.spec.resolution
-    return GridFunction(f.spec, _sup_of_means(_forward_axes(f.samples, K, len(banks)), banks, K))
+    return GridFunction(f.spec, _sup_of_means(f.samples, banks, f.spec.resolution))
 
 
 def abs_kernel_spectra(T: TransformationMatrix, subseq: IndexSubsequence) -> LevelBank:
@@ -612,6 +626,9 @@ def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm,
     for i in range(count):
         f = generator(spec, rng)
         if i == 0:
+            # a fold block holds at most _CHUNK_CELLS cells or one trial's (see
+            # `_block_sizes`): so sized, the slot never grows under the rows the plan reads
+            work.take(_INPUTS, (_CHUNK_CELLS,))
             inputs = work.take(_INPUTS, (count,) + f.samples.shape)
         inputs[i] = f.samples
         norms.append(norm(f))
@@ -620,9 +637,5 @@ def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm,
     if banks is None:
         sups = (dyadic_maximal(GridFunction(spec, x)).samples for x in inputs)
     else:
-        coeffs = _forward_axes(inputs, spec.resolution, len(banks),
-                               out=work.take(_COEFFS, inputs.shape),
-                               tmp=work.take(_TEMP, inputs.shape), swapped=inputs)
-        del inputs   # only their coefficients are needed from here on
-        sups = _sup_of_means(coeffs, banks, spec.resolution, work)
+        sups = _sup_of_means(inputs, banks, spec.resolution, work)
     return [_weak_quasinorm_values(sup, cell_measure) / d for sup, d in zip(sups, norms)]

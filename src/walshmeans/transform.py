@@ -26,6 +26,9 @@ to 32 wide; factors of at most 16 or 64 were no faster overall.  The split
 depends on K alone, so a row's bits never depend on the batch.  The
 factors alternate between the output and one temporary, and the bit
 reversal lives inside the W matrices, so no gather is needed.
+`forward_array` and `inverse_array` run these steps on new arrays; the
+maximal operators append them to the plan of their fold instead (see
+`maximal._sup_of_means`).
 
 The GEMMs gain no wall time from a second BLAS thread, which spins for
 twice the CPU, so the CLI runs its commands inside `_one_blas_thread`.
@@ -94,20 +97,14 @@ def paley_matrix(k: int) -> np.ndarray:
     return W
 
 
-def _paley(values, K: int, out=None, tmp=None) -> np.ndarray:
-    """values @ W_K along the last axis, leading axes a batch, written into
-    ``out`` (C-contiguous, of the same shape, not overlapping ``values``)
-    or a new array, with ``tmp``, of the same kind, as work space: it runs
-    the steps of `_paley_steps`."""
+def _paley(values, K: int) -> np.ndarray:
+    """values @ W_K along the last axis, leading axes a batch, in a new
+    array: it runs the steps of `_paley_steps`."""
     x = np.asarray(values, dtype=float)
     if x.shape[-1] != 1 << K:
         raise ValueError(f"last axis has length {x.shape[-1]}, expected 2^{K}")
-    for name, given in (("out", out), ("tmp", tmp)):
-        if given is not None and (given.shape != x.shape or not given.flags.c_contiguous):
-            raise ValueError(f"{name} must be a C-contiguous array of shape {x.shape}")
-    out = np.empty(x.shape) if out is None else out
-    tmp = np.empty(x.shape) if tmp is None and K > _RADIX else tmp
-    for step in _paley_steps(x, K, out, tmp, []):
+    out = np.empty(x.shape)
+    for step in _paley_steps(x, K, out, np.empty(x.shape) if K > _RADIX else None, []):
         step()
     return out
 
@@ -182,33 +179,20 @@ def _one_blas_thread():
         put(before)
 
 
-def forward_array(samples: np.ndarray, K: int, *, out=None, tmp=None) -> np.ndarray:
-    """Paley-ordered coefficients of sample rows: 2^-K x W_K, written into
-    ``out`` when given (a C-contiguous array of the same shape that does not
-    overlap ``samples``) and returned.  ``tmp``, of the same kind and
-    overlapping neither, is the transform's work space, or a new array when
-    not given."""
-    out = _paley(samples, K, out, tmp)
+def forward_array(samples: np.ndarray, K: int) -> np.ndarray:
+    """Paley-ordered coefficients of sample rows: 2^-K x W_K, in a new array."""
+    out = _paley(samples, K)
     out *= 1.0 / (1 << K)
     return out
 
 
-def _forward_axes(samples: np.ndarray, K: int, d: int, *, out=None, tmp=None,
-                  swapped=None) -> np.ndarray:
+def _forward_axes(samples: np.ndarray, K: int, d: int) -> np.ndarray:
     """Paley coefficients along the last d = 1 or 2 axes of ``samples``, the
-    last axis first (the order fixes the rounding).  The coefficients go
-    into ``out`` and ``tmp`` is work space; in 2D the second transform reads
-    a C-contiguous copy of the first one's swapped axes, made into
-    ``swapped``.  Each is an array of the shape of ``samples``, or new when
-    not given; in 2D the result is a view of ``out`` with the last two axes
-    swapped."""
-    x = forward_array(samples, K, out=out, tmp=tmp)
-    if d == 1:
-        return x
-    if swapped is None:
-        swapped = np.empty(x.shape)
-    np.copyto(swapped, x.swapaxes(-2, -1))
-    return forward_array(swapped, K, out=x, tmp=tmp).swapaxes(-2, -1)
+    last axis first (the order fixes the rounding); in 2D the second
+    transform reads the first one's output through its swapped axes, and the
+    result is a view with the last two axes swapped."""
+    x = forward_array(samples, K)
+    return forward_array(x.swapaxes(-2, -1), K).swapaxes(-2, -1) if d == 2 else x
 
 
 def inverse_array(coefficients: np.ndarray, K: int) -> np.ndarray:

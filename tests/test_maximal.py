@@ -46,6 +46,7 @@ from walshmeans.summability import (
 from walshmeans.tensor import llogl_weak_type_experiment, random_test_function_2d, tensor_maximal
 from walshmeans.transform import (
     GridFunction,
+    _forward_axes,
     forward_array,
     inverse_array,
     paley_matrix,
@@ -432,24 +433,27 @@ def test_coarse_to_fine_fold_matches_full_grid_fold(chunk, monkeypatch):
         T = matrix_from_spec(name)
         banks[spec] = (maximal._mean_weight_matrix(T, sub), sub)
         banks["abs " + spec] = (maximal.abs_kernel_spectra(T, sub), sub)
-    coeffs = rng.normal(size=(2, 3, 1 << K))
+    samples = rng.normal(size=(2, 3, 1 << K))
+    coeffs = _forward_axes(samples, K, 1)
     for bank in banks.values():
-        got = maximal._sup_of_means(coeffs, [bank], K)
-        assert got.shape == coeffs.shape
+        got = maximal._sup_of_means(samples, [bank], K)
+        assert got.shape == samples.shape
         assert np.array_equal(got, sup_of_means_reference(coeffs, [bank], K))
-    coeffs = rng.normal(size=(2, 1 << K, 1 << K))
+    samples = rng.normal(size=(2, 1 << K, 1 << K))
+    coeffs = _forward_axes(samples, K, 2)
     for s0, s1 in [("list:1,3,7,20", "list:2,64"), ("list:2,64", "alternating:0..3"),
                    ("list:1", "all:1..9"), ("alternating:0..3", "abs list:1,3,7,20")]:
         pair = [banks[s0], banks[s1]]
-        got = maximal._sup_of_means(coeffs, pair, K)
-        assert got.shape == coeffs.shape
+        got = maximal._sup_of_means(samples, pair, K)
+        assert got.shape == samples.shape
         assert np.array_equal(got, sup_of_means_reference(coeffs, pair, K))
 
 
-def test_replayed_plan_reads_the_coefficient_buffer():
-    # one workspace, two sets of coefficients written into the same buffer:
-    # the second call runs the first one's plan, and each result is its own
-    # coefficients' sup, so the plan reads the buffer, not a snapshot of it
+def test_replayed_plan_reads_the_sample_buffer():
+    # one workspace, two sets of samples written into the same buffer: the
+    # second call runs the first one's plan, forward transforms included,
+    # and each result is its own samples' sup, so the plan reads the
+    # buffer, not a snapshot of it
     K, rng = 7, np.random.default_rng(13)
     T = matrix_from_spec("nlog")
     one = [(maximal._mean_weight_matrix(T, subsequence_from_spec("all:1..9")),
@@ -463,7 +467,48 @@ def test_replayed_plan_reads_the_coefficient_buffer():
             got = maximal._sup_of_means(buffer, banks, K, work)
             plan = work.plan if i == 0 else plan
             assert work.plan is plan
-            assert np.array_equal(got, sup_of_means_reference(buffer, banks, K))
+            coeffs = _forward_axes(buffer, K, len(banks))
+            assert np.array_equal(got, sup_of_means_reference(coeffs, banks, K))
+
+
+@pytest.mark.parametrize("matrices, specs, K, trials, plans", [
+    (("fejer", "nlog"), ("powers:1..8", "powers:1..8"), 8, 8, 1),
+    (("cesaro:0.5", "fejer"), ("all:1..16", "powers:2..6"), 7, 8, 1),
+    (("fejer", "nlog"), ("list:64", "all:33..64"), 6, 4, 1),
+    (("fejer",), ("powers:1..14",), 14, 50, 2),
+    (("nlog",), ("all:1..512",), 13, 5, 1),
+], ids=["llogl-fejer-nlog", "llogl-cesaro-fejer", "llogl-outgrown", "blocks-8-and-2",
+        "one-block"])
+def test_each_block_length_is_planned_once(matrices, specs, K, trials, plans, monkeypatch):
+    # a plan, forward transforms and fold, is built once per block length
+    # and replayed for every later block of that length: each 2D trial is a
+    # block of one, including trials of 2^12 cells whose fold blocks reach
+    # 2^17 (llogl-outgrown), and 50 trials at K = 14 are six blocks of 8
+    # and one of 2.  The report is that of a fresh workspace per block
+    Ts = [matrix_from_spec(m) for m in matrices]
+    subs = [subsequence_from_spec(s) for s in specs]
+
+    def run():
+        if len(Ts) == 1:
+            return weak_type_experiment(Ts[0], subs[0], trials=trials, K=K, seed=1)
+        return llogl_weak_type_experiment(Ts[0], subs[0], Ts[1], subs[1], trials=trials,
+                                          K=K, seed=1)
+
+    built = []
+    fold = maximal._fold_levels
+
+    def counted(coeffs, banks, groups, levels, *rest):
+        if levels == ():
+            built.append(groups)
+        fold(coeffs, banks, groups, levels, *rest)
+
+    monkeypatch.setattr(maximal, "_fold_levels", counted)
+    report = run()
+    assert len(built) == plans
+    trial_ratios = maximal._trial_ratios
+    monkeypatch.setattr(maximal, "_trial_ratios",
+                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace()))
+    assert run() == report
 
 
 def _plan_arrays(plan):

@@ -3,7 +3,9 @@
 A Walsh mean is a convolution on the dyadic group, so it commutes with the
 shift x -> x xor h (Schipp, Wade and Simon, Walsh Series, 1990, ch. 1); the
 operators are positively homogeneous and even; and the tensor mean of a
-product a (x) b is the product of the 1D means.  The dyadic maximal
+product a (x) b is the product of the 1D means.  A power of two scales
+every sum exactly, so it scales the operators and leaves a weak-type
+report to the last bit.  The dyadic maximal
 function commutes with the shift too, which permutes the cells of each
 level.  None of these needs a reference, so they check the level-by-level
 banks and the shared level sums at K = 14 and the 2D cap (T. Y. Chen, S. C. Cheung and S. M. Yiu, "Metamorphic testing: a new
@@ -18,7 +20,9 @@ from walshmeans.maximal import (
     dyadic_maximal,
     maximal_abs_mean,
     maximal_mean,
+    random_test_function,
     subsequence_from_spec,
+    weak_type_experiment,
 )
 from walshmeans.summability import matrix_from_spec
 from walshmeans.tensor import tensor_maximal, tensor_mean
@@ -50,6 +54,33 @@ def test_shift_and_scale_commute_with_the_maximal_means(K, matrix, operator):
         got = op(T, sub, GridFunction(spec, f[shift])).samples
         assert_rel_close(got, base[shift])
     assert_rel_close(op(T, sub, GridFunction(spec, -2.5 * f)).samples, 2.5 * base)
+
+
+@pytest.mark.parametrize("operator", ["abs_mean", "mean", "dyadic_maximal"])
+@pytest.mark.parametrize("K", [7, 12])
+def test_weak_type_report_is_blind_to_a_power_of_two(K, operator):
+    # 2^k f scales every sup and every norm exactly, so each ratio and the
+    # whole report keep their bits (nlog over all:1..100, levels up to 7)
+    T, sub = matrix_from_spec("nlog"), subsequence_from_spec("all:1..100")
+    base = weak_type_experiment(T, sub, trials=6, K=K, seed=K, operator=operator)
+    for k in (-9, 7):
+        def scaled(spec, rng, k=k):
+            return GridFunction(spec, 2.0 ** k * random_test_function(spec, rng).samples)
+        assert weak_type_experiment(T, sub, trials=6, K=K, seed=K, operator=operator,
+                                    generator=scaled) == base
+
+
+@pytest.mark.parametrize("K", [4, 7])
+def test_tensor_maximal_scales_by_a_power_of_two(K):
+    # every product mean, and so the sup, of 2^k F is 2^k times F's, bit for bit
+    spec = GridSpec(K)
+    F = np.random.default_rng(60 + K).normal(size=(spec.size, spec.size))
+    T0, s0 = matrix_from_spec("cesaro:0.5"), subsequence_from_spec(f"all:1..{min(20, spec.size)}")
+    T1, s1 = matrix_from_spec("fejer"), subsequence_from_spec(f"powers:0..{K}")
+    base = tensor_maximal(T0, s0, T1, s1, GridFunction(spec, F)).samples
+    for k in (-9, 7):
+        scaled = tensor_maximal(T0, s0, T1, s1, GridFunction(spec, 2.0 ** k * F)).samples
+        assert np.array_equal(scaled, 2.0 ** k * base)
 
 
 @pytest.mark.parametrize("K", [4, 7])
