@@ -12,7 +12,7 @@ whatever the resolution K: each is evaluated there, from the first 2^m
 coefficients, and spread over the 2^(K-m) fine cells of each coarse cell.
 
 A weak-type experiment runs its trials in blocks, all in one `_Workspace`
-of grow-only flat buffers: the trials, their coefficients, the
+of flat buffers sized once: the trials, their coefficients, the
 transforms' temporary, the blocks of means and the supremum are written
 into the same memory in every block, buffers never live at once share it,
 and so no block after the first faults in fresh memory.  The trials'
@@ -148,21 +148,23 @@ def _block_sizes(n: int, group) -> tuple[list[int], list[int]]:
 
 
 class _Workspace:
-    """Grow-only, C-contiguous flat buffers that one weak-type experiment
-    reuses in every trial block, so no block faults in fresh memory.
-    `take` returns an array of a shape on the start of one buffer (a slot),
-    which grows, and never shrinks, to fit it; ``plan`` is the last one
-    `_sup_of_means` made."""
+    """C-contiguous flat buffers of ``cells`` cells each that one weak-type
+    experiment reuses in every trial block, so no block faults in fresh
+    memory.  `take` returns an array of a shape on the start of one buffer
+    (a slot), made at the slot's first take and never resized: a shape of
+    more cells is refused.  ``plan`` is the last one `_sup_of_means` made."""
 
-    def __init__(self):
+    def __init__(self, cells: int):
+        self.cells = cells
         self._buffers = {}
         self.plan = None
 
     def take(self, slot, shape) -> np.ndarray:
         size = math.prod(shape)
-        if slot not in self._buffers or self._buffers[slot].size < size:
-            self._buffers[slot] = None   # let the old buffer go before the new one comes
-            self._buffers[slot] = np.empty(size)
+        if size > self.cells:
+            raise ValueError(f"workspace slot {slot} takes {size} cells, above its {self.cells}")
+        if slot not in self._buffers:
+            self._buffers[slot] = np.empty(self.cells)
         return self._buffers[slot][:size].reshape(shape)
 
 
@@ -184,7 +186,9 @@ def _repeat(a: np.ndarray, out: np.ndarray, axis: int, steps: list) -> None:
     """Append to ``steps`` the copies of np.repeat(a, r, axis) into the
     C-contiguous ``out``, r being out's length along ``axis`` over a's: up
     to _SHORT_REPEAT r strided copies of ``a``, which take 0.2-0.8 of a
-    broadcast's time at r = 2, 0.6-1.0 at r = 4 and 1.5-2.4 times it at r = 8."""
+    broadcast's time at r = 2, 0.6-1.0 at r = 4 and 1.5-2.4 times it at r = 8;
+    above it one broadcast copy, so a gap of g levels is one step, not 2^g
+    (`list:1,4096` would plan 4096 copies)."""
     view = _split(out, axis, a.shape[axis])
     r = view.shape[axis + 1]
     if r > _SHORT_REPEAT:
@@ -218,11 +222,13 @@ def _sup_of_means(samples: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     It runs the plan of the `_Workspace` ``work`` (see the module
     docstring), made first if it has none for these samples and banks: the
     result is a view of one of work's slots, valid until ``work`` is used
-    again.  Without ``work`` a new workspace is used, and the result is an
-    array of its own, exactly the size of the grid.
+    again.  A fold block holds at most _CHUNK_CELLS cells or one grid's (see
+    `_block_sizes`), any other array at most the samples' cells: a slot of
+    the larger size holds them all.  Without ``work`` such a workspace is
+    used, and the result is an array of its own, exactly the grid's size.
     """
     once = work is None
-    work = _Workspace() if once else work
+    work = _Workspace(max(_CHUNK_CELLS, samples.size)) if once else work
     d = len(banks)
     batch = samples.shape[:samples.ndim - d]
     samples = samples.reshape((-1,) + samples.shape[samples.ndim - d:])
@@ -230,19 +236,11 @@ def _sup_of_means(samples: np.ndarray, banks, K: int, work=None) -> np.ndarray:
     key = (samples.ctypes.data, samples.shape, samples.strides, K,
            tuple(map(id, itertools.chain(*banks))))
     if work.plan is None or work.plan[0] != key:
-        work.plan = None   # let the old plan's views go before the slots grow
         groups = [_level_groups(s) for _, s in banks]
         tops = [g[-1][0] for g in groups]
-        sup = work.take(_SUP, (n,) + tuple(1 << m for m in tops))
+        coarse = (n,) + tuple(1 << m for m in tops)
+        sup = np.empty(coarse) if once else work.take(_SUP, coarse)
         full = (n,) + (1 << K,) * d
-        # every slot a step views grows first to its largest shape in the plan
-        largest = max(math.prod(_block_sizes(n, group)[1]) << sum(m for m, _ in group)
-                      for group in itertools.product(*groups))
-        for slot, cells in [(_COEFFS, samples.size), (_TEMP, max(largest, samples.size)),
-                            (_SCRATCH, max(largest, samples.size if d == 2 else 0)),
-                            (_INPUTS, max(largest, sup.size, 0 if once else samples.size)),
-                            *(((_ACC, j), sup.size) for j in range(1, d) if len(groups[j]) > 1)]:
-            work.take(slot, (cells,))
         steps = []
         x = samples
         for j in range(d):
@@ -578,9 +576,10 @@ def weak_type_experiment(T: TransformationMatrix, subseq: IndexSubsequence,
                          operator: str = "abs_mean",
                          generator=random_test_function) -> dict:
     """Distribution of ||sup_a Op f||_{1,infty} / ||f||_1 over random
-    nonnegative inputs; the maximal ratio is the headline number.  The report
-    names the family, the subsequence and the ``operator``, with K, trials,
-    seed, max_ratio and the ratio quantiles; the 2D report of
+    nonnegative inputs f = generator(GridSpec(K), rng), 1D (the workspace
+    holds blocks of 1D trials); the maximal ratio is the headline number.
+    The report names the family, the subsequence and the ``operator``, with
+    K, trials, seed, max_ratio and the ratio quantiles; the 2D report of
     `llogl_weak_type_experiment` has the same keys but no operator."""
     _check_trials(trials, seed)
     if operator not in _OPERATORS:
@@ -609,7 +608,8 @@ def _trial_summary(trials: int, seed: int, block: int, spec: GridSpec, generator
     in one `_Workspace`: the working set does not grow with ``trials``, and
     after the first block no block allocates a buffer of its own."""
     rng = np.random.default_rng(seed)
-    work = _Workspace()
+    trial_cells = spec.size ** (1 if banks is None else len(banks))
+    work = _Workspace(max(_CHUNK_CELLS, block * trial_cells))   # see `_sup_of_means`
     ratios = [r for i in range(0, trials, block)
               for r in _trial_ratios(min(block, trials - i), spec, rng, generator, banks, norm,
                                      work)]
@@ -626,9 +626,6 @@ def _trial_ratios(count: int, spec: GridSpec, rng, generator, banks, norm,
     for i in range(count):
         f = generator(spec, rng)
         if i == 0:
-            # a fold block holds at most _CHUNK_CELLS cells or one trial's (see
-            # `_block_sizes`): so sized, the slot never grows under the rows the plan reads
-            work.take(_INPUTS, (_CHUNK_CELLS,))
             inputs = work.take(_INPUTS, (count,) + f.samples.shape)
         inputs[i] = f.samples
         norms.append(norm(f))

@@ -23,9 +23,10 @@ and 5 (lowest bits first), 80 multiply-adds per value in place of the 256
 of two 128-wide factors.  On one BLAS thread the GEMMs are bound by those
 multiply-adds, not by memory traffic, so narrower factors run faster down
 to 32 wide; factors of at most 16 or 64 were no faster overall.  The split
-depends on K alone, so a row's bits never depend on the batch.  The
-factors alternate between the output and one temporary, and the bit
-reversal lives inside the W matrices, so no gather is needed.
+depends on K alone, and only at K = 3-5 may BLAS round a row by the batch's
+length (up to 6.7e-16, in the one dense GEMM).  The factors alternate
+between the output and one temporary, and the bit reversal lives inside
+the W matrices, so no gather is needed.
 `forward_array` and `inverse_array` run these steps on new arrays; the
 maximal operators append them to the plan of their fold instead (see
 `maximal._sup_of_means`).

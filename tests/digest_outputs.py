@@ -14,8 +14,10 @@ and runs, in process through `walshmeans.cli.main`:
   built row by row, whose files are written into the case directory;
 - `maximal` and `llogl-experiment` over level-0 subsequences, whose work
   is all forward transforms, a 64-trial `llogl-experiment`, a `maximal`
-  mean over `alternating:0..6` (the fold's broadcast repeat) and an
-  `llogl-experiment` whose fold blocks outgrow its trials;
+  mean over `alternating:0..6` (the fold's broadcast repeat), a `maximal`
+  over `list:1,4096` (a broadcast repeat by 4096, which strided copies
+  would plan as 4096 steps) and an `llogl-experiment` whose fold blocks
+  outgrow its trials;
 - the library operators no command calls (`maximal_mean`,
   `maximal_abs_mean`, `tensor_maximal`, `iterated_majorant`) on the
   README's `f.csv` and `F.csv`, and `dyadic_maximal` on `f.csv` and
@@ -90,8 +92,9 @@ ROW_BUILT = [
 # level-0 subsequences: each trial's work is its forward transform; a 2D
 # experiment of 64 trials, each drawn after the last one's ratio; a mean
 # over alternating:0..6, whose levels 0 and 3 take `_repeat`'s broadcast;
-# and a 2D experiment whose fold blocks (2^17 cells) outgrow its trials
-# (2^12 cells)
+# list:1,4096, whose level 0 is repeated 4096 times up to level 12; and a
+# 2D experiment whose fold blocks (2^17 cells) outgrow its trials (2^12
+# cells)
 EXTRA = [
     ["maximal", "--matrix", "fejer", "--seq", "list:1", "--resolution", "14",
      "--trials", "4", "--seed", "3"],
@@ -101,6 +104,7 @@ EXTRA = [
      "--seq1", "powers:1..8", "--resolution", "8", "--trials", "64", "--seed", "5"],
     ["maximal", "--matrix", "nlog", "--seq", "alternating:0..6", "--resolution", "14",
      "--trials", "8", "--operator", "mean"],
+    ["maximal", "--matrix", "fejer", "--seq", "list:1,4096", "--resolution", "12"],
     ["llogl-experiment", "--matrix0", "fejer", "--matrix1", "nlog", "--seq0", "list:64",
      "--seq1", "all:33..64", "--resolution", "6", "--trials", "4", "--seed", "1"],
 ]

@@ -461,7 +461,7 @@ def test_replayed_plan_reads_the_sample_buffer():
     two = one + [(maximal.abs_kernel_spectra(T, subsequence_from_spec("list:2,64")),
                   subsequence_from_spec("list:2,64"))]
     for banks, shape in [(one, (3, 1 << K)), (two, (2, 1 << K, 1 << K))]:
-        work, buffer = maximal._Workspace(), np.empty(shape)
+        work, buffer = maximal._Workspace(maximal._CHUNK_CELLS), np.empty(shape)
         for i in range(2):
             buffer[...] = rng.normal(size=shape)
             got = maximal._sup_of_means(buffer, banks, K, work)
@@ -469,6 +469,70 @@ def test_replayed_plan_reads_the_sample_buffer():
             assert work.plan is plan
             coeffs = _forward_axes(buffer, K, len(banks))
             assert np.array_equal(got, sup_of_means_reference(coeffs, banks, K))
+
+
+def test_workspace_refuses_a_take_above_its_size():
+    # each slot is made at its first take with the workspace's cells and
+    # never resized: a take of more cells is refused, naming both sizes,
+    # and leaves the slot as it was
+    work = maximal._Workspace(24)
+    work.take(0, (2, 3))
+    buffer = work._buffers[0]
+    assert buffer.size == 24 and work.take(0, (4, 6)).size == 24
+    for slot, shape in [(0, (5, 5)), (1, (25,))]:
+        with pytest.raises(ValueError, match=rf"slot {slot} takes 25 cells, above its 24"):
+            work.take(slot, shape)
+    assert work._buffers == {0: buffer}
+
+
+@st.composite
+def _subsequence_specs(draw, K):
+    """A subsequence spec of one of four kinds, its largest index at most 2^K:
+    `all` runs of up to 40 indices, and level gaps from `list`, from
+    `alternating` (every other level) and from tops below K."""
+    kind = draw(st.sampled_from(["all", "powers", "list", "alternating"]))
+    if kind == "list":
+        indices = draw(st.lists(st.integers(1, 1 << K), min_size=1, max_size=6, unique=True))
+        return "list:" + ",".join(map(str, sorted(indices)))
+    top = {"all": 1 << K, "powers": K, "alternating": (K - 1) // 2}[kind]
+    lo = draw(st.integers(1 if kind == "all" else 0, top))
+    hi = draw(st.integers(lo, min(top, lo + 39)))
+    return f"{kind}:{lo}..{hi}"
+
+
+@st.composite
+def _sup_cases(draw):
+    """(d, K, two batch lengths, the banks) of a `_sup_of_means` call."""
+    d = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(1, 10 if d == 1 else 5))
+    first = draw(st.integers(1, 4))
+    second = (first + draw(st.integers(0, 2))) % 4 + 1
+    banks = []
+    for _ in range(d):
+        sub = subsequence_from_spec(draw(_subsequence_specs(K)))
+        T = matrix_from_spec(draw(st.sampled_from(["fejer", "nlog", "cesaro:0.5"])))
+        bank = draw(st.sampled_from([maximal._mean_weight_matrix, maximal.abs_kernel_spectra]))
+        banks.append((bank(T, sub), sub))
+    return d, K, (first, second), banks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sup_cases(), st.integers(0, 2 ** 32 - 1))
+def test_sup_of_means_matches_the_reference_in_any_workspace(case, seed):
+    # bit for bit against the full-grid fold: a one-shot call, whose result
+    # owns exactly its grid, and two batches of different lengths through
+    # one workspace sized for the larger, whose slots the second plan reuses
+    d, K, lengths, banks = case
+    rng = np.random.default_rng(seed)
+    batches = [rng.normal(size=(n,) + (1 << K,) * d) for n in lengths]
+    expected = [sup_of_means_reference(_forward_axes(x, K, d), banks, K) for x in batches]
+    once = maximal._sup_of_means(batches[0], banks, K)
+    owner = once if once.base is None else once.base
+    assert once.shape == batches[0].shape and owner.nbytes == once.nbytes
+    assert np.array_equal(once, expected[0])
+    work = maximal._Workspace(max(maximal._CHUNK_CELLS, max(x.size for x in batches)))
+    for x, want in zip(batches, expected):
+        assert np.array_equal(maximal._sup_of_means(x, banks, K, work), want)
 
 
 @pytest.mark.parametrize("matrices, specs, K, trials, plans", [
@@ -484,7 +548,8 @@ def test_each_block_length_is_planned_once(matrices, specs, K, trials, plans, mo
     # and replayed for every later block of that length: each 2D trial is a
     # block of one, including trials of 2^12 cells whose fold blocks reach
     # 2^17 (llogl-outgrown), and 50 trials at K = 14 are six blocks of 8
-    # and one of 2.  The report is that of a fresh workspace per block
+    # and one of 2.  Each plan sizes the blocks of each level tuple once.
+    # The report is that of a fresh workspace per block
     Ts = [matrix_from_spec(m) for m in matrices]
     subs = [subsequence_from_spec(s) for s in specs]
 
@@ -503,11 +568,16 @@ def test_each_block_length_is_planned_once(matrices, specs, K, trials, plans, mo
         fold(coeffs, banks, groups, levels, *rest)
 
     monkeypatch.setattr(maximal, "_fold_levels", counted)
+    sized = []
+    block_sizes = maximal._block_sizes
+    monkeypatch.setattr(maximal, "_block_sizes", lambda *args: sized.append(args) or
+                        block_sizes(*args))
     report = run()
     assert len(built) == plans
+    assert len(sized) == sum(math.prod(map(len, groups)) for groups in built)
     trial_ratios = maximal._trial_ratios
     monkeypatch.setattr(maximal, "_trial_ratios",
-                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace()))
+                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace(args[-1].cells)))
     assert run() == report
 
 
@@ -531,8 +601,8 @@ def test_replayed_blocks_keep_every_buffer(spec, monkeypatch):
     works, seen = [], []
     init = maximal._Workspace.__init__
 
-    def keep(self):
-        init(self)
+    def keep(self, cells):
+        init(self, cells)
         works.append(self)
 
     def draw(grid, rng, drawn=itertools.count()):
@@ -673,7 +743,7 @@ def test_trial_blocks_share_no_state(spec, operator, monkeypatch):
     shared = run()
     trial_ratios = maximal._trial_ratios
     monkeypatch.setattr(maximal, "_trial_ratios",
-                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace()))
+                        lambda *args: trial_ratios(*args[:-1], maximal._Workspace(args[-1].cells)))
     assert run() == shared
 
 
